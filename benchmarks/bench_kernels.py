@@ -1,8 +1,7 @@
 """Time the compiled search kernel against its pure-Python twin.
 
 Runs the bundled check-in benchmark (all four authentication variants)
-through both kernels, branch-and-bound and unpruned exhaustive search,
-and prints a speedup table.  Usage:
+through both kernels' branch-and-bound search and prints a speedup table.  Usage:
 
     python3 benchmarks/bench_kernels.py [--repeat N] [--k N]
 """
@@ -48,29 +47,26 @@ def main() -> None:
     document = load_fixture("checkin-full.json")
     model = CostModel.calibrated()
 
-    header = f"{'variant':<8} {'mode':<11} {'pure':>9} {'compiled':>9} {'speedup':>8}"
+    header = f"{'variant':<8} {'pure':>9} {'compiled':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for member in MEMBERS:
         workflow = instantiate_variant(document.workflow, "AUTH", member)
         codes, preds, pair, shares, rp, bound_in = _kernel_inputs(
             workflow, model, Objective.MINIMIZE)
-        n = len(codes)
-        for mode, use_bound in (("bnb", True), ("exhaustive", False)):
-            args = (n, preds, pair, shares, rp, bound_in, False, opts.k,
-                    use_bound, None)
-            pure_t, pure_res = time_kernel(_search, args, opts.repeat)
-            if _kernel is None:
-                print(f"{member:<8} {mode:<11} {pure_t * 1e3:>8.2f}ms {'-':>9} {'-':>8}")
-                continue
-            comp_t, comp_res = time_kernel(_kernel, args, opts.repeat)
-            if pure_res[0] != comp_res[0]:
-                raise SystemExit(
-                    f"kernel disagreement on {member}/{mode}: "
-                    f"{pure_res[0]} vs {comp_res[0]}"
-                )
-            print(f"{member:<8} {mode:<11} {pure_t * 1e3:>8.2f}ms "
-                  f"{comp_t * 1e3:>8.2f}ms {pure_t / comp_t:>7.1f}x")
+        args = (len(codes), preds, pair, shares, rp, bound_in, False, opts.k)
+        pure_t, pure_res = time_kernel(_search, args, opts.repeat)
+        if _kernel is None:
+            print(f"{member:<8} {pure_t * 1e3:>8.2f}ms {'-':>9} {'-':>8}")
+            continue
+        comp_t, comp_res = time_kernel(_kernel, args, opts.repeat)
+        if pure_res[0] != comp_res[0]:
+            raise SystemExit(
+                f"kernel disagreement on {member}: "
+                f"{pure_res[0]} vs {comp_res[0]}"
+            )
+        print(f"{member:<8} {pure_t * 1e3:>8.2f}ms "
+              f"{comp_t * 1e3:>8.2f}ms {pure_t / comp_t:>7.1f}x")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,7 @@ def search(int n,
            long long rp_cost,
            bound_list,
            bint maximize,
-           long long k,
-           bint use_bound=True,
-           allowed_first=None):
+           long long k):
     """Mirror of cogseq._search.search; see that docstring for the contract."""
     if n > 64:
         raise ValueError("compiled kernel supports at most 64 tasks")
@@ -39,7 +37,7 @@ def search(int n,
     cdef int nextt[65]
     cdef int seq[64]
     cdef int i, j, t, depth, pos
-    cdef unsigned long long bit, placed, allowed
+    cdef unsigned long long bit, placed
     cdef long long step, new_total, new_rem, key, total_bound
     cdef long long nodes = 0, prunes = 0
     cdef long long sign = -1 if maximize else 1
@@ -53,10 +51,6 @@ def search(int n,
         row = pair_list[i]
         for j in range(n):
             pair[i][j] = row[j]
-    if allowed_first is None:
-        allowed = (<unsigned long long> 0xFFFFFFFFFFFFFFFF) >> (64 - n)
-    else:
-        allowed = allowed_first
     total_bound = 0
     for i in range(n):
         total_bound += bound_in[i]
@@ -76,8 +70,7 @@ def search(int n,
         while t < n:
             bit = (<unsigned long long> 1) << t
             if not (placed & bit) and (preds[t] & ~placed) == 0:
-                if depth > 0 or (allowed & bit):
-                    break
+                break
             t += 1
         if t == n:
             depth -= 1
@@ -107,7 +100,7 @@ def search(int n,
                 worst_key = keys[count - 1]
             continue
         new_rem = rems[depth] - bound_in[t]
-        if use_bound and count == k and sign * (new_total + new_rem) >= worst_key:
+        if count == k and sign * (new_total + new_rem) >= worst_key:
             prunes += 1
             continue
         depth += 1

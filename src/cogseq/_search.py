@@ -20,9 +20,7 @@ def search(n: int,
            rp_cost: int,
            bound_in: list[int],
            maximize: bool,
-           k: int,
-           use_bound: bool = True,
-           allowed_first: int | None = None):
+           k: int):
     """Find the k extremal linear extensions; returns (solutions, nodes, prunes).
 
     ``preds[t]``: bitmask of direct predecessors.  ``pair[a][b]``: cost of a
@@ -31,14 +29,11 @@ def search(n: int,
     ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
     adjacent scope).  ``bound_in[t]`` is a static per-task bound on t's
     incoming transition (lower for minimize, upper for maximize), used for an
-    admissible prefix bound.  ``allowed_first`` restricts the first placement
-    (worker partitioning).  Solutions are (total, index-tuple), best-first,
+    admissible prefix bound.  Solutions are (total, index-tuple), best-first,
     ties lexicographic.
     """
     if n == 0:
         return [(0, ())], 0, 0
-    if allowed_first is None:
-        allowed_first = (1 << n) - 1
     sign = -1 if maximize else 1
     keys: list[int] = []
     seqs: list[tuple[int, ...]] = []
@@ -54,8 +49,6 @@ def search(n: int,
             if placed & bit or preds[t] & ~placed:
                 continue
             if depth == 0:
-                if not allowed_first & bit:
-                    continue
                 step = 0
             else:
                 step = pair[last][t]
@@ -75,8 +68,7 @@ def search(n: int,
                         seqs.pop()
                 continue
             new_rem = rem_bound - bound_in[t]
-            if (use_bound and len(keys) == k
-                    and sign * (new_total + new_rem) >= keys[-1]):
+            if len(keys) == k and sign * (new_total + new_rem) >= keys[-1]:
                 prunes += 1
                 continue
             rec(depth + 1, placed | bit, t, new_total, new_rem)

@@ -75,13 +75,6 @@ def _format_option(f):
     )(f)
 
 
-def _workers_option(f):
-    return click.option(
-        "--workers", type=click.IntRange(min=1), default=1, show_default=True,
-        help="Parallel search workers (output is identical for any count).",
-    )(f)
-
-
 def _load_model(spec: str | None) -> CostModel:
     if spec is None or spec == "calibrated":
         return CostModel.calibrated()
@@ -197,10 +190,9 @@ def validate(workflow_file: str) -> None:
               default="bnb", show_default=True)
 @_cost_model_option
 @_format_option
-@_workers_option
 @_domain_errors
 def solve_cmd(workflow_file: str, variants, objective: str, k: int,
-              backend: str, cost_model_spec, fmt: str, workers: int) -> None:
+              backend: str, cost_model_spec, fmt: str) -> None:
     """Find the k extremal task orderings of a workflow."""
     document = resolve_workflow_path(workflow_file)
     workflow = _apply_variants(document, variants)
@@ -209,7 +201,7 @@ def solve_cmd(workflow_file: str, variants, objective: str, k: int,
     request = SolveRequest(
         workflow=workflow, model=model,
         objective=Objective.parse(objective), k=k,
-        backend=Backend.parse(backend), workers=workers,
+        backend=Backend.parse(backend),
     )
     solutions = solve(request)
     if fmt == "json":
@@ -233,15 +225,14 @@ def solve_cmd(workflow_file: str, variants, objective: str, k: int,
 @_variant_option
 @_cost_model_option
 @_format_option
-@_workers_option
 @_domain_errors
 def compare_variants_cmd(workflow_file: str, variants, cost_model_spec,
-                         fmt: str, workers: int) -> None:
+                         fmt: str) -> None:
     """Solve per variant-group member and rank the members by optimal cost."""
     document = resolve_workflow_path(workflow_file)
     workflow = _apply_variants(document, variants)
     model = _load_model(cost_model_spec)
-    comparisons = compare_variants(workflow, model, workers=workers)
+    comparisons = compare_variants(workflow, model)
     if fmt == "json":
         _echo_json({
             "comparisons": [

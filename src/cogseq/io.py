@@ -172,8 +172,12 @@ def parse_workflow_document(data, *, path: Path | None = None,
             ),
         ))
 
+    raw_groups = data.get("variant_groups", [])
+    if not isinstance(raw_groups, list):
+        raise DocumentError("`variant_groups` must be an array",
+                            path=path, field="variant_groups")
     groups: list[VariantGroup] = []
-    for i, row in enumerate(data.get("variant_groups", [])):
+    for i, row in enumerate(raw_groups):
         field = f"variant_groups[{i}]"
         if not isinstance(row, dict):
             raise DocumentError("variant group entry must be an object",

@@ -1,17 +1,17 @@
 """Optimal, pessimal, and top-k orderings of a workflow under a cost model.
 
 Two routes are provided on purpose.  ``solve`` searches prefixes of linear
-extensions with branch-and-bound (or exhaustively, on request) through the
-selected kernel; ``brute_force`` enumerates every extension in lexicographic
-order and prices each one, sharing no code with the kernels.  Agreement
-between the two is part of the test contract.
+extensions with branch-and-bound through the selected kernel;
+``brute_force`` (and ``solve``'s exhaustive backend) enumerates every
+extension in lexicographic order and prices each one, sharing no code with
+the kernels.  Agreement between the two is part of the test contract.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -69,8 +69,8 @@ class Backend(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class SearchStats:
-    """Informational counters; excluded from machine-readable output because
-    node and prune counts vary with worker partitioning."""
+    """Informational counters, excluded from machine-readable output.
+    Enumeration counts each priced extension as a node and never prunes."""
 
     nodes: int
     prunes: int
@@ -92,13 +92,10 @@ class SolveRequest:
     objective: Objective = Objective.MINIMIZE
     k: int = 1
     backend: Backend = Backend.BRANCH_AND_BOUND
-    workers: int = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise CogseqError(f"k must be at least 1, got {self.k}")
-        if self.workers < 1:
-            raise CogseqError(f"workers must be at least 1, got {self.workers}")
 
 
 def _checked(workflow: Workflow, operation: str) -> None:
@@ -192,15 +189,13 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, objective: Objective):
     return codes, preds, pair, shares, rp_cost, bound_in
 
 
-def _adjacent_pair_table(workflow: Workflow,
-                         model: CostModel) -> tuple[tuple[str, ...], dict]:
+def _adjacent_pair_table(workflow: Workflow, model: CostModel) -> dict:
     codes = workflow.codes()
-    tasks = {code: workflow.tasks[code] for code in codes}
-    table = {
+    tasks = workflow.tasks
+    return {
         (a, b): pair_cost(tasks[a], tasks[b], model)
         for a in codes for b in codes if a != b
     }
-    return codes, table
 
 
 def _ordering_total(ordering: Ordering, workflow: Workflow, model: CostModel,
@@ -238,69 +233,46 @@ def solve(request: SolveRequest) -> list[Solution]:
     """Best-first list of at most k extremal orderings.
 
     Deterministic: ties are broken by lexicographically smallest code
-    sequence, and the parallel search partitions work by first task, so the
-    result is identical for every worker count.
+    sequence.  The exhaustive backend is the brute-force enumerator.
     """
     workflow, model = request.workflow, request.model
     _checked(workflow, "solve")
     if request.backend is Backend.EXHAUSTIVE:
-        return _solve_exhaustive(request)
+        return _enumerate_top_k(workflow, model, request.objective, request.k)
 
     start = perf_counter()
     codes, preds, pair, shares, rp_cost, bound_in = _kernel_inputs(
         workflow, model, request.objective)
     n = len(codes)
-    maximize = request.objective is Objective.MAXIMIZE
     kernel = _backend.search if n <= 64 else _backend.pure_search
-
-    def run(allowed_first: int | None):
-        return kernel(n, preds, pair, shares, rp_cost, bound_in,
-                      maximize, request.k, True, allowed_first)
-
-    sources = [i for i in range(n) if preds[i] == 0]
-    if request.workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=request.workers) as pool:
-            branches = list(pool.map(run, (1 << s for s in sources)))
-    else:
-        branches = [run(None)]
-
-    sign = -1 if maximize else 1
-    merged = sorted(
-        (entry for solutions, _, _ in branches for entry in solutions),
-        key=lambda entry: (sign * entry[0], entry[1]),
-    )[:request.k]
-    nodes = sum(b[1] for b in branches)
-    prunes = sum(b[2] for b in branches)
+    solutions, nodes, prunes = kernel(
+        n, preds, pair, shares, rp_cost, bound_in,
+        request.objective is Objective.MAXIMIZE, request.k)
     stats = SearchStats(nodes=nodes, prunes=prunes,
                         elapsed=perf_counter() - start)
     return [
         _finish(workflow, model, tuple(codes[i] for i in seq), total, stats)
-        for total, seq in merged
+        for total, seq in solutions
     ]
 
 
-def _solve_exhaustive(request: SolveRequest,
-                      budget: int = DEFAULT_BUDGET) -> list[Solution]:
-    from bisect import bisect_right
-
-    workflow, model = request.workflow, request.model
+def _enumerate_top_k(workflow: Workflow, model: CostModel,
+                     objective: Objective, k: int,
+                     budget: int = DEFAULT_BUDGET) -> list[Solution]:
+    """Best-first k orderings by pricing every linear extension; equal
+    totals keep enumeration order, i.e. lexicographic by code."""
     start = perf_counter()
     count = count_linear_extensions(workflow)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    table = None
-    if _uses_pair_table(model):
-        _, table = _adjacent_pair_table(workflow, model)
-    sign = -1 if request.objective is Objective.MAXIMIZE else 1
-    k = request.k
+    table = (_adjacent_pair_table(workflow, model)
+             if _uses_pair_table(model) else None)
+    sign = -1 if objective is Objective.MAXIMIZE else 1
     keys: list[int] = []
     seqs: list[Ordering] = []
-    evaluated = 0
     for ordering in enumerate_linear_extensions(workflow):
-        evaluated += 1
-        total = _ordering_total(ordering, workflow, model, table)
-        key = sign * total
+        key = sign * _ordering_total(ordering, workflow, model, table)
         if len(keys) < k or key < keys[-1]:
             pos = bisect_right(keys, key)
             keys.insert(pos, key)
@@ -308,11 +280,11 @@ def _solve_exhaustive(request: SolveRequest,
             if len(keys) > k:
                 keys.pop()
                 seqs.pop()
-    stats = SearchStats(nodes=evaluated, prunes=0,
+    stats = SearchStats(nodes=count, prunes=0,
                         elapsed=perf_counter() - start)
     return [
-        _finish(workflow, model, seqs[i], sign * key, stats)
-        for i, key in enumerate(keys)
+        _finish(workflow, model, seq, sign * key, stats)
+        for key, seq in zip(keys, seqs)
     ]
 
 
@@ -326,28 +298,7 @@ def brute_force(workflow: Workflow, model: CostModel,
     code sequence wins (enumeration order makes that the first one seen).
     """
     _checked(workflow, "brute_force")
-    start = perf_counter()
-    count = count_linear_extensions(workflow)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-
-    table = None
-    if _uses_pair_table(model):
-        _, table = _adjacent_pair_table(workflow, model)
-    maximize = objective is Objective.MAXIMIZE
-    best_total: int | None = None
-    best: Ordering = ()
-    evaluated = 0
-    for ordering in enumerate_linear_extensions(workflow):
-        evaluated += 1
-        total = _ordering_total(ordering, workflow, model, table)
-        if (best_total is None
-                or (total > best_total if maximize else total < best_total)):
-            best_total = total
-            best = ordering
-    stats = SearchStats(nodes=evaluated, prunes=0,
-                        elapsed=perf_counter() - start)
-    return _finish(workflow, model, best, best_total or 0, stats)
+    return _enumerate_top_k(workflow, model, objective, 1, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -366,8 +317,8 @@ class VariantComparison:
 
 
 def compare_variants(workflow: Workflow, model: CostModel,
-                     baseline: Mapping[str, str] | None = None,
-                     workers: int = 1) -> tuple[VariantComparison, ...]:
+                     baseline: Mapping[str, str] | None = None
+                     ) -> tuple[VariantComparison, ...]:
     """Sweep each variant group, solving minimize/k=1 per member.
 
     With several groups, the groups not being swept are pinned to
@@ -400,7 +351,7 @@ def compare_variants(workflow: Workflow, model: CostModel,
                                                 baseline[other.code])
             solution = solve(SolveRequest(
                 workflow=candidate, model=model,
-                objective=Objective.MINIMIZE, k=1, workers=workers,
+                objective=Objective.MINIMIZE, k=1,
             ))[0]
             rows.append(VariantRow(member=member, solution=solution))
         rows.sort(key=lambda row: (row.solution.total, row.member))

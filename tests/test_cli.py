@@ -53,6 +53,24 @@ class TestValidate:
         assert result.exit_code == 1
         assert "error:" in err_text(result)
 
+    @pytest.mark.parametrize("value", [5, None])
+    def test_variant_groups_not_array(self, runner, tmp_path, value):
+        doc = {
+            "tasks": [{"code": "A", "name": "A", "resource": "VWM",
+                       "modality": "t", "voluntary": False,
+                       "familiarity": 3, "complexity": 3}],
+            "variant_groups": value,
+        }
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(cli, ["validate", str(path)])
+        # An uncaught exception would also exit 1 under CliRunner; a clean
+        # domain error is a SystemExit with the message on stderr.
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "variant_groups" in err_text(result)
+
 
 class TestSolve:
     def test_table_output(self, runner):
@@ -131,15 +149,14 @@ class TestSolve:
         assert totals == sorted(totals)
         assert [s["rank"] for s in payload["solutions"]] == [1, 2, 3]
 
-    def test_workers_flag_accepted(self, runner):
-        serial = runner.invoke(cli, [
-            "solve", "checkin-validation", "--format", "json",
-        ])
-        parallel = runner.invoke(cli, [
-            "solve", "checkin-validation", "--format", "json",
-            "--workers", "4",
-        ])
-        assert parallel.output == serial.output
+    @pytest.mark.parametrize("command", [
+        ["solve", "checkin-validation"],
+        ["compare-variants", "checkin-full"],
+    ], ids=["solve", "compare-variants"])
+    def test_workers_flag_rejected(self, runner, command):
+        result = runner.invoke(cli, command + ["--workers", "4"])
+        assert result.exit_code == 2
+        assert "--workers" in err_text(result)
 
 
 class TestCostModelSelection:

@@ -158,6 +158,13 @@ class TestWorkflowParsing:
         with pytest.raises(DocumentError, match="array of codes"):
             parse_workflow_document(doc)
 
+    @pytest.mark.parametrize("value", [5, None, "x", {"a": 1}])
+    def test_variant_groups_must_be_array(self, value):
+        with pytest.raises(DocumentError,
+                           match="`variant_groups` must be an array") as err:
+            parse_workflow_document(make_doc(variant_groups=value))
+        assert err.value.field == "variant_groups"
+
     def test_variant_group_needs_members(self):
         doc = make_doc(variant_groups=[{"code": "G", "members": []}])
         with pytest.raises(DocumentError, match="non-empty array"):
