@@ -1,28 +1,14 @@
-"""Kernel selection: the compiled extension when importable, else pure Python.
+"""The search engine that ``solve`` calls, looked up at call time.
 
-Set ``COGSEQ_PURE=1`` to force the pure kernel (useful for timing comparisons
-and for debugging); both kernels produce identical outputs by contract.
+``solve`` reaches the engine through this module's ``search`` attribute, so
+tests and tracing tools can substitute or wrap it in one place.
 """
 
 from __future__ import annotations
 
-import os
+from ._search import search
 
-from . import _search
+#: Name of the search engine, recorded by benchmark stamps: it is pure Python.
+KERNEL_NAME = "pure"
 
-if os.environ.get("COGSEQ_PURE", "").strip() not in ("", "0"):
-    _kernel_module = _search
-else:
-    try:
-        from . import _kernel as _kernel_module  # type: ignore[no-redef]
-    except ImportError:
-        _kernel_module = _search
-
-#: Name of the active kernel: "compiled" or "pure".
-KERNEL_NAME: str = _kernel_module.KERNEL_NAME
-
-#: Active search kernel (see cogseq._search.search for the contract).
-search = _kernel_module.search
-
-#: Pure kernel, always available; used for n > 64 and for parity checks.
-pure_search = _search.search
+__all__ = ["KERNEL_NAME", "search"]

@@ -221,10 +221,23 @@ class CostModel:
 
     def active_rule_costs(self) -> dict[Rule, int]:
         """Enabled rules and costs, in canonical rule order."""
-        if not self.rules_enabled:
-            return {}
-        present = {entry.rule: entry.cost for entry in self.rules}
-        return {rule: present[rule] for rule in RULE_ORDER if rule in present}
+        return dict(self._rule_cost_pairs())
+
+    def _rule_cost_pairs(self) -> tuple[tuple[Rule, int], ...]:
+        """:meth:`active_rule_costs` as (rule, cost) pairs, resolved once.
+
+        Every priced transition asks for these, so they are kept in the
+        instance ``__dict__``, which the dataclass's equality and hash
+        ignore.
+        """
+        pairs = self.__dict__.get("_resolved_rule_costs")
+        if pairs is None:
+            present = ({entry.rule: entry.cost for entry in self.rules}
+                       if self.rules_enabled else {})
+            pairs = tuple((rule, present[rule]) for rule in RULE_ORDER
+                          if rule in present)
+            self.__dict__["_resolved_rule_costs"] = pairs
+        return pairs
 
 
 def resource_switch_cost(frm: Resource, to: Resource,
@@ -260,15 +273,9 @@ def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
     scope.  Each rule fires at most once, contributing its flat cost.
     """
     _check_history(prev, history)
-    if not model.rules_enabled:
-        return ()
-    costs = model.active_rule_costs()
     fired: list[tuple[Rule, int]] = []
 
-    for rule in RULE_ORDER:
-        cost = costs.get(rule)
-        if cost is None:
-            continue
+    for rule, cost in model._rule_cost_pairs():
         if rule is Rule.MODALITY:
             hit = prev.resource is cur.resource and prev.modality != cur.modality
         elif rule is Rule.RECENT_PRACTICE:

@@ -37,11 +37,17 @@ class DocumentError(CogseqError):
 
 
 class BudgetExceededError(CogseqError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """A search would exceed its budget.
 
-    def __init__(self, count: int, budget: int):
+    ``what`` names what was counted: the linear extensions that exhaustive
+    enumeration would price, or the order ideals that the search builds.
+    """
+
+    def __init__(self, count: int, budget: int,
+                 what: str = "linear extensions"):
         self.count = count
         self.budget = budget
+        self.what = what
         super().__init__(
-            f"workflow has {count} linear extensions, exceeding the budget of {budget}"
+            f"workflow has {count} {what}, exceeding the budget of {budget}"
         )

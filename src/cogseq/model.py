@@ -243,29 +243,29 @@ def _find_cycle(workflow: Workflow) -> tuple[str, ...] | None:
             if member in nodes:
                 succ.setdefault(member, []).append(grp.code)
 
+    # Depth-first search on an explicit stack, so that long chains cannot
+    # reach the recursion limit: ``path`` holds the grey nodes and
+    # ``pending`` the successors each of them has yet to try.
     WHITE, GREY, BLACK = 0, 1, 2
     color = dict.fromkeys(nodes, WHITE)
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in sorted(succ.get(node, ())):
-            if color[nxt] == GREY:
-                return tuple(stack[stack.index(nxt):])
-            if color[nxt] == WHITE:
-                cyc = visit(nxt)
-                if cyc:
-                    return cyc
-        stack.pop()
-        color[node] = BLACK
-        return None
-
     for start in sorted(nodes):
-        if color[start] == WHITE:
-            cyc = visit(start)
-            if cyc:
-                return cyc
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(sorted(succ.get(start, ())))]
+        while path:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    return tuple(path[path.index(nxt):])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(sorted(succ.get(nxt, ()))))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

@@ -1,10 +1,12 @@
 """Optimal, pessimal, and top-k orderings of a workflow under a cost model.
 
-Two routes are provided on purpose.  ``solve`` searches prefixes of linear
-extensions with branch-and-bound through the selected kernel;
+Two routes are provided on purpose.  ``solve`` runs the exact search in
+``_search``: a dynamic program over the order ideals of the precedence
+order gives the exact cost of finishing from every prefix, and a
+lexicographic branch and bound pruned by it collects the top k.
 ``brute_force`` (and ``solve``'s exhaustive backend) enumerates every
 extension in lexicographic order and prices each one, sharing no code with
-the kernels.  Agreement between the two is part of the test contract.
+the search.  Agreement between the two is part of the test contract.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ class Backend(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class SearchStats:
     """Informational counters, excluded from machine-readable output.
-    Enumeration counts each priced extension as a node and never prunes."""
+
+    For the search, ``nodes`` and ``prunes`` count the depth-first steps
+    tried and cut off, not the order ideals of its dynamic program.
+    Enumeration counts each priced extension as a node and never prunes.
+    """
 
     nodes: int
     prunes: int
@@ -105,11 +111,11 @@ def _checked(workflow: Workflow, operation: str) -> None:
         raise WorkflowError(f"invalid workflow:\n{report.summary()}")
 
 
-def _kernel_inputs(workflow: Workflow, model: CostModel, objective: Objective):
-    """Dense index-space arrays for the search kernels.
+def _kernel_inputs(workflow: Workflow, model: CostModel):
+    """Dense index-space arrays for the search engine.
 
-    Index order is ascending task code, so kernel index tuples compare
-    exactly like code sequences.  Under full-history scope the history
+    Index order is ascending task code, so index tuples compare exactly
+    like code sequences.  Under full-history scope the history
     -dependent RecentPractice term is lifted out of the pair table into
     (shares, rp_cost); otherwise it stays folded into the table.
     """
@@ -145,48 +151,7 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, objective: Objective):
         for b in range(n):
             if a != b:
                 pair[a][b] = pair_cost(tasks[a], tasks[b], base_model)
-
-    # Strict descendants, via reverse topological order.
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for j in range(n):
-        mask = preds[j]
-        while mask:
-            low = mask & -mask
-            succ[low.bit_length() - 1].append(j)
-            indegree[j] += 1
-            mask ^= low
-    topo: list[int] = [i for i in range(n) if indegree[i] == 0]
-    for i in topo:
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                topo.append(j)
-    desc = [0] * n
-    for i in reversed(topo):
-        for j in succ[i]:
-            desc[i] |= (1 << j) | desc[j]
-
-    maximize = objective is Objective.MAXIMIZE
-    bound_in = [0] * n
-    for j in range(n):
-        candidates = [
-            pair[i][j]
-            for i in range(n)
-            if i != j and not (desc[j] >> i) & 1
-        ]
-        if not candidates:
-            continue
-        if maximize:
-            # Upper bound on j's incoming transition: dearest feasible pair
-            # cost, plus the lifted RecentPractice surcharge when any task at
-            # all shares j's modality or resource.
-            bound_in[j] = max(candidates) + (rp_cost if shares[j] else 0)
-        else:
-            # Lower bound: cheapest feasible pair cost; the lifted term only
-            # ever adds, so omitting it keeps the bound admissible.
-            bound_in[j] = min(candidates)
-    return codes, preds, pair, shares, rp_cost, bound_in
+    return codes, preds, pair, shares, rp_cost
 
 
 def _adjacent_pair_table(workflow: Workflow, model: CostModel) -> dict:
@@ -233,7 +198,9 @@ def solve(request: SolveRequest) -> list[Solution]:
     """Best-first list of at most k extremal orderings.
 
     Deterministic: ties are broken by lexicographically smallest code
-    sequence.  The exhaustive backend is the brute-force enumerator.
+    sequence.  The exhaustive backend is the brute-force enumerator.  The
+    default search raises :class:`BudgetExceededError` when the workflow has
+    more than ``_search.MAX_IDEALS`` order ideals.
     """
     workflow, model = request.workflow, request.model
     _checked(workflow, "solve")
@@ -241,12 +208,9 @@ def solve(request: SolveRequest) -> list[Solution]:
         return _enumerate_top_k(workflow, model, request.objective, request.k)
 
     start = perf_counter()
-    codes, preds, pair, shares, rp_cost, bound_in = _kernel_inputs(
-        workflow, model, request.objective)
-    n = len(codes)
-    kernel = _backend.search if n <= 64 else _backend.pure_search
-    solutions, nodes, prunes = kernel(
-        n, preds, pair, shares, rp_cost, bound_in,
+    codes, preds, pair, shares, rp_cost = _kernel_inputs(workflow, model)
+    solutions, nodes, prunes = _backend.search(
+        len(codes), preds, pair, shares, rp_cost,
         request.objective is Objective.MAXIMIZE, request.k)
     stats = SearchStats(nodes=nodes, prunes=prunes,
                         elapsed=perf_counter() - start)

@@ -149,6 +149,23 @@ class TestSolve:
         assert totals == sorted(totals)
         assert [s["rank"] for s in payload["solutions"]] == [1, 2, 3]
 
+    def test_search_budget_is_domain_error(self, runner, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr("cogseq._search.MAX_IDEALS", 100)
+        doc = {"tasks": [
+            {"code": f"T{i}", "name": f"T{i}", "resource": "VWM",
+             "modality": "t", "voluntary": False, "familiarity": 3,
+             "complexity": 3}
+            for i in range(10)
+        ]}
+        path = tmp_path / "antichain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(cli, ["solve", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "order ideals" in err_text(result)
+
     @pytest.mark.parametrize("command", [
         ["solve", "checkin-validation"],
         ["compare-variants", "checkin-full"],

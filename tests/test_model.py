@@ -85,6 +85,19 @@ class TestValidation:
         assert len(cycles) == 1
         assert set(cycles[0].codes) == {"A", "B", "C"}
 
+    def test_long_chain_validates(self):
+        # Deeper than the default recursion limit.
+        codes = [f"T{i:04d}" for i in range(1500)]
+        assert validate_workflow(chain(*codes)).ok
+
+    def test_long_cycle_reported_with_path(self):
+        codes = [f"T{i:04d}" for i in range(1500)]
+        tasks = [simple_task(code, prerequisites=(codes[i - 1],))
+                 for i, code in enumerate(codes)]
+        cycles = [v for v in validate_workflow(Workflow.from_tasks(tasks))
+                  if v.kind == "cycle"]
+        assert [v.codes for v in cycles] == [tuple(codes)]
+
     def test_cycle_through_variant_group(self):
         # M requires A, A requires the group containing M: cyclic for the
         # M choice, which the member->group edges make visible.

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from cogseq import _search
 from cogseq import (
     Backend,
     BudgetExceededError,
@@ -106,14 +107,20 @@ class TestBasics:
         assert len(solutions) == 2
         assert {s.ordering for s in solutions} == {("A", "B"), ("B", "A")}
 
-    def test_wide_workflow_uses_pure_kernel(self):
-        # 70 tasks exceed the compiled kernel's 64-bit masks.
+    def test_seventy_task_chain(self):
+        # Task sets are Python-int bitmasks, so more than 64 tasks take the
+        # same path as any other workflow.
         tasks = [simple_task("T00")]
         for i in range(1, 70):
             tasks.append(simple_task(f"T{i:02d}", prerequisites=(f"T{i-1:02d}",)))
         wf = Workflow.from_tasks(tasks)
         (sol,) = solve(SolveRequest(workflow=wf))
         assert sol.ordering == tuple(sorted(wf.tasks))
+        assert (sol.stats.nodes, sol.stats.prunes) == (70, 0)
+
+    def test_empty_workflow(self):
+        (sol,) = solve(SolveRequest(workflow=Workflow.from_tasks([])))
+        assert (sol.ordering, sol.total, sol.stats.nodes) == ((), 0, 0)
 
 
 class TestTieBreaks:
@@ -171,7 +178,30 @@ class TestDeterminism:
             assert _totals(solve(request)) == first
 
 
+#: The calibrated, literal and full-history configurations.
+MODELS = (
+    CostModel.calibrated(),
+    CostModel(),
+    CostModel(recent_practice_scope=Scope.FULL_HISTORY),
+)
+
+
 class TestBackendAgreement:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_top_k_lists_match_exhaustive(self, seed):
+        # Whole ranked lists, orderings included, for every k up to 6.
+        rng = random.Random(3000 + seed)
+        wf = random_workflow(rng, n_max=7)
+        for model in MODELS:
+            for objective in Objective:
+                for k in range(1, 7):
+                    fast = solve(SolveRequest(workflow=wf, model=model,
+                                              objective=objective, k=k))
+                    slow = solve(SolveRequest(workflow=wf, model=model,
+                                              objective=objective, k=k,
+                                              backend=Backend.EXHAUSTIVE))
+                    assert _totals(fast) == _totals(slow)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_bnb_matches_exhaustive(self, seed):
         rng = random.Random(seed)
@@ -225,11 +255,31 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             brute_force(wf, CostModel())
 
-    def test_bnb_has_no_budget(self):
-        # The same workflow is fine for branch and bound.
+    def test_bnb_solves_within_ideal_budget(self):
+        # The same workflow has only 2**11 = 2048 order ideals.
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
         (sol,) = solve(SolveRequest(workflow=wf))
         assert len(sol.ordering) == 11
+
+    def test_bnb_ideal_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr("cogseq._search.MAX_IDEALS", 100)
+        wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(10)])
+        with pytest.raises(BudgetExceededError) as err:
+            solve(SolveRequest(workflow=wf))
+        assert (err.value.count, err.value.budget) == (101, 100)
+        assert "101 order ideals" in str(err.value)
+
+
+class TestSearchEngine:
+    def test_long_chain_needs_no_recursion(self):
+        # Deeper than the default recursion limit.
+        n = 1500
+        preds = [0] + [1 << (i - 1) for i in range(1, n)]
+        pair = [[0] * n for _ in range(n)]
+        solutions, nodes, prunes = _search.search(
+            n, preds, pair, [0] * n, 0, False, 1)
+        assert solutions == [(0, tuple(range(n)))]
+        assert (nodes, prunes) == (n, 0)
 
 
 class TestInternalConsistency:
@@ -239,8 +289,7 @@ class TestInternalConsistency:
             simple_task("B", prerequisites=("A",)),
         ])
 
-        def lying_kernel(n, preds, pair, shares, rp_cost, bound_in,
-                         maximize, k):
+        def lying_kernel(n, preds, pair, shares, rp_cost, maximize, k):
             return [(999_999, (0, 1))], 1, 0
 
         monkeypatch.setattr("cogseq._backend.search", lying_kernel)
