@@ -75,7 +75,6 @@ from .model import (
     validate_workflow,
 )
 from .solver import (
-    Backend,
     Objective,
     SearchStats,
     Solution,
@@ -101,7 +100,7 @@ from .wcsp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllDifferent", "Assignment", "Backend", "BudgetExceededError",
+    "AllDifferent", "Assignment", "BudgetExceededError",
     "CogseqError", "CostModel", "CostModelError", "DEFAULT_MATRIX",
     "DEFAULT_RULE_COSTS", "DocumentError", "FIXTURES", "KERNEL_NAME",
     "Objective", "OrderPair", "Ordering", "OrderingError", "ReportRow",

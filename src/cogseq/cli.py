@@ -27,7 +27,6 @@ from .io import (
 )
 from .model import instantiate_variant, validate_workflow
 from .solver import (
-    Backend,
     Objective,
     SearchStats,
     Solution,
@@ -186,13 +185,11 @@ def validate(workflow_file: str) -> None:
               show_default=True, help="Minimize or maximize total cost.")
 @click.option("--k", type=click.IntRange(min=1), default=1, show_default=True,
               help="Number of best solutions to report.")
-@click.option("--backend", type=click.Choice(["bnb", "exhaustive"]),
-              default="bnb", show_default=True)
 @_cost_model_option
 @_format_option
 @_domain_errors
 def solve_cmd(workflow_file: str, variants, objective: str, k: int,
-              backend: str, cost_model_spec, fmt: str) -> None:
+              cost_model_spec, fmt: str) -> None:
     """Find the k extremal task orderings of a workflow."""
     document = resolve_workflow_path(workflow_file)
     workflow = _apply_variants(document, variants)
@@ -201,7 +198,6 @@ def solve_cmd(workflow_file: str, variants, objective: str, k: int,
     request = SolveRequest(
         workflow=workflow, model=model,
         objective=Objective.parse(objective), k=k,
-        backend=Backend.parse(backend),
     )
     solutions = solve(request)
     if fmt == "json":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 
 from .errors import CostModelError, OrderingError
 from .model import (
@@ -30,7 +30,8 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
 
     Accepts ints, decimal strings, Decimal, and floats (read back through
     their shortest decimal form).  Values with more than three fractional
-    digits or below zero are rejected rather than rounded.
+    digits or below zero are rejected rather than rounded, and so are
+    infinities, NaNs and values too large for the decimal context.
     """
     if isinstance(value, bool):
         raise CostModelError(f"effect size must be numeric, got {value!r}")
@@ -41,7 +42,12 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
             dec = Decimal(value)
     except InvalidOperation:
         raise CostModelError(f"invalid effect size {value!r}") from None
-    scaled = dec.scaleb(3)
+    if not dec.is_finite():
+        raise CostModelError(f"effect size {value!r} is not finite")
+    try:
+        scaled = dec.scaleb(3)
+    except Overflow:
+        raise CostModelError(f"effect size {value!r} is too large") from None
     if scaled != scaled.to_integral_value():
         raise CostModelError(
             f"effect size {value!r} has more than 3 fractional digits"

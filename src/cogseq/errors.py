@@ -39,8 +39,8 @@ class DocumentError(CogseqError):
 class BudgetExceededError(CogseqError):
     """A search would exceed its budget.
 
-    ``what`` names what was counted: the linear extensions that exhaustive
-    enumeration would price, or the order ideals that the search builds.
+    ``what`` names what was counted: the linear extensions that
+    ``brute_force`` would price, or the order ideals that the search builds.
     """
 
     def __init__(self, count: int, budget: int,

@@ -358,8 +358,21 @@ def extension_violation(ordering: Sequence[str], workflow: Workflow) -> str | No
     return None
 
 
-def _direct_prerequisites(workflow: Workflow) -> dict[str, frozenset[str]]:
-    return {code: task.prerequisites for code, task in workflow.tasks.items()}
+#: Most order ideals ``count_linear_extensions`` keeps before refusing, to
+#: bound memory on very wide posets.
+MAX_COUNTED_IDEALS = 4_000_000
+
+
+def _predecessor_masks(workflow: Workflow) -> tuple[tuple[str, ...], list[int]]:
+    """Codes in ascending order, and each task's prerequisites as a bitmask
+    over those indices."""
+    codes = workflow.codes()
+    index = {code: i for i, code in enumerate(codes)}
+    masks = [0] * len(codes)
+    for code, task in workflow.tasks.items():
+        for pre in task.prerequisites:
+            masks[index[code]] |= 1 << index[pre]
+    return codes, masks
 
 
 def enumerate_linear_extensions(workflow: Workflow,
@@ -375,68 +388,60 @@ def enumerate_linear_extensions(workflow: Workflow,
     if report:
         raise WorkflowError(report[0].message)
 
-    codes = workflow.codes()
-    prereqs = _direct_prerequisites(workflow)
+    codes, preds = _predecessor_masks(workflow)
     n = len(codes)
-
-    def generate(placed: list[str], done: set[str]) -> Iterator[Ordering]:
-        if len(placed) == n:
-            yield tuple(placed)
-            return
-        for code in codes:
-            if code not in done and prereqs[code] <= done:
-                placed.append(code)
-                done.add(code)
-                yield from generate(placed, done)
-                placed.pop()
-                done.remove(code)
-
+    placed: list[int] = []  # explicit stack: the indices placed so far
+    done = 0
+    first = 0  # lowest index still to try at the current depth
     produced = 0
-    for ordering in generate([], set()):
-        yield ordering
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
+    while True:
+        if len(placed) == n:
+            yield tuple(codes[i] for i in placed)
+            produced += 1
+            if limit is not None and produced >= limit:
+                return
+            first = n
+        for i in range(first, n):
+            if not done >> i & 1 and preds[i] & ~done == 0:
+                placed.append(i)
+                done |= 1 << i
+                first = 0
+                break
+        else:
+            if not placed:
+                return
+            i = placed.pop()
+            done &= ~(1 << i)
+            first = i + 1
 
 
-def count_linear_extensions(workflow: Workflow, *,
-                            memo_limit: int = 4_000_000) -> int:
+def count_linear_extensions(workflow: Workflow) -> int:
     """Count linear extensions without enumerating them (count-only mode).
 
-    Dynamic programming over downsets of the precedence order; the memo is
-    capped at ``memo_limit`` entries to bound memory on very wide posets.
+    Dynamic programming over downsets of the precedence order, one level of
+    placed tasks at a time: each downset holds the number of ways to reach
+    it.  Refuses workflows with more than ``MAX_COUNTED_IDEALS`` downsets
+    short of the full set.
     """
     workflow.require_concrete("counting")
     if any(v.kind == "cycle" for v in validate_workflow(workflow)):
         raise WorkflowError("cannot count extensions of a cyclic workflow")
 
-    codes = workflow.codes()
-    index = {code: i for i, code in enumerate(codes)}
+    codes, preds = _predecessor_masks(workflow)
     n = len(codes)
-    pred_masks = [0] * n
-    for code, task in workflow.tasks.items():
-        for pre in task.prerequisites:
-            pred_masks[index[code]] |= 1 << index[pre]
-
-    full = (1 << n) - 1
-    memo: dict[int, int] = {}
-
-    def count(placed: int) -> int:
-        if placed == full:
-            return 1
-        cached = memo.get(placed)
-        if cached is not None:
-            return cached
-        total = 0
-        for i in range(n):
-            bit = 1 << i
-            if not placed & bit and pred_masks[i] & ~placed == 0:
-                total += count(placed | bit)
-        if len(memo) >= memo_limit:
+    level = {0: 1}
+    seen = 0
+    for _ in range(n):
+        seen += len(level)
+        if seen > MAX_COUNTED_IDEALS:
             raise WorkflowError(
                 "workflow too large for exact extension counting"
             )
-        memo[placed] = total
-        return total
-
-    return count(0)
+        below = level
+        level = {}
+        for placed, ways in below.items():
+            for i in range(n):
+                if not placed >> i & 1 and preds[i] & ~placed == 0:
+                    child = placed | 1 << i
+                    level[child] = level.get(child, 0) + ways
+    return level[(1 << n) - 1]

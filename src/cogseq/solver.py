@@ -4,15 +4,14 @@ Two routes are provided on purpose.  ``solve`` runs the exact search in
 ``_search``: a dynamic program over the order ideals of the precedence
 order gives the exact cost of finishing from every prefix, and a
 lexicographic branch and bound pruned by it collects the top k.
-``brute_force`` (and ``solve``'s exhaustive backend) enumerates every
-extension in lexicographic order and prices each one, sharing no code with
-the search.  Agreement between the two is part of the test contract.
+``brute_force`` is the reference: it enumerates every extension in
+lexicographic order and prices each one, sharing no code with the search.
+Agreement between the two is part of the test contract.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -53,29 +52,13 @@ class Objective(enum.Enum):
         raise CogseqError(f"unknown objective {label!r} (expected min or max)")
 
 
-class Backend(enum.Enum):
-    BRANCH_AND_BOUND = "branch-and-bound"
-    EXHAUSTIVE = "exhaustive"
-
-    @classmethod
-    def parse(cls, label: str) -> Backend:
-        folded = label.strip().lower()
-        if folded in ("bnb", "branch-and-bound", "branch_and_bound", "b&b"):
-            return cls.BRANCH_AND_BOUND
-        if folded == "exhaustive":
-            return cls.EXHAUSTIVE
-        raise CogseqError(
-            f"unknown backend {label!r} (expected bnb or exhaustive)"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class SearchStats:
     """Informational counters, excluded from machine-readable output.
 
-    For the search, ``nodes`` and ``prunes`` count the depth-first steps
+    For ``solve``, ``nodes`` and ``prunes`` count the depth-first steps
     tried and cut off, not the order ideals of its dynamic program.
-    Enumeration counts each priced extension as a node and never prunes.
+    ``brute_force`` counts each priced extension as a node and never prunes.
     """
 
     nodes: int
@@ -97,7 +80,6 @@ class SolveRequest:
     model: CostModel = field(default_factory=CostModel.calibrated)
     objective: Objective = Objective.MINIMIZE
     k: int = 1
-    backend: Backend = Backend.BRANCH_AND_BOUND
 
     def __post_init__(self):
         if self.k < 1:
@@ -198,15 +180,11 @@ def solve(request: SolveRequest) -> list[Solution]:
     """Best-first list of at most k extremal orderings.
 
     Deterministic: ties are broken by lexicographically smallest code
-    sequence.  The exhaustive backend is the brute-force enumerator.  The
-    default search raises :class:`BudgetExceededError` when the workflow has
+    sequence.  Raises :class:`BudgetExceededError` when the workflow has
     more than ``_search.MAX_IDEALS`` order ideals.
     """
     workflow, model = request.workflow, request.model
     _checked(workflow, "solve")
-    if request.backend is Backend.EXHAUSTIVE:
-        return _enumerate_top_k(workflow, model, request.objective, request.k)
-
     start = perf_counter()
     codes, preds, pair, shares, rp_cost = _kernel_inputs(workflow, model)
     solutions, nodes, prunes = _backend.search(
@@ -220,49 +198,34 @@ def solve(request: SolveRequest) -> list[Solution]:
     ]
 
 
-def _enumerate_top_k(workflow: Workflow, model: CostModel,
-                     objective: Objective, k: int,
-                     budget: int = DEFAULT_BUDGET) -> list[Solution]:
-    """Best-first k orderings by pricing every linear extension; equal
-    totals keep enumeration order, i.e. lexicographic by code."""
+def brute_force(workflow: Workflow, model: CostModel,
+                objective: Objective = Objective.MINIMIZE) -> Solution:
+    """Extremal ordering by pricing every linear extension, no search tree.
+
+    Refuses to start when the workflow has more than ``DEFAULT_BUDGET``
+    linear extensions.  Shares the tie-break with solve: among equal totals,
+    the lexicographically smallest code sequence wins (enumeration order
+    makes that the first one seen, and ``min`` keeps the first of equal
+    keys).
+    """
+    _checked(workflow, "brute_force")
     start = perf_counter()
     count = count_linear_extensions(workflow)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceededError(count, DEFAULT_BUDGET)
 
     table = (_adjacent_pair_table(workflow, model)
              if _uses_pair_table(model) else None)
     sign = -1 if objective is Objective.MAXIMIZE else 1
-    keys: list[int] = []
-    seqs: list[Ordering] = []
-    for ordering in enumerate_linear_extensions(workflow):
-        key = sign * _ordering_total(ordering, workflow, model, table)
-        if len(keys) < k or key < keys[-1]:
-            pos = bisect_right(keys, key)
-            keys.insert(pos, key)
-            seqs.insert(pos, ordering)
-            if len(keys) > k:
-                keys.pop()
-                seqs.pop()
+    best = min(
+        enumerate_linear_extensions(workflow),
+        key=lambda ordering: sign * _ordering_total(ordering, workflow,
+                                                    model, table),
+    )
+    total = _ordering_total(best, workflow, model, table)
     stats = SearchStats(nodes=count, prunes=0,
                         elapsed=perf_counter() - start)
-    return [
-        _finish(workflow, model, seq, sign * key, stats)
-        for key, seq in zip(keys, seqs)
-    ]
-
-
-def brute_force(workflow: Workflow, model: CostModel,
-                objective: Objective = Objective.MINIMIZE,
-                budget: int = DEFAULT_BUDGET) -> Solution:
-    """Extremal ordering by pricing every linear extension, no search tree.
-
-    Refuses to start when the extension count exceeds ``budget``.  Shares the
-    tie-break with solve: among equal totals, the lexicographically smallest
-    code sequence wins (enumeration order makes that the first one seen).
-    """
-    _checked(workflow, "brute_force")
-    return _enumerate_top_k(workflow, model, objective, 1, budget)[0]
+    return _finish(workflow, model, best, total, stats)
 
 
 @dataclass(frozen=True)

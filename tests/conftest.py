@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own enumeration and search
-machinery: extensions are found by filtering raw permutations, so agreement
-with the production code is evidence, not tautology.
+The oracles here deliberately avoid the library's own enumeration, pair
+tables and search: extensions are found by filtering raw permutations and
+priced whole by ``sequence_cost``, so agreement with the production code is
+evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from cogseq import (
     TransitionRule,
     Workflow,
     load_fixture,
+    sequence_cost,
 )
 from cogseq.costs import RULE_ORDER
 
@@ -83,6 +85,20 @@ def permutation_extensions(workflow: Workflow) -> list[tuple[str, ...]]:
         if all(position[p] < position[c] for c in codes for p in prereqs[c]):
             found.append(perm)
     return found
+
+
+def reference_top_k(workflow: Workflow, model: CostModel, maximize: bool,
+                    k: int) -> list[tuple[int, tuple[str, ...]]]:
+    """Oracle: the best k ``(total, ordering)`` pairs among all extensions.
+
+    ``permutation_extensions`` yields orderings lexicographically and the
+    sort is stable, so equal totals keep lexicographic order.
+    """
+    sign = -1 if maximize else 1
+    priced = [(sequence_cost(ordering, workflow, model)[0], ordering)
+              for ordering in permutation_extensions(workflow)]
+    priced.sort(key=lambda pair: sign * pair[0])
+    return priced[:k]
 
 
 def simple_task(code: str, resource: Resource = Resource.VWM,

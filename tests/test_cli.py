@@ -132,12 +132,10 @@ class TestSolve:
         assert high["solutions"][0]["total_thousandths"] > \
             low["solutions"][0]["total_thousandths"]
 
-    def test_exhaustive_backend_matches_bnb(self, runner):
-        base = ["solve", "checkin-validation", "--k", "3", "--format", "json"]
-        fast = runner.invoke(cli, base)
-        slow = runner.invoke(cli, base + ["--backend", "exhaustive"])
-        assert fast.exit_code == slow.exit_code == 0
-        assert fast.output == slow.output
+    def test_backend_flag_rejected(self, runner):
+        result = runner.invoke(cli, ["solve", "checkin-validation",
+                                     "--backend", "exhaustive"])
+        assert result.exit_code == 2
 
     def test_k_returns_ranked_solutions(self, runner):
         result = runner.invoke(cli, [

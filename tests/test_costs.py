@@ -39,7 +39,10 @@ class TestThousandths:
     def test_conversion(self, value, expected):
         assert to_thousandths(value) == expected
 
-    @pytest.mark.parametrize("bad", ["0.1234", 0.0001, "-1", -3, True, "abc"])
+    @pytest.mark.parametrize("bad", [
+        "0.1234", 0.0001, "-1", -3, True, "abc",
+        "Infinity", float("inf"), "NaN", "sNaN", "1e999999999",
+    ])
     def test_rejections(self, bad):
         with pytest.raises(CostModelError):
             to_thousandths(bad)

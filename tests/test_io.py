@@ -259,6 +259,12 @@ class TestCostModelDocuments:
         assert model.rule_cost(Rule.RECENT_PRACTICE) is None
         assert model == CostModel.calibrated()
 
+    def test_non_finite_rule_cost(self):
+        # json accepts the NaN literal, so documents can carry one.
+        data = json.loads('{"rules": {"Familiarity": NaN}}')
+        with pytest.raises(DocumentError, match="finite"):
+            parse_cost_model_document(data)
+
     def test_unknown_rule(self):
         with pytest.raises(DocumentError, match="unknown rule"):
             parse_cost_model_document({"rules": {"Sleepiness": 1}})

@@ -246,6 +246,25 @@ class TestExtensions:
             1 for _ in enumerate_linear_extensions(wf)
         )
 
+    def test_long_chain_count_needs_no_recursion(self):
+        # Deeper than the default recursion limit.
+        codes = [f"T{i:04d}" for i in range(1500)]
+        assert count_linear_extensions(chain(*codes)) == 1
+
+    def test_long_chain_enumeration_needs_no_recursion(self):
+        codes = [f"T{i:04d}" for i in range(1500)]
+        assert list(enumerate_linear_extensions(chain(*codes))) == [
+            tuple(codes)]
+
+    def test_count_refuses_past_ideal_limit(self, monkeypatch):
+        # Four unordered tasks have 15 order ideals short of the full set.
+        wf = antichain("A", "B", "C", "D")
+        monkeypatch.setattr("cogseq.model.MAX_COUNTED_IDEALS", 15)
+        assert count_linear_extensions(wf) == 24
+        monkeypatch.setattr("cogseq.model.MAX_COUNTED_IDEALS", 14)
+        with pytest.raises(WorkflowError, match="too large"):
+            count_linear_extensions(wf)
+
     def test_fixture_extension_count(self, full_document):
         wf = instantiate_variant(full_document.workflow, "AUTH", "AUPW")
         assert count_linear_extensions(wf) == 114_624

@@ -9,7 +9,6 @@ import pytest
 
 from cogseq import _search
 from cogseq import (
-    Backend,
     BudgetExceededError,
     CogseqError,
     CostModel,
@@ -28,7 +27,12 @@ from cogseq import (
     solve,
 )
 
-from conftest import random_model, random_workflow, simple_task
+from conftest import (
+    random_model,
+    random_workflow,
+    reference_top_k,
+    simple_task,
+)
 
 
 def _totals(solutions):
@@ -43,18 +47,9 @@ class TestParsing:
     def test_objective(self, label, member):
         assert Objective.parse(label) is member
 
-    @pytest.mark.parametrize("label,member", [
-        ("bnb", Backend.BRANCH_AND_BOUND), ("b&b", Backend.BRANCH_AND_BOUND),
-        ("exhaustive", Backend.EXHAUSTIVE),
-    ])
-    def test_backend(self, label, member):
-        assert Backend.parse(label) is member
-
     def test_parse_failures(self):
         with pytest.raises(CogseqError, match="unknown objective"):
             Objective.parse("median")
-        with pytest.raises(CogseqError, match="unknown backend"):
-            Backend.parse("quantum")
 
 
 class TestRequestValidation:
@@ -138,8 +133,7 @@ class TestTieBreaks:
         assert len({sol.total for sol in solutions}) == 1
 
     @pytest.mark.parametrize("objective", list(Objective))
-    @pytest.mark.parametrize("backend", list(Backend))
-    def test_all_ties_follow_enumeration_order(self, backend, objective):
+    def test_all_ties_follow_enumeration_order(self, objective):
         # Rules off and one resource: every ordering costs 0, so the
         # tie-break alone decides which k come back and in what order.
         wf = Workflow.from_tasks([
@@ -152,11 +146,12 @@ class TestTieBreaks:
         model = CostModel(rules_enabled=False)
         k = 7
         solutions = solve(SolveRequest(workflow=wf, model=model,
-                                       objective=objective, k=k,
-                                       backend=backend))
+                                       objective=objective, k=k))
         expected = list(islice(enumerate_linear_extensions(wf), k))
         assert [sol.ordering for sol in solutions] == expected
         assert {sol.total for sol in solutions} == {0}
+        oracle = brute_force(wf, model, objective=objective)
+        assert (oracle.ordering, oracle.total) == (expected[0], 0)
 
     def test_brute_force_picks_cheaper_direction(self):
         a = simple_task("A", resource=Resource.SR)
@@ -194,13 +189,12 @@ class TestBackendAgreement:
         wf = random_workflow(rng, n_max=7)
         for model in MODELS:
             for objective in Objective:
+                oracle = reference_top_k(
+                    wf, model, objective is Objective.MAXIMIZE, 6)
                 for k in range(1, 7):
                     fast = solve(SolveRequest(workflow=wf, model=model,
                                               objective=objective, k=k))
-                    slow = solve(SolveRequest(workflow=wf, model=model,
-                                              objective=objective, k=k,
-                                              backend=Backend.EXHAUSTIVE))
-                    assert _totals(fast) == _totals(slow)
+                    assert _totals(fast) == oracle[:k]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_bnb_matches_exhaustive(self, seed):
@@ -212,10 +206,8 @@ class TestBackendAgreement:
         k = rng.choice((1, 3))
         fast = solve(SolveRequest(workflow=wf, model=model,
                                   objective=objective, k=k))
-        slow = solve(SolveRequest(workflow=wf, model=model,
-                                  objective=objective, k=k,
-                                  backend=Backend.EXHAUSTIVE))
-        assert _totals(fast) == _totals(slow)
+        assert _totals(fast) == reference_top_k(
+            wf, model, objective is Objective.MAXIMIZE, k)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_brute_force_agrees_with_solve(self, seed):
@@ -243,17 +235,12 @@ class TestBackendAgreement:
 
 
 class TestBudget:
-    def test_exhaustive_budget_is_enforced(self):
-        wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
-        with pytest.raises(BudgetExceededError) as err:
-            solve(SolveRequest(workflow=wf, backend=Backend.EXHAUSTIVE))
-        assert err.value.count == 39_916_800
-        assert "39916800" in str(err.value) or "39,916,800" in str(err.value)
-
     def test_brute_force_budget(self):
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             brute_force(wf, CostModel())
+        assert err.value.count == 39_916_800
+        assert "39916800" in str(err.value) or "39,916,800" in str(err.value)
 
     def test_bnb_solves_within_ideal_budget(self):
         # The same workflow has only 2**11 = 2048 order ideals.
