@@ -235,12 +235,24 @@ class TestBackendAgreement:
 
 
 class TestBudget:
-    def test_brute_force_budget(self):
+    def test_exhaustive_budget_is_enforced(self):
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
         with pytest.raises(BudgetExceededError) as err:
             brute_force(wf, CostModel())
         assert err.value.count == 39_916_800
         assert "39916800" in str(err.value) or "39,916,800" in str(err.value)
+
+    def test_brute_force_budget(self, monkeypatch):
+        def no_enumeration(workflow):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr("cogseq.solver.enumerate_linear_extensions",
+                            no_enumeration)
+        wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
+        with pytest.raises(BudgetExceededError) as err:
+            brute_force(wf, CostModel())
+        assert (err.value.budget, err.value.what) == (
+            10_000_000, "linear extensions")
 
     def test_bnb_solves_within_ideal_budget(self):
         # The same workflow has only 2**11 = 2048 order ideals.
