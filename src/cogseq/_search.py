@@ -1,7 +1,7 @@
 """Exact search over prefixes of linear extensions.
 
 The cost of finishing a sequence depends only on the set of tasks already
-placed and the last one of them: the pair table prices adjacent transitions,
+placed and the last one of them: the pair rows price adjacent transitions,
 and the lifted full-history RecentPractice term depends only on the placed
 set.  Those sets are the order ideals (prerequisite-closed subsets) of the
 precedence order, so one forward pass enumerates the ideals reachable from
@@ -29,7 +29,7 @@ MAX_IDEALS = 2 ** 18
 
 def search(n: int,
            preds: list[int],
-           pair: list[list[int]],
+           pair: list,
            shares: list[int],
            rp_cost: int,
            maximize: bool,
@@ -40,9 +40,11 @@ def search(n: int,
     immediately before b, excluding any history-dependent RecentPractice term;
     that term is ``rp_cost`` added whenever an already-placed task is in
     ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
-    adjacent scope).  Solutions are (total, index-tuple), best-first, ties
-    lexicographic.  ``nodes`` and ``prunes`` count depth-first steps tried and
-    cut off, not order ideals.  Raises :class:`BudgetExceededError` when the
+    adjacent scope).  Rows may be sparse: ``pair[a][b]`` is read only for b
+    that can follow a immediately in some linear extension, so a dict per row
+    holding just those b will do.  Solutions are (total, index-tuple),
+    best-first, ties lexicographic.  ``nodes`` and ``prunes`` count
+    depth-first steps tried and cut off, not order ideals.  Raises :class:`BudgetExceededError` when the
     order has more than ``MAX_IDEALS`` ideals.
     """
     if n == 0:

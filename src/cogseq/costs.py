@@ -24,14 +24,25 @@ from .model import (
 
 RESOURCE_INDEX = {resource: i for i, resource in enumerate(RESOURCE_ORDER)}
 
+#: Largest accepted effect size, in thousandths: d = 1,000,000, far above
+#: any published switch cost (the largest, a voluntary complexity drop, is
+#: d = 2.92).  Bounding costs keeps every total printable as a decimal.
+MAX_EFFECT = 10 ** 9
+
+
+def _above_max(what: str) -> CostModelError:
+    return CostModelError(
+        f"{what} exceeds the maximum effect size {render_effect(MAX_EFFECT)}"
+    )
+
 
 def to_thousandths(value: int | float | str | Decimal) -> int:
     """Convert an effect size to integer thousandths, exactly.
 
     Accepts ints, decimal strings, Decimal, and floats (read back through
     their shortest decimal form).  Values with more than three fractional
-    digits or below zero are rejected rather than rounded, and so are
-    infinities, NaNs and values too large for the decimal context.
+    digits, below zero or above :data:`MAX_EFFECT` are rejected rather
+    than rounded or clamped, and so are infinities and NaNs.
     """
     if isinstance(value, bool):
         raise CostModelError(f"effect size must be numeric, got {value!r}")
@@ -54,6 +65,9 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
         )
     if scaled < 0:
         raise CostModelError(f"effect size {value!r} is negative")
+    if scaled > MAX_EFFECT:
+        # Not the value itself: a huge int cannot be converted to a string.
+        raise _above_max("value")
     return int(scaled)
 
 
@@ -133,6 +147,8 @@ class TransitionRule:
             raise CostModelError(
                 f"rule {self.rule.value} has negative cost {self.cost}"
             )
+        if self.cost > MAX_EFFECT:
+            raise _above_max(f"rule {self.rule.value} cost")
 
 
 # Resource-transition costs in thousandths; rows = from, cols = to, both in
@@ -189,6 +205,8 @@ class CostModel:
                     )
                 if cell < 0:
                     raise CostModelError(f"matrix[{i}][{j}] is negative")
+                if cell > MAX_EFFECT:
+                    raise _above_max(f"matrix[{i}][{j}]")
             if row[i] != 0:
                 raise CostModelError(
                     f"matrix diagonal must be zero, got {row[i]} at "

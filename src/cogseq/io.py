@@ -124,6 +124,8 @@ def _read_json(path: Path | str):
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path=path,
         ) from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise DocumentError(f"unreadable JSON: {exc}", path=path) from None
 
 
 def parse_workflow_document(data, *, path: Path | None = None,

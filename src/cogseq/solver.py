@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from time import perf_counter
 
 from . import _backend
 from .costs import (
+    RESOURCE_INDEX,
     CostModel,
     Rule,
     Scope,
@@ -28,6 +30,8 @@ from .costs import (
 from .errors import BudgetExceededError, CogseqError, WorkflowError
 from .model import (
     Ordering,
+    Resource,
+    Task,
     Workflow,
     count_linear_extensions,
     enumerate_linear_extensions,
@@ -94,12 +98,15 @@ def _checked(workflow: Workflow, operation: str) -> None:
 
 
 def _kernel_inputs(workflow: Workflow, model: CostModel):
-    """Dense index-space arrays for the search engine.
+    """Index-space inputs for the search engine, with sparse pair rows.
 
     Index order is ascending task code, so index tuples compare exactly
-    like code sequences.  Under full-history scope the history
-    -dependent RecentPractice term is lifted out of the pair table into
-    (shares, rp_cost); otherwise it stays folded into the table.
+    like code sequences.  ``pair[a]`` maps only the tasks that can follow
+    a immediately in some linear extension (see :func:`_adjacent_masks`)
+    to the cost of that transition; the search reads no other pair, and
+    reading one that is not there raises ``KeyError``.  Under full-history
+    scope the history-dependent RecentPractice term is lifted out of the
+    pair rows into (shares, rp_cost); otherwise it stays folded into them.
     """
     codes = workflow.codes()
     tasks = [workflow.tasks[code] for code in codes]
@@ -117,48 +124,146 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
     if lift_rp:
         rp_cost = rp
         base_model = model.without_rule(Rule.RECENT_PRACTICE)
-        shares = [0] * n
-        for j, tj in enumerate(tasks):
-            for i, ti in enumerate(tasks):
-                if i != j and (ti.modality == tj.modality
-                               or ti.resource is tj.resource):
-                    shares[j] |= 1 << i
+        # shares[j]: the other tasks with j's modality or j's resource.
+        by_modality: dict[str, int] = {}
+        by_resource: dict[Resource, int] = {}
+        for i, task in enumerate(tasks):
+            by_modality[task.modality] = (by_modality.get(task.modality, 0)
+                                          | 1 << i)
+            by_resource[task.resource] = (by_resource.get(task.resource, 0)
+                                          | 1 << i)
+        shares = [(by_modality[task.modality] | by_resource[task.resource])
+                  & ~(1 << j) for j, task in enumerate(tasks)]
     else:
         rp_cost = 0
         base_model = model
         shares = [0] * n
 
-    pair = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                pair[a][b] = pair_cost(tasks[a], tasks[b], base_model)
+    price = _pair_pricer(tasks, base_model)
+    pair: list[dict[int, int]] = []
+    for a, mask in enumerate(_adjacent_masks(preds)):
+        row = {}
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            row[b] = price(a, b)
+            mask ^= low
+        pair.append(row)
     return codes, preds, pair, shares, rp_cost
 
 
-def _adjacent_pair_table(workflow: Workflow, model: CostModel) -> dict:
-    codes = workflow.codes()
+def _adjacent_masks(preds: list[int]) -> list[int]:
+    """Per task a, the bitmask of tasks b that can follow a immediately in
+    some linear extension: those incomparable with a, and those covering a.
+
+    Ancestor and descendant masks come from one pass each way along a Kahn
+    order, so the work is linear, in bitmask operations, in tasks plus
+    precedence edges.
+    """
+    n = len(preds)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for b, mask in enumerate(preds):
+        while mask:
+            low = mask & -mask
+            succ[low.bit_length() - 1].append(b)
+            waiting[b] += 1
+            mask ^= low
+    order = [t for t in range(n) if not waiting[t]]
+    for t in order:
+        for s in succ[t]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                order.append(s)
+
+    anc = [0] * n
+    covered_by = [0] * n
+    for b in order:
+        below = preds[b]
+        reach = 0
+        mask = below
+        while mask:
+            low = mask & -mask
+            reach |= anc[low.bit_length() - 1]
+            mask ^= low
+        anc[b] = below | reach
+        mask = below & ~reach  # the tasks that b covers
+        while mask:
+            low = mask & -mask
+            covered_by[low.bit_length() - 1] |= 1 << b
+            mask ^= low
+    desc = [0] * n
+    for a in reversed(order):
+        for s in succ[a]:
+            desc[a] |= 1 << s | desc[s]
+    full = (1 << n) - 1
+    return [full & ~(anc[a] | desc[a] | 1 << a) | covered_by[a]
+            for a in range(n)]
+
+
+def _pair_pricer(tasks: list[Task], model: CostModel):
+    """``price(a, b)``: ``pair_cost(tasks[a], tasks[b], model)`` from
+    per-task integer arrays, without building a breakdown per pair."""
+    costs = dict(model._rule_cost_pairs())
+    modality = costs.get(Rule.MODALITY, 0)
+    practice = costs.get(Rule.RECENT_PRACTICE, 0)
+    familiarity = costs.get(Rule.FAMILIARITY, 0)
+    matrix = model.matrix
+    modality_ids: dict[str, int] = {}
+    res = [RESOURCE_INDEX[task.resource] for task in tasks]
+    mod = [modality_ids.setdefault(task.modality, len(modality_ids))
+           for task in tasks]
+    fam = [task.familiarity for task in tasks]
+    cx = [task.complexity for task in tasks]
+    # The complexity-drop rule that fires on entering each task.
+    drop = [costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP if task.voluntary
+                      else Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
+            for task in tasks]
+
+    def price(a: int, b: int) -> int:
+        cost = matrix[res[a]][res[b]]
+        if res[a] == res[b]:
+            # RecentPractice's window is a alone: same resource, or same
+            # modality, fires it.
+            cost += practice
+            if mod[a] != mod[b]:
+                cost += modality
+        elif mod[a] == mod[b]:
+            cost += practice
+        if fam[b] > fam[a]:
+            cost += familiarity
+        if cx[b] < cx[a]:
+            cost += drop[b]
+        return cost
+
+    return price
+
+
+def _pair_memo(workflow: Workflow, model: CostModel):
+    """``price(a, b)`` by code: ``pair_cost``, called once per pair asked."""
     tasks = workflow.tasks
-    return {
-        (a, b): pair_cost(tasks[a], tasks[b], model)
-        for a in codes for b in codes if a != b
-    }
+
+    @cache
+    def price(a: str, b: str) -> int:
+        return pair_cost(tasks[a], tasks[b], model)
+
+    return price
 
 
 def _ordering_total(ordering: Ordering, workflow: Workflow, model: CostModel,
-                    table: dict | None) -> int:
-    if table is not None:
+                    price) -> int:
+    if price is not None:
         return sum(
-            table[ordering[i], ordering[i + 1]]
+            price(ordering[i], ordering[i + 1])
             for i in range(len(ordering) - 1)
         )
     total, _ = sequence_cost(ordering, workflow, model)
     return total
 
 
-def _uses_pair_table(model: CostModel) -> bool:
+def _is_pairwise(model: CostModel) -> bool:
     # Adjacent scope (or rules off entirely) makes the total a sum over
-    # consecutive pairs, so enumeration can price orderings from one table.
+    # consecutive pairs, so enumeration can price orderings pair by pair.
     return (not model.rules_enabled
             or model.recent_practice_scope is Scope.ADJACENT
             or model.rule_cost(Rule.RECENT_PRACTICE) is None)
@@ -214,15 +319,14 @@ def brute_force(workflow: Workflow, model: CostModel,
     if count > DEFAULT_BUDGET:
         raise BudgetExceededError(count, DEFAULT_BUDGET)
 
-    table = (_adjacent_pair_table(workflow, model)
-             if _uses_pair_table(model) else None)
+    price = _pair_memo(workflow, model) if _is_pairwise(model) else None
     sign = -1 if objective is Objective.MAXIMIZE else 1
     best = min(
         enumerate_linear_extensions(workflow),
         key=lambda ordering: sign * _ordering_total(ordering, workflow,
-                                                    model, table),
+                                                    model, price),
     )
-    total = _ordering_total(best, workflow, model, table)
+    total = _ordering_total(best, workflow, model, price)
     stats = SearchStats(nodes=count, prunes=0,
                         elapsed=perf_counter() - start)
     return _finish(workflow, model, best, total, stats)

@@ -206,6 +206,24 @@ class TestCostModelSelection:
         assert "Familiarity: 0.42" in result.output
         assert "recent-practice scope: adjacent-only" in result.output
 
+    @pytest.mark.parametrize("doc", [
+        {"rules": {"Familiarity": "1e5000"}},
+        {"matrix": [0, 2e6] + [0] * 23},
+    ], ids=["rule", "matrix"])
+    @pytest.mark.parametrize("command", [
+        ["show-model"], ["solve", "checkin-validation"],
+    ], ids=["show-model", "solve"])
+    def test_effect_size_above_maximum(self, runner, tmp_path, doc, command):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(cli, command + ["--cost-model",
+                                               str(model_file)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "exceeds the maximum effect size" in err_text(result)
+        assert "Traceback" not in err_text(result)
+
 
 class TestCompareVariants:
     def test_table(self, runner):

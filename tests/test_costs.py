@@ -27,6 +27,7 @@ from cogseq import (
     transition_cost,
 )
 from cogseq import enumerate_linear_extensions, instantiate_variant
+from cogseq.costs import MAX_EFFECT
 
 from conftest import random_model, random_workflow, simple_task
 
@@ -46,6 +47,13 @@ class TestThousandths:
     def test_rejections(self, bad):
         with pytest.raises(CostModelError):
             to_thousandths(bad)
+
+    def test_bound(self):
+        assert to_thousandths("1000000") == MAX_EFFECT
+        with pytest.raises(CostModelError, match="exceeds the maximum"):
+            to_thousandths("1000000.001")
+        with pytest.raises(CostModelError, match="exceeds the maximum"):
+            to_thousandths(10 ** 5000)
 
     @pytest.mark.parametrize("thousandths,text", [
         (0, "0"), (743, "0.743"), (5530, "5.53"), (1000, "1"),
@@ -103,6 +111,17 @@ class TestCostModel:
         bad[0][1] = -1
         with pytest.raises(CostModelError, match="negative"):
             CostModel(matrix=tuple(tuple(r) for r in bad))
+
+    def test_cell_above_maximum_rejected(self):
+        bad = [list(row) for row in CostModel().matrix]
+        bad[0][1] = MAX_EFFECT + 1
+        with pytest.raises(CostModelError, match=r"matrix\[0\]\[1\] exceeds"):
+            CostModel(matrix=tuple(tuple(r) for r in bad))
+
+    def test_rule_cost_above_maximum_rejected(self):
+        assert TransitionRule(Rule.MODALITY, MAX_EFFECT).cost == MAX_EFFECT
+        with pytest.raises(CostModelError, match="Modality cost exceeds"):
+            TransitionRule(Rule.MODALITY, MAX_EFFECT + 1)
 
     def test_duplicate_rule_rejected(self):
         rules = frozenset({

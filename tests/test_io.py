@@ -183,6 +183,14 @@ class TestFileErrors:
         with pytest.raises(DocumentError, match="line 2"):
             load_document(target)
 
+    def test_overlong_integer_literal(self, tmp_path):
+        # json refuses to convert integers of more than 4300 digits.
+        target = tmp_path / "long.json"
+        target.write_text('{"rules": {"Familiarity": 1' + "0" * 5000 + "}}",
+                          encoding="utf-8")
+        with pytest.raises(DocumentError, match="unreadable JSON"):
+            load_cost_model(target)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["checkin-full.json",
@@ -264,6 +272,20 @@ class TestCostModelDocuments:
         data = json.loads('{"rules": {"Familiarity": NaN}}')
         with pytest.raises(DocumentError, match="finite"):
             parse_cost_model_document(data)
+
+    @pytest.mark.parametrize("data,field", [
+        ({"rules": {"Familiarity": "1e5000"}}, "rules.Familiarity"),
+        ({"rules": {"Modality": 1000000.001}}, "rules.Modality"),
+        ({"matrix": [0, 1e7] + [0] * 23}, "matrix"),
+    ])
+    def test_effect_size_above_maximum(self, data, field):
+        with pytest.raises(DocumentError, match="exceeds the maximum") as err:
+            parse_cost_model_document(data)
+        assert err.value.field == field
+
+    def test_effect_size_at_maximum(self):
+        model = parse_cost_model_document({"rules": {"Familiarity": 1e6}})
+        assert model.rule_cost(Rule.FAMILIARITY) == 10 ** 9
 
     def test_unknown_rule(self):
         with pytest.raises(DocumentError, match="unknown rule"):

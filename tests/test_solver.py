@@ -6,8 +6,10 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogseq import _search
+from cogseq import _search, solver
 from cogseq import (
     BudgetExceededError,
     CogseqError,
@@ -23,11 +25,14 @@ from cogseq import (
     compare_variants,
     enumerate_linear_extensions,
     instantiate_variant,
+    pair_cost,
     sequence_cost,
     solve,
 )
+from cogseq.costs import RULE_ORDER, Rule, TransitionRule
 
 from conftest import (
+    MODALITIES,
     random_model,
     random_workflow,
     reference_top_k,
@@ -279,6 +284,173 @@ class TestSearchEngine:
             n, preds, pair, [0] * n, 0, False, 1)
         assert solutions == [(0, tuple(range(n)))]
         assert (nodes, prunes) == (n, 0)
+
+
+def _random_chain(n: int, seed: int) -> Workflow:
+    rng = random.Random(seed)
+    return Workflow.from_tasks([
+        simple_task(f"T{i:04d}", resource=rng.choice(list(Resource)),
+                    modality=rng.choice(MODALITIES),
+                    voluntary=rng.random() < 0.5,
+                    familiarity=rng.randint(1, 5),
+                    complexity=rng.randint(1, 5),
+                    prerequisites=(f"T{i - 1:04d}",) if i else ())
+        for i in range(n)
+    ])
+
+
+def _priced_pairs(pair) -> set[tuple[int, int]]:
+    return {(a, b) for a, row in enumerate(pair) for b in row}
+
+
+tasks_strategy = st.lists(
+    st.builds(
+        simple_task,
+        code=st.just("X"),
+        resource=st.sampled_from(list(Resource)),
+        modality=st.sampled_from(MODALITIES),
+        voluntary=st.booleans(),
+        familiarity=st.integers(1, 5),
+        complexity=st.integers(1, 5),
+    ),
+    min_size=2, max_size=6,
+)
+
+cost_strategy = st.one_of(st.just(0), st.integers(0, 3000))
+
+model_strategy = st.builds(
+    CostModel,
+    matrix=st.lists(st.lists(cost_strategy, min_size=5, max_size=5),
+                    min_size=5, max_size=5).map(
+        lambda rows: tuple(tuple(0 if i == j else cell
+                                 for j, cell in enumerate(row))
+                           for i, row in enumerate(rows))),
+    rules=st.dictionaries(st.sampled_from(RULE_ORDER), cost_strategy).map(
+        lambda costs: frozenset(TransitionRule(rule, cost)
+                                for rule, cost in costs.items())),
+    recent_practice_scope=st.sampled_from(list(Scope)),
+    rules_enabled=st.booleans(),
+)
+
+
+class TestPairPricer:
+    """The integer pricer and the adjacent-pair rows that solve() builds."""
+
+    @staticmethod
+    def _assert_prices_like_pair_cost(tasks, model):
+        price = solver._pair_pricer(tasks, model)
+        for a, prev in enumerate(tasks):
+            for b, cur in enumerate(tasks):
+                if a != b:
+                    assert price(a, b) == pair_cost(prev, cur, model)
+
+    @pytest.mark.parametrize("model", [
+        CostModel.calibrated(),
+        CostModel(),
+        CostModel().without_rule(Rule.RECENT_PRACTICE),
+        CostModel(rules_enabled=False),
+    ], ids=["calibrated", "literal", "full-history-lifted", "rules-off"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_named_models_match_pair_cost(self, model, seed):
+        wf = random_workflow(random.Random(7000 + seed), n_min=6, n_max=8)
+        tasks = [wf.tasks[code] for code in wf.codes()]
+        self._assert_prices_like_pair_cost(tasks, model)
+
+    @given(tasks=tasks_strategy, model=model_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_random_models_match_pair_cost(self, tasks, model):
+        self._assert_prices_like_pair_cost(tasks, model)
+
+    @pytest.mark.parametrize("model", MODELS,
+                             ids=["calibrated", "literal", "full-history"])
+    def test_rows_hold_pair_cost_and_shares(self, model):
+        # Full history lifts RecentPractice out of the rows into shares.
+        wf = random_workflow(random.Random(71), n_min=7, n_max=7)
+        tasks = [wf.tasks[code] for code in wf.codes()]
+        codes, _, pair, shares, rp_cost = solver._kernel_inputs(wf, model)
+        lifted = model.recent_practice_scope is Scope.FULL_HISTORY
+        base = model.without_rule(Rule.RECENT_PRACTICE) if lifted else model
+        for a, row in enumerate(pair):
+            for b, cost in row.items():
+                assert cost == pair_cost(tasks[a], tasks[b], base)
+        for j, tj in enumerate(tasks):
+            alike = sum(1 << i for i, ti in enumerate(tasks)
+                        if i != j and (ti.modality == tj.modality
+                                       or ti.resource is tj.resource))
+            assert shares[j] == (alike if lifted else 0)
+        assert rp_cost == (310 if lifted else 0)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_priced_pairs_are_the_adjacent_ones(self, seed):
+        wf = random_workflow(random.Random(8000 + seed), n_max=7,
+                             edge_p=(0.1, 0.35, 0.6)[seed % 3])
+        codes, _, pair, _, _ = solver._kernel_inputs(wf, CostModel())
+        index = {code: i for i, code in enumerate(codes)}
+        adjacent = {
+            (index[ordering[i]], index[ordering[i + 1]])
+            for ordering in enumerate_linear_extensions(wf)
+            for i in range(len(ordering) - 1)
+        }
+        assert _priced_pairs(pair) == adjacent
+
+    def test_unpriced_pair_cannot_be_read(self):
+        wf = _random_chain(4, seed=1)
+        _, _, pair, _, _ = solver._kernel_inputs(wf, CostModel())
+        assert pair[0].keys() == {1}
+        with pytest.raises(KeyError):
+            pair[0][2]
+
+    def test_long_chain_prices_only_its_links(self, monkeypatch):
+        n = 1500
+        wf = _random_chain(n, seed=2)
+        model = CostModel.calibrated()
+        built = []
+
+        def recording(workflow, model):
+            inputs = kernel_inputs(workflow, model)
+            built.append(inputs)
+            return inputs
+
+        def refuse(prev, cur, model):
+            raise AssertionError("solve called pair_cost")
+
+        kernel_inputs = solver._kernel_inputs
+        monkeypatch.setattr("cogseq.solver._kernel_inputs", recording)
+        monkeypatch.setattr("cogseq.solver.pair_cost", refuse)
+        (sol,) = solve(SolveRequest(workflow=wf, model=model))
+        [(_, _, pair, _, _)] = built
+        assert _priced_pairs(pair) == {(i, i + 1) for i in range(n - 1)}
+        monkeypatch.undo()
+        oracle = brute_force(wf, model)
+        assert (sol.total, sol.ordering) == (oracle.total, oracle.ordering)
+
+
+class TestBruteForcePricing:
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_chain_prices_each_link_once(self, monkeypatch, n):
+        calls = []
+
+        def counting(prev, cur, model):
+            calls.append((prev.code, cur.code))
+            return pair_cost(prev, cur, model)
+
+        monkeypatch.setattr("cogseq.solver.pair_cost", counting)
+        wf = _random_chain(n, seed=3)
+        sol = brute_force(wf, CostModel())
+        assert len(calls) == n - 1
+        assert sol.total == sequence_cost(sol.ordering, wf, CostModel())[0]
+
+    def test_antichain_prices_each_pair_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counting(prev, cur, model):
+            calls.append((prev.code, cur.code))
+            return pair_cost(prev, cur, model)
+
+        monkeypatch.setattr("cogseq.solver.pair_cost", counting)
+        wf = Workflow.from_tasks([simple_task(c) for c in "ABCDE"])
+        brute_force(wf, CostModel())
+        assert len(calls) == len(set(calls)) == 5 * 4
 
 
 class TestInternalConsistency:
