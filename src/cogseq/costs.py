@@ -111,6 +111,11 @@ RULE_ORDER: tuple[Rule, ...] = (
     Rule.INVOLUNTARY_COMPLEXITY_DROP,
 )
 
+# The rules as module globals for ``_fired``, which runs once per priced
+# transition: reading a member off an Enum class costs about ten times as
+# much as reading a global.
+_MODALITY, _RECENT_PRACTICE, _FAMILIARITY, _VOLUNTARY_DROP = RULE_ORDER[:4]
+
 
 class Scope(enum.Enum):
     """How far back the RecentPractice rule looks."""
@@ -297,23 +302,34 @@ def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
     scope.  Each rule fires at most once, contributing its flat cost.
     """
     _check_history(prev, history)
-    fired: list[tuple[Rule, int]] = []
+    if model.recent_practice_scope is Scope.ADJACENT:
+        scope: Sequence[Task] = (prev,)
+    else:
+        scope = history
+    practiced = any(
+        earlier.modality == cur.modality or earlier.resource is cur.resource
+        for earlier in scope
+    )
+    return _fired(prev, cur, practiced, model._rule_cost_pairs())
 
-    for rule, cost in model._rule_cost_pairs():
-        if rule is Rule.MODALITY:
+
+def _fired(prev: Task, cur: Task, practiced: bool,
+           rule_costs: tuple[tuple[Rule, int], ...]
+           ) -> tuple[tuple[Rule, int], ...]:
+    """The rules of ``rule_costs`` that fire for prev -> cur.
+
+    ``practiced`` says whether RecentPractice's window holds a task sharing
+    cur's modality or resource, which is all that rule needs of the history.
+    """
+    fired: list[tuple[Rule, int]] = []
+    for rule, cost in rule_costs:
+        if rule is _MODALITY:
             hit = prev.resource is cur.resource and prev.modality != cur.modality
-        elif rule is Rule.RECENT_PRACTICE:
-            if model.recent_practice_scope is Scope.ADJACENT:
-                scope: Sequence[Task] = (prev,)
-            else:
-                scope = history
-            hit = any(
-                earlier.modality == cur.modality or earlier.resource is cur.resource
-                for earlier in scope
-            )
-        elif rule is Rule.FAMILIARITY:
+        elif rule is _RECENT_PRACTICE:
+            hit = practiced
+        elif rule is _FAMILIARITY:
             hit = cur.familiarity > prev.familiarity
-        elif rule is Rule.VOLUNTARY_COMPLEXITY_DROP:
+        elif rule is _VOLUNTARY_DROP:
             hit = cur.voluntary and cur.complexity < prev.complexity
         else:
             hit = not cur.voluntary and cur.complexity < prev.complexity
@@ -340,18 +356,40 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
     """Total switching cost of a linear extension, with per-transition terms.
 
     The first task is free: only transitions are priced.  Orderings that are
-    not linear extensions of the workflow are rejected.
+    not linear extensions of the workflow are rejected.  Step i is
+    ``transition_cost(tasks[i - 1], tasks[i], tasks[:i], model)``, computed
+    in one pass that is linear in the length of the ordering: full-history
+    RecentPractice reads running sets of the modalities and resources
+    placed so far instead of rescanning the prefix.
     """
     problem = extension_violation(ordering, workflow)
     if problem is not None:
         raise OrderingError(f"not a linear extension: {problem}")
     tasks = [workflow.tasks[code] for code in ordering]
+    res = [RESOURCE_INDEX[task.resource] for task in tasks]
+    matrix = model.matrix
+    rule_costs = model._rule_cost_pairs()
+    full_history = model.recent_practice_scope is Scope.FULL_HISTORY
+    modalities: set[str] = set()
+    resources: set[int] = set()
     breakdowns: list[TransitionBreakdown] = []
     total = 0
     for i in range(1, len(tasks)):
-        breakdown = transition_cost(tasks[i - 1], tasks[i], tasks[:i], model)
-        breakdowns.append(breakdown)
-        total += breakdown.total
+        prev, cur = tasks[i - 1], tasks[i]
+        if full_history:
+            modalities.add(prev.modality)
+            resources.add(res[i - 1])
+            practiced = cur.modality in modalities or res[i] in resources
+        else:
+            practiced = prev.modality == cur.modality or res[i - 1] == res[i]
+        base = matrix[res[i - 1]][res[i]]
+        fired = _fired(prev, cur, practiced, rule_costs)
+        step = base + sum(cost for _, cost in fired)
+        breakdowns.append(TransitionBreakdown(
+            previous=prev.code, current=cur.code, resource_cost=base,
+            fired=fired, total=step,
+        ))
+        total += step
     return total, tuple(breakdowns)
 
 

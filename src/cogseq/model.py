@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import WorkflowError
 
@@ -273,7 +273,10 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
     """Resolve one variant group to a single member.
 
     Non-chosen members are removed and every prerequisite reference to the
-    group code is rewritten to the chosen member's code.
+    group code is rewritten to the chosen member's code.  Only the tasks
+    whose prerequisites name the group or a removed member are rebuilt;
+    every other :class:`Task` is immutable and is shared with the input,
+    which is left unchanged.
     """
     grp = workflow.group(group)
     if grp is None:
@@ -288,21 +291,20 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
         )
 
     dropped = grp.members - {member}
+    stale = dropped | {group}
     tasks: dict[str, Task] = {}
     for code, task in workflow.tasks.items():
         if code in dropped:
+            continue
+        if stale.isdisjoint(task.prerequisites):
+            tasks[code] = task
             continue
         prereqs = frozenset(
             member if pre == group else pre
             for pre in task.prerequisites
             if pre not in dropped
         )
-        tasks[code] = Task(
-            code=task.code, name=task.name, resource=task.resource,
-            modality=task.modality, voluntary=task.voluntary,
-            familiarity=task.familiarity, complexity=task.complexity,
-            prerequisites=prereqs,
-        )
+        tasks[code] = replace(task, prerequisites=prereqs)
     remaining = tuple(g for g in workflow.variant_groups if g.code != group)
     return Workflow(tasks=tasks, variant_groups=remaining)
 
@@ -363,16 +365,30 @@ def extension_violation(ordering: Sequence[str], workflow: Workflow) -> str | No
 MAX_COUNTED_IDEALS = 4_000_000
 
 
-def _predecessor_masks(workflow: Workflow) -> tuple[tuple[str, ...], list[int]]:
-    """Codes in ascending order, and each task's prerequisites as a bitmask
-    over those indices."""
+def _precedence(workflow: Workflow
+                ) -> tuple[tuple[str, ...], list[int], list[list[int]]]:
+    """Codes in ascending order; each task's prerequisites as a bitmask over
+    those indices; and each task's dependents as a list of indices."""
     codes = workflow.codes()
     index = {code: i for i, code in enumerate(codes)}
-    masks = [0] * len(codes)
+    preds = [0] * len(codes)
+    succ: list[list[int]] = [[] for _ in codes]
     for code, task in workflow.tasks.items():
+        i = index[code]
         for pre in task.prerequisites:
-            masks[index[code]] |= 1 << index[pre]
-    return codes, masks
+            preds[i] |= 1 << index[pre]
+            succ[index[pre]].append(i)
+    return codes, preds, succ
+
+
+def _freed(i: int, placed: int, preds: list[int],
+           succ: list[list[int]]) -> int:
+    """Bitmask of i's dependents that ``placed``, which holds i, makes ready."""
+    ready = 0
+    for s in succ[i]:
+        if preds[s] & ~placed == 0:
+            ready |= 1 << s
+    return ready
 
 
 def enumerate_linear_extensions(workflow: Workflow,
@@ -388,8 +404,12 @@ def enumerate_linear_extensions(workflow: Workflow,
     if report:
         raise WorkflowError(report[0].message)
 
-    codes, preds = _predecessor_masks(workflow)
+    codes, preds, succ = _precedence(workflow)
     n = len(codes)
+    # Tasks not placed whose prerequisites all are: placing a task touches
+    # only its dependents, and unplacing it makes them all unready again.
+    dependents = [sum(1 << s for s in succ[i]) for i in range(n)]
+    ready = sum(1 << i for i in range(n) if not preds[i])
     placed: list[int] = []  # explicit stack: the indices placed so far
     done = 0
     first = 0  # lowest index still to try at the current depth
@@ -400,18 +420,21 @@ def enumerate_linear_extensions(workflow: Workflow,
             produced += 1
             if limit is not None and produced >= limit:
                 return
-            first = n
-        for i in range(first, n):
-            if not done >> i & 1 and preds[i] & ~done == 0:
-                placed.append(i)
-                done |= 1 << i
-                first = 0
-                break
+        candidates = ready >> first << first
+        if candidates:
+            low = candidates & -candidates
+            i = low.bit_length() - 1
+            placed.append(i)
+            done |= low
+            ready ^= low
+            ready |= _freed(i, done, preds, succ)
+            first = 0
+        elif not placed:
+            return
         else:
-            if not placed:
-                return
             i = placed.pop()
             done &= ~(1 << i)
+            ready = ready & ~dependents[i] | 1 << i
             first = i + 1
 
 
@@ -420,16 +443,16 @@ def count_linear_extensions(workflow: Workflow) -> int:
 
     Dynamic programming over downsets of the precedence order, one level of
     placed tasks at a time: each downset holds the number of ways to reach
-    it.  Refuses workflows with more than ``MAX_COUNTED_IDEALS`` downsets
-    short of the full set.
+    it and its ready tasks.  Refuses workflows with more than
+    ``MAX_COUNTED_IDEALS`` downsets short of the full set.
     """
     workflow.require_concrete("counting")
     if any(v.kind == "cycle" for v in validate_workflow(workflow)):
         raise WorkflowError("cannot count extensions of a cyclic workflow")
 
-    codes, preds = _predecessor_masks(workflow)
+    codes, preds, succ = _precedence(workflow)
     n = len(codes)
-    level = {0: 1}
+    level = {0: (1, sum(1 << i for i in range(n) if not preds[i]))}
     seen = 0
     for _ in range(n):
         seen += len(level)
@@ -439,9 +462,17 @@ def count_linear_extensions(workflow: Workflow) -> int:
             )
         below = level
         level = {}
-        for placed, ways in below.items():
-            for i in range(n):
-                if not placed >> i & 1 and preds[i] & ~placed == 0:
-                    child = placed | 1 << i
-                    level[child] = level.get(child, 0) + ways
-    return level[(1 << n) - 1]
+        for placed, (ways, ready) in below.items():
+            mask = ready
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                child = placed | low
+                entry = level.get(child)
+                if entry is None:
+                    i = low.bit_length() - 1
+                    level[child] = (ways,
+                                    ready ^ low | _freed(i, child, preds, succ))
+                else:
+                    level[child] = (entry[0] + ways, entry[1])
+    return level[(1 << n) - 1][0]

@@ -216,6 +216,8 @@ class TestFiredRules:
             fired_rules(lang, airl, [airl], CostModel())
         with pytest.raises(CostModelError, match="history"):
             fired_rules(lang, airl, [], CostModel())
+        with pytest.raises(CostModelError, match="history"):
+            fired_rules(lang, airl, [lang, airl], CostModel())
 
 
 class TestTransitionCost:
@@ -277,6 +279,31 @@ class TestSequenceCost:
         total, breakdowns = sequence_cost(ordering, wf, CostModel.calibrated())
         assert len(breakdowns) == len(ordering) - 1
         assert sum(b.total for b in breakdowns) == total
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_pass_matches_per_step_definition(self, seed):
+        # Three workflows of each size n = 0..7.
+        rng = random.Random(3000 + seed)
+        n = seed % 8
+        wf = random_workflow(rng, n_max=n, n_min=n)
+        models = [
+            CostModel.calibrated(),
+            CostModel(),
+            CostModel(recent_practice_scope=Scope.FULL_HISTORY),
+            CostModel(rules_enabled=False),
+            random_model(rng),
+            random_model(rng, scope=Scope.FULL_HISTORY),
+        ]
+        extensions = list(enumerate_linear_extensions(wf))
+        for ordering in rng.sample(extensions, min(6, len(extensions))):
+            tasks = [wf.tasks[code] for code in ordering]
+            for model in models:
+                steps = tuple(
+                    transition_cost(tasks[i - 1], tasks[i], tasks[:i], model)
+                    for i in range(1, len(tasks))
+                )
+                assert sequence_cost(ordering, wf, model) == (
+                    sum(step.total for step in steps), steps)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_adjacent_scope_decomposes_over_pairs(self, seed):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogseq import (
+    Task,
     VariantGroup,
     Workflow,
     WorkflowError,
@@ -30,6 +32,28 @@ def chain(*codes: str) -> Workflow:
         prereqs = (codes[i - 1],) if i else ()
         tasks.append(simple_task(code, prerequisites=prereqs))
     return Workflow.from_tasks(tasks)
+
+
+def rebuilt_every_task(workflow: Workflow, choices: dict) -> Workflow:
+    """``instantiate_all`` as it was before untouched tasks were shared:
+    every kept task is rebuilt, group by group."""
+    for grp in workflow.variant_groups:
+        member = choices[grp.code]
+        dropped = grp.members - {member}
+        tasks = {
+            code: Task(
+                code=task.code, name=task.name, resource=task.resource,
+                modality=task.modality, voluntary=task.voluntary,
+                familiarity=task.familiarity, complexity=task.complexity,
+                prerequisites=frozenset(
+                    member if pre == grp.code else pre
+                    for pre in task.prerequisites if pre not in dropped),
+            )
+            for code, task in workflow.tasks.items() if code not in dropped
+        }
+        workflow = Workflow(tasks=tasks, variant_groups=tuple(
+            g for g in workflow.variant_groups if g.code != grp.code))
+    return workflow
 
 
 def antichain(*codes: str) -> Workflow:
@@ -155,6 +179,50 @@ class TestVariants:
         assert set(wf.tasks) == {"S", "M1", "E"}
         assert wf.tasks["E"].prerequisites == frozenset({"M1"})
 
+    def test_instantiate_shares_untouched_tasks(self):
+        # X names a member directly (invalid, but instantiation still
+        # drops the reference), so it is rebuilt like E.
+        wf = Workflow.from_tasks(
+            list(self.build().tasks.values())
+            + [simple_task("X", prerequisites=("S", "M2"))],
+            self.build().variant_groups,
+        )
+        before = dict(wf.tasks)
+        out = instantiate_variant(wf, "G", "M1")
+        assert out.tasks["S"] is wf.tasks["S"]
+        assert out.tasks["M1"] is wf.tasks["M1"]
+        assert out.tasks["E"] == replace(wf.tasks["E"],
+                                         prerequisites=frozenset({"M1"}))
+        assert out.tasks["X"] == replace(wf.tasks["X"],
+                                         prerequisites=frozenset({"S"}))
+        assert list(out.tasks) == ["S", "M1", "E", "X"]
+        assert out.variant_groups == ()
+        # The input is unchanged, down to the identity of each task.
+        assert list(wf.tasks) == list(before)
+        assert all(wf.tasks[code] is task for code, task in before.items())
+        assert wf.tasks["E"].prerequisites == frozenset({"G"})
+        assert wf.variant_groups == self.build().variant_groups
+
+    def test_fixture_shares_all_but_the_group_dependents(self, full_document):
+        wf = full_document.workflow
+        out = instantiate_variant(wf, "AUTH", "AUPS")
+        rebuilt = [code for code, task in out.tasks.items()
+                   if task is not wf.tasks[code]]
+        assert rebuilt == ["CFRM"]
+        assert out.tasks["CFRM"].prerequisites == (
+            wf.tasks["CFRM"].prerequisites - {"AUTH"} | {"AUPS"})
+
+    @pytest.mark.parametrize("member", ["AUCC", "AUPI", "AUPS", "AUPW"])
+    def test_instantiate_all_matches_rebuilding_every_task(
+            self, full_document, member):
+        wf = full_document.workflow
+        out = instantiate_all(wf, {"AUTH": member})
+        old = rebuilt_every_task(wf, {"AUTH": member})
+        assert list(out.tasks) == list(old.tasks)
+        for code in old.tasks:
+            assert out.tasks[code] == old.tasks[code]
+        assert out.variant_groups == old.variant_groups
+
     def test_unknown_group_and_member(self):
         with pytest.raises(WorkflowError, match="unknown variant group"):
             instantiate_variant(self.build(), "NOPE", "M1")
@@ -195,6 +263,9 @@ class TestExtensions:
     def test_limit(self):
         wf = antichain("A", "B", "C", "D")
         assert len(list(enumerate_linear_extensions(wf, limit=5))) == 5
+        # limit=0 still yields the first ordering.
+        assert list(enumerate_linear_extensions(wf, limit=0)) == [
+            ("A", "B", "C", "D")]
 
     def test_cyclic_rejected(self):
         wf = Workflow.from_tasks([
@@ -236,6 +307,9 @@ class TestExtensions:
         assert produced == expected
         assert count_linear_extensions(wf) == len(expected)
         assert all(is_linear_extension(e, wf) for e in produced)
+        for limit in (0, 1, 3):
+            assert list(enumerate_linear_extensions(wf, limit=limit)) == \
+                expected[:max(limit, 1)]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
