@@ -40,12 +40,14 @@ def search(n: int,
     immediately before b, excluding any history-dependent RecentPractice term;
     that term is ``rp_cost`` added whenever an already-placed task is in
     ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
-    adjacent scope).  Rows may be sparse: ``pair[a][b]`` is read only for b
-    that can follow a immediately in some linear extension, so a dict per row
-    holding just those b will do.  Solutions are (total, index-tuple),
-    best-first, ties lexicographic.  ``nodes`` and ``prunes`` count
-    depth-first steps tried and cut off, not order ideals.  Raises :class:`BudgetExceededError` when the
-    order has more than ``MAX_IDEALS`` ideals.
+    adjacent scope).  ``pair[a][b]`` is read only for b that can follow a
+    immediately in some linear extension, and the backward pass reads every
+    such pair before the depth-first search starts.  So a row may price on
+    first read: a dict per row whose ``__missing__`` prices b and stores it
+    will do.  Solutions are (total, index-tuple), best-first, ties
+    lexicographic.  ``nodes`` and ``prunes`` count depth-first steps tried
+    and cut off, not order ideals.  Raises :class:`BudgetExceededError`
+    when the order has more than ``MAX_IDEALS`` ideals.
     """
     if n == 0:
         return [(0, ())], 0, 0

@@ -327,42 +327,49 @@ def instantiate_all(workflow: Workflow, choices: Mapping[str, str]) -> Workflow:
 def is_linear_extension(ordering: Sequence[str], workflow: Workflow) -> bool:
     """True iff ``ordering`` permutes the task set and respects every prerequisite."""
     workflow.require_concrete("is_linear_extension")
-    codes = set(workflow.tasks)
-    if len(ordering) != len(codes) or set(ordering) != codes:
-        return False
-    position = {code: i for i, code in enumerate(ordering)}
-    for code, task in workflow.tasks.items():
-        for pre in task.prerequisites:
-            if position[pre] >= position[code]:
-                return False
-    return True
+    return extension_violation(ordering, workflow) is None
 
 
 def extension_violation(ordering: Sequence[str], workflow: Workflow) -> str | None:
-    """Describe the first reason ``ordering`` is not a linear extension, or None."""
+    """Describe the first reason ``ordering`` is not a linear extension, or None.
+
+    Reasons rank unknown task, duplicate, missing tasks, then the first task
+    placed before one of its prerequisites (the smallest such prerequisite
+    is named, and one that is not a task is reported as unknown).
+    """
     workflow.require_concrete("sequencing")
-    codes = set(workflow.tasks)
-    seen: set[str] = set()
+    tasks = workflow.tasks
+    placed: set[str] = set()
+    early = None  # the first (prerequisite, task) placed out of order
     for code in ordering:
-        if code not in codes:
+        task = tasks.get(code)
+        if task is None:
             return f"unknown task {code!r}"
-        if code in seen:
+        if code in placed:
             return f"task {code!r} appears more than once"
-        seen.add(code)
-    missing = codes - seen
-    if missing:
-        return "missing tasks: " + ", ".join(sorted(missing))
-    position = {code: i for i, code in enumerate(ordering)}
-    for code in ordering:
-        for pre in sorted(workflow.tasks[code].prerequisites):
-            if position[pre] >= position[code]:
-                return f"{pre!r} must precede {code!r}"
-    return None
+        if early is None and not task.prerequisites <= placed:
+            early = (min(task.prerequisites - placed), code)
+        placed.add(code)
+    if len(placed) < len(tasks):
+        return "missing tasks: " + ", ".join(sorted(tasks.keys() - placed))
+    if early is None:
+        return None
+    pre, code = early
+    if pre not in tasks:
+        return f"task {code!r} requires unknown code {pre!r}"
+    return f"{pre!r} must precede {code!r}"
 
 
 #: Most order ideals ``count_linear_extensions`` keeps before refusing, to
 #: bound memory on very wide posets.
 MAX_COUNTED_IDEALS = 4_000_000
+
+
+def _require_valid(workflow: Workflow, operation: str) -> None:
+    workflow.require_concrete(operation)
+    report = validate_workflow(workflow)
+    if not report.ok:
+        raise WorkflowError(f"invalid workflow:\n{report.summary()}")
 
 
 def _precedence(workflow: Workflow
@@ -397,12 +404,10 @@ def enumerate_linear_extensions(workflow: Workflow,
 
     At each step the eligible tasks are tried in ascending code order, so the
     stream is deterministic and each extension appears exactly once.  The
-    stream is single-consumer.  Raises :class:`WorkflowError` on cycles.
+    stream is single-consumer.  Raises :class:`WorkflowError` on an invalid
+    workflow.
     """
-    workflow.require_concrete("enumeration")
-    report = [v for v in validate_workflow(workflow) if v.kind == "cycle"]
-    if report:
-        raise WorkflowError(report[0].message)
+    _require_valid(workflow, "enumeration")
 
     codes, preds, succ = _precedence(workflow)
     n = len(codes)
@@ -444,11 +449,10 @@ def count_linear_extensions(workflow: Workflow) -> int:
     Dynamic programming over downsets of the precedence order, one level of
     placed tasks at a time: each downset holds the number of ways to reach
     it and its ready tasks.  Refuses workflows with more than
-    ``MAX_COUNTED_IDEALS`` downsets short of the full set.
+    ``MAX_COUNTED_IDEALS`` downsets short of the full set, and raises
+    :class:`WorkflowError` on an invalid workflow.
     """
-    workflow.require_concrete("counting")
-    if any(v.kind == "cycle" for v in validate_workflow(workflow)):
-        raise WorkflowError("cannot count extensions of a cyclic workflow")
+    _require_valid(workflow, "counting")
 
     codes, preds, succ = _precedence(workflow)
     n = len(codes)

@@ -33,6 +33,7 @@ from .model import (
     Resource,
     Task,
     Workflow,
+    _precedence,
     count_linear_extensions,
     enumerate_linear_extensions,
     instantiate_variant,
@@ -97,26 +98,36 @@ def _checked(workflow: Workflow, operation: str) -> None:
         raise WorkflowError(f"invalid workflow:\n{report.summary()}")
 
 
-def _kernel_inputs(workflow: Workflow, model: CostModel):
-    """Index-space inputs for the search engine, with sparse pair rows.
+class _PairRow(dict):
+    """``pair[a]``: b -> cost of a immediately before b, priced on first read."""
 
-    Index order is ascending task code, so index tuples compare exactly
-    like code sequences.  ``pair[a]`` maps only the tasks that can follow
-    a immediately in some linear extension (see :func:`_adjacent_masks`)
-    to the cost of that transition; the search reads no other pair, and
-    reading one that is not there raises ``KeyError``.  Under full-history
-    scope the history-dependent RecentPractice term is lifted out of the
-    pair rows into (shares, rp_cost); otherwise it stays folded into them.
+    __slots__ = ("_a", "_price")
+
+    def __init__(self, a: int, price):
+        self._a = a
+        self._price = price
+
+    def __missing__(self, b: int) -> int:
+        cost = self[b] = self._price(self._a, b)
+        return cost
+
+
+def _kernel_inputs(workflow: Workflow, model: CostModel):
+    """Index-space inputs for the search engine, with pair rows priced on
+    first read.
+
+    Codes and prerequisite masks come from :func:`model._precedence`, in
+    ascending code order, so index tuples compare exactly like code
+    sequences.  Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the
+    first time the search reads it.  The search reads only the b that can
+    follow a immediately in some linear extension, so those transitions are
+    the only ones priced, each once.  Under full-history scope the
+    history-dependent RecentPractice term is lifted out of the pair rows
+    into (shares, rp_cost); otherwise it stays folded into them.
     """
-    codes = workflow.codes()
+    codes, preds, _ = _precedence(workflow)
     tasks = [workflow.tasks[code] for code in codes]
     n = len(codes)
-    index = {code: i for i, code in enumerate(codes)}
-
-    preds = [0] * n
-    for i, task in enumerate(tasks):
-        for pre in task.prerequisites:
-            preds[i] |= 1 << index[pre]
 
     rp = model.rule_cost(Rule.RECENT_PRACTICE)
     lift_rp = (model.rules_enabled and rp is not None
@@ -140,65 +151,8 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
         shares = [0] * n
 
     price = _pair_pricer(tasks, base_model)
-    pair: list[dict[int, int]] = []
-    for a, mask in enumerate(_adjacent_masks(preds)):
-        row = {}
-        while mask:
-            low = mask & -mask
-            b = low.bit_length() - 1
-            row[b] = price(a, b)
-            mask ^= low
-        pair.append(row)
+    pair = [_PairRow(a, price) for a in range(n)]
     return codes, preds, pair, shares, rp_cost
-
-
-def _adjacent_masks(preds: list[int]) -> list[int]:
-    """Per task a, the bitmask of tasks b that can follow a immediately in
-    some linear extension: those incomparable with a, and those covering a.
-
-    Ancestor and descendant masks come from one pass each way along a Kahn
-    order, so the work is linear, in bitmask operations, in tasks plus
-    precedence edges.
-    """
-    n = len(preds)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    waiting = [0] * n
-    for b, mask in enumerate(preds):
-        while mask:
-            low = mask & -mask
-            succ[low.bit_length() - 1].append(b)
-            waiting[b] += 1
-            mask ^= low
-    order = [t for t in range(n) if not waiting[t]]
-    for t in order:
-        for s in succ[t]:
-            waiting[s] -= 1
-            if not waiting[s]:
-                order.append(s)
-
-    anc = [0] * n
-    covered_by = [0] * n
-    for b in order:
-        below = preds[b]
-        reach = 0
-        mask = below
-        while mask:
-            low = mask & -mask
-            reach |= anc[low.bit_length() - 1]
-            mask ^= low
-        anc[b] = below | reach
-        mask = below & ~reach  # the tasks that b covers
-        while mask:
-            low = mask & -mask
-            covered_by[low.bit_length() - 1] |= 1 << b
-            mask ^= low
-    desc = [0] * n
-    for a in reversed(order):
-        for s in succ[a]:
-            desc[a] |= 1 << s | desc[s]
-    full = (1 << n) - 1
-    return [full & ~(anc[a] | desc[a] | 1 << a) | covered_by[a]
-            for a in range(n)]
 
 
 def _pair_pricer(tasks: list[Task], model: CostModel):

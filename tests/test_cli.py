@@ -282,6 +282,22 @@ class TestExplain:
         assert result.exit_code == 1
         assert "must precede" in err_text(result)
 
+    def test_unknown_prerequisite_is_domain_error(self, runner, tmp_path):
+        doc = tmp_path / "unknown.json"
+        doc.write_text(json.dumps({"tasks": [
+            {"code": "A", "name": "A", "resource": "VWM", "modality": "t",
+             "voluntary": False, "familiarity": 3, "complexity": 3,
+             "prerequisites": ["Z"]},
+            {"code": "B", "name": "B", "resource": "PM", "modality": "t",
+             "voluntary": False, "familiarity": 3, "complexity": 3},
+        ]}), encoding="utf-8")
+        result = runner.invoke(cli, ["explain", str(doc), "--ordering", "A,B"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "requires unknown code 'Z'" in err_text(result)
+        assert "Traceback" not in err_text(result)
+
     def test_explain_agrees_with_solve(self, runner):
         solved = json.loads(runner.invoke(cli, [
             "solve", "checkin-validation", "--format", "json",

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogseq import (
+    CogseqError,
+    CostModel,
+    OrderingError,
     Task,
     VariantGroup,
     Workflow,
@@ -19,6 +22,7 @@ from cogseq import (
     instantiate_all,
     instantiate_variant,
     is_linear_extension,
+    sequence_cost,
     validate_workflow,
 )
 from cogseq.model import extension_violation
@@ -32,6 +36,28 @@ def chain(*codes: str) -> Workflow:
         prereqs = (codes[i - 1],) if i else ()
         tasks.append(simple_task(code, prerequisites=prereqs))
     return Workflow.from_tasks(tasks)
+
+
+def positional_violation(ordering, workflow: Workflow) -> str | None:
+    """``extension_violation`` as it was before its one-pass rewrite, for a
+    workflow whose prerequisites are all tasks."""
+    codes = set(workflow.tasks)
+    seen: set[str] = set()
+    for code in ordering:
+        if code not in codes:
+            return f"unknown task {code!r}"
+        if code in seen:
+            return f"task {code!r} appears more than once"
+        seen.add(code)
+    missing = codes - seen
+    if missing:
+        return "missing tasks: " + ", ".join(sorted(missing))
+    position = {code: i for i, code in enumerate(ordering)}
+    for code in ordering:
+        for pre in sorted(workflow.tasks[code].prerequisites):
+            if position[pre] >= position[code]:
+                return f"{pre!r} must precede {code!r}"
+    return None
 
 
 def rebuilt_every_task(workflow: Workflow, choices: dict) -> Workflow:
@@ -291,6 +317,69 @@ class TestExtensions:
         assert "more than once" in extension_violation(("A", "A"), wf)
         assert "missing tasks" in extension_violation(("A",), wf)
         assert "'A' must precede 'B'" in extension_violation(("B", "A"), wf)
+
+    def test_violation_names_first_late_task_and_smallest_prerequisite(self):
+        wf = Workflow.from_tasks([
+            simple_task("A"), simple_task("B"),
+            simple_task("C", prerequisites=("A", "B")),
+            simple_task("D", prerequisites=("C",)),
+        ])
+        assert extension_violation(("D", "C", "B", "A"), wf) == \
+            "'C' must precede 'D'"
+        assert extension_violation(("A", "C", "D", "B"), wf) == \
+            "'B' must precede 'C'"
+        assert extension_violation(("C", "B", "A", "D"), wf) == \
+            "'A' must precede 'C'"
+        # Every other reason outranks a late prerequisite.
+        assert extension_violation(("D", "C", "Z"), wf) == \
+            "unknown task 'Z'"
+        assert extension_violation(("D", "D"), wf) == \
+            "task 'D' appears more than once"
+        assert extension_violation(("D", "C"), wf) == "missing tasks: A, B"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_violation_matches_position_definition(self, seed):
+        rng = random.Random(6000 + seed)
+        wf = random_workflow(rng, n_max=6)
+        codes = list(wf.codes())
+        for _ in range(30):
+            ordering = rng.sample(codes, len(codes))
+            if rng.random() < 0.3:
+                ordering = ordering[:rng.randint(0, len(ordering))]
+            if rng.random() < 0.2:
+                ordering.insert(rng.randint(0, len(ordering)),
+                                rng.choice(codes + ["Z"]))
+            assert extension_violation(ordering, wf) == \
+                positional_violation(ordering, wf)
+            assert is_linear_extension(ordering, wf) == \
+                (positional_violation(ordering, wf) is None)
+
+    def test_unknown_prerequisite(self):
+        wf = Workflow.from_tasks([
+            simple_task("A", prerequisites=("Z",)), simple_task("B"),
+        ])
+        assert extension_violation(("A", "B"), wf) == \
+            "task 'A' requires unknown code 'Z'"
+        assert extension_violation(("B", "A"), wf) == \
+            "task 'A' requires unknown code 'Z'"
+        assert not is_linear_extension(("A", "B"), wf)
+        with pytest.raises(OrderingError, match="unknown code 'Z'"):
+            sequence_cost(("A", "B"), wf, CostModel())
+        with pytest.raises(WorkflowError, match="unknown code 'Z'"):
+            list(enumerate_linear_extensions(wf))
+        with pytest.raises(WorkflowError, match="unknown code 'Z'"):
+            count_linear_extensions(wf)
+        assert issubclass(OrderingError, CogseqError)
+        assert issubclass(WorkflowError, CogseqError)
+
+    def test_helpers_refuse_any_invalid_workflow(self):
+        # Not a cycle: one task outside the 1-5 familiarity range.
+        wf = Workflow.from_tasks([simple_task("A", familiarity=9),
+                                  simple_task("B")])
+        with pytest.raises(WorkflowError, match="out-of-range"):
+            list(enumerate_linear_extensions(wf))
+        with pytest.raises(WorkflowError, match="out-of-range"):
+            count_linear_extensions(wf)
 
     def test_empty_workflow(self):
         wf = Workflow.from_tasks([])

@@ -303,6 +303,13 @@ def _priced_pairs(pair) -> set[tuple[int, int]]:
     return {(a, b) for a, row in enumerate(pair) for b in row}
 
 
+def _searched_inputs(wf, model, maximize=False, k=1):
+    """``_kernel_inputs`` after a search has read (and so priced) its rows."""
+    codes, preds, pair, shares, rp_cost = solver._kernel_inputs(wf, model)
+    _search.search(len(codes), preds, pair, shares, rp_cost, maximize, k)
+    return codes, preds, pair, shares, rp_cost
+
+
 tasks_strategy = st.lists(
     st.builds(
         simple_task,
@@ -334,7 +341,8 @@ model_strategy = st.builds(
 
 
 class TestPairPricer:
-    """The integer pricer and the adjacent-pair rows that solve() builds."""
+    """The integer pricer and the pair rows that solve() builds, which the
+    search fills with the adjacent pairs as it reads them."""
 
     @staticmethod
     def _assert_prices_like_pair_cost(tasks, model):
@@ -367,7 +375,8 @@ class TestPairPricer:
         # Full history lifts RecentPractice out of the rows into shares.
         wf = random_workflow(random.Random(71), n_min=7, n_max=7)
         tasks = [wf.tasks[code] for code in wf.codes()]
-        codes, _, pair, shares, rp_cost = solver._kernel_inputs(wf, model)
+        codes, _, pair, shares, rp_cost = _searched_inputs(wf, model)
+        assert _priced_pairs(pair)
         lifted = model.recent_practice_scope is Scope.FULL_HISTORY
         base = model.without_rule(Rule.RECENT_PRACTICE) if lifted else model
         for a, row in enumerate(pair):
@@ -384,21 +393,46 @@ class TestPairPricer:
     def test_priced_pairs_are_the_adjacent_ones(self, seed):
         wf = random_workflow(random.Random(8000 + seed), n_max=7,
                              edge_p=(0.1, 0.35, 0.6)[seed % 3])
-        codes, _, pair, _, _ = solver._kernel_inputs(wf, CostModel())
-        index = {code: i for i, code in enumerate(codes)}
+        index = {code: i for i, code in enumerate(wf.codes())}
         adjacent = {
             (index[ordering[i]], index[ordering[i + 1]])
             for ordering in enumerate_linear_extensions(wf)
             for i in range(len(ordering) - 1)
         }
-        assert _priced_pairs(pair) == adjacent
+        for model in MODELS:
+            for maximize in (False, True):
+                for k in (1, 4):
+                    _, _, pair, _, _ = _searched_inputs(wf, model,
+                                                        maximize, k)
+                    assert _priced_pairs(pair) == adjacent
 
-    def test_unpriced_pair_cannot_be_read(self):
-        wf = _random_chain(4, seed=1)
-        _, _, pair, _, _ = solver._kernel_inputs(wf, CostModel())
-        assert pair[0].keys() == {1}
-        with pytest.raises(KeyError):
-            pair[0][2]
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_start_empty_and_price_each_pair_once(self, monkeypatch,
+                                                       seed):
+        wf = random_workflow(random.Random(9000 + seed), n_max=7)
+        calls = []
+
+        def counting(tasks, model):
+            price = pair_pricer(tasks, model)
+
+            def recorded(a, b):
+                calls.append((a, b))
+                return price(a, b)
+
+            return recorded
+
+        pair_pricer = solver._pair_pricer
+        monkeypatch.setattr("cogseq.solver._pair_pricer", counting)
+        for model in MODELS:
+            for maximize in (False, True):
+                calls.clear()
+                codes, preds, pair, shares, rp_cost = solver._kernel_inputs(
+                    wf, model)
+                assert not calls and not any(pair)
+                _search.search(len(codes), preds, pair, shares, rp_cost,
+                               maximize, 4)
+                assert len(calls) == len(set(calls))
+                assert set(calls) == _priced_pairs(pair)
 
     def test_long_chain_prices_only_its_links(self, monkeypatch):
         n = 1500
