@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow
 
 from .errors import CostModelError, OrderingError
@@ -40,12 +40,17 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
     """Convert an effect size to integer thousandths, exactly.
 
     Accepts ints, decimal strings, Decimal, and floats (read back through
-    their shortest decimal form).  Values with more than three fractional
-    digits, below zero or above :data:`MAX_EFFECT` are rejected rather
-    than rounded or clamped, and so are infinities and NaNs.
+    their shortest decimal form); any other type, bool included, is
+    rejected.  Values with more than three fractional digits, below zero or
+    above :data:`MAX_EFFECT` are rejected rather than rounded or clamped,
+    and so are infinities and NaNs.
     """
-    if isinstance(value, bool):
-        raise CostModelError(f"effect size must be numeric, got {value!r}")
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, str, Decimal))):
+        # The type, not the value: a list holding a huge int has no repr.
+        raise CostModelError(
+            f"effect size must be numeric, got {type(value).__name__}"
+        )
     try:
         if isinstance(value, float):
             dec = Decimal(str(value))
@@ -183,19 +188,23 @@ DEFAULT_RULES: frozenset[TransitionRule] = frozenset(
 class CostModel:
     """Immutable cost configuration; all evaluation functions are pure.
 
-    A rule participates iff present in ``rules`` (and ``rules_enabled`` is
-    true), so removing an entry disables that rule entirely.  The bare
-    constructor is the literal published model.  :meth:`calibrated` is the
-    recommended configuration for the bundled check-in workflows: identical
-    except that RecentPractice is withheld, which keeps the cost of swapping
-    the two interchangeable seat-selection tasks at exactly zero and tracks
-    the published benchmark totals far more closely (see README).
+    A rule participates iff present in ``rules``, so removing an entry
+    withholds that rule entirely and ``rules=frozenset()`` withholds them
+    all.  The bare constructor is the literal published model.
+    :meth:`calibrated` is the recommended configuration for the bundled
+    check-in workflows: identical except that RecentPractice is withheld,
+    which keeps the cost of swapping the two interchangeable seat-selection
+    tasks at exactly zero and tracks the published benchmark totals far more
+    closely (see README).
     """
 
     matrix: tuple[tuple[int, ...], ...] = DEFAULT_MATRIX
     rules: frozenset[TransitionRule] = DEFAULT_RULES
     recent_practice_scope: Scope = Scope.ADJACENT
-    rules_enabled: bool = True
+    #: The present rules' (rule, cost) pairs in :data:`RULE_ORDER`, resolved
+    #: once here because every priced transition reads them.
+    _rule_costs: tuple[tuple[Rule, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = tuple(tuple(row) for row in self.matrix)
@@ -227,6 +236,9 @@ class CostModel:
                 )
             seen.add(entry.rule)
         object.__setattr__(self, "rules", rules)
+        present = {entry.rule: entry.cost for entry in rules}
+        object.__setattr__(self, "_rule_costs", tuple(
+            (rule, present[rule]) for rule in RULE_ORDER if rule in present))
 
     @classmethod
     def calibrated(cls) -> CostModel:
@@ -238,35 +250,30 @@ class CostModel:
         return cls(rules=kept)
 
     def rule_cost(self, rule: Rule) -> int | None:
-        """Cost of an enabled rule in thousandths, or None if absent."""
-        for entry in self.rules:
-            if entry.rule is rule:
-                return entry.cost
+        """Cost of a present rule in thousandths, or None if withheld."""
+        for present, cost in self._rule_costs:
+            if present is rule:
+                return cost
         return None
+
+    @property
+    def history_dependent(self) -> bool:
+        """True iff RecentPractice is present under full-history scope.
+
+        That is the one setting in which a transition's cost depends on
+        more than the task before it, so only then is an ordering's total
+        not a sum of adjacent-pair costs.
+        """
+        return (self.recent_practice_scope is Scope.FULL_HISTORY
+                and self.rule_cost(Rule.RECENT_PRACTICE) is not None)
 
     def without_rule(self, rule: Rule) -> CostModel:
         kept = frozenset(e for e in self.rules if e.rule is not rule)
         return replace(self, rules=kept)
 
     def active_rule_costs(self) -> dict[Rule, int]:
-        """Enabled rules and costs, in canonical rule order."""
-        return dict(self._rule_cost_pairs())
-
-    def _rule_cost_pairs(self) -> tuple[tuple[Rule, int], ...]:
-        """:meth:`active_rule_costs` as (rule, cost) pairs, resolved once.
-
-        Every priced transition asks for these, so they are kept in the
-        instance ``__dict__``, which the dataclass's equality and hash
-        ignore.
-        """
-        pairs = self.__dict__.get("_resolved_rule_costs")
-        if pairs is None:
-            present = ({entry.rule: entry.cost for entry in self.rules}
-                       if self.rules_enabled else {})
-            pairs = tuple((rule, present[rule]) for rule in RULE_ORDER
-                          if rule in present)
-            self.__dict__["_resolved_rule_costs"] = pairs
-        return pairs
+        """Present rules and costs, in canonical rule order."""
+        return dict(self._rule_costs)
 
 
 def resource_switch_cost(frm: Resource, to: Resource,
@@ -295,7 +302,7 @@ def _check_history(prev: Task, history: Sequence[Task]) -> None:
 
 def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
                 model: CostModel) -> tuple[tuple[Rule, int], ...]:
-    """Evaluate every enabled rule for the prev -> cur transition.
+    """Evaluate every present rule for the prev -> cur transition.
 
     ``history`` is the full sequence placed strictly before ``cur``; only
     RecentPractice looks past its last element, and only under full-history
@@ -310,7 +317,7 @@ def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
         earlier.modality == cur.modality or earlier.resource is cur.resource
         for earlier in scope
     )
-    return _fired(prev, cur, practiced, model._rule_cost_pairs())
+    return _fired(prev, cur, practiced, model._rule_costs)
 
 
 def _fired(prev: Task, cur: Task, practiced: bool,
@@ -368,7 +375,7 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
     tasks = [workflow.tasks[code] for code in ordering]
     res = [RESOURCE_INDEX[task.resource] for task in tasks]
     matrix = model.matrix
-    rule_costs = model._rule_cost_pairs()
+    rule_costs = model._rule_costs
     full_history = model.recent_practice_scope is Scope.FULL_HISTORY
     modalities: set[str] = set()
     resources: set[int] = set()

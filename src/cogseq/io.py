@@ -3,15 +3,15 @@
 Documents are UTF-8 JSON.  A workflow document carries `tasks`,
 `variant_groups`, and optional `known_orderings` (named reference orderings,
 e.g. published study sequences).  A cost-model document may override the
-matrix, individual rule costs (null disables a rule), the recent-practice
-scope, and the master rules switch; omitted fields keep the published
-defaults.  Strict loading rejects unknown keys; non-strict warns.
+matrix, individual rule costs (null withholds a rule), and the
+recent-practice scope, and ``"rules_enabled": false`` withholds every rule;
+omitted fields keep the published defaults.  An unknown key anywhere is a
+:class:`DocumentError`, and so is every other malformed field.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
@@ -26,7 +26,7 @@ from .costs import (
     render_effect,
     to_thousandths,
 )
-from .errors import DocumentError
+from .errors import CogseqError, DocumentError
 from .model import (
     Ordering,
     Resource,
@@ -91,15 +91,19 @@ def _require_str(value, *, path=None, field=None) -> str:
     return value
 
 
-def _check_keys(obj: Mapping, allowed: set[str], *, strict: bool,
+def _require_code(value, *, path=None, field=None) -> str:
+    code = _require_str(value, path=path, field=field)
+    if not code.strip():
+        raise DocumentError("code must be non-empty", path=path, field=field)
+    return code
+
+
+def _check_keys(obj: Mapping, allowed: set[str], *,
                 path=None, where: str = "document") -> None:
     unknown = sorted(set(obj) - allowed)
-    if not unknown:
-        return
-    message = f"unknown keys in {where}: " + ", ".join(unknown)
-    if strict:
-        raise DocumentError(message, path=path)
-    warnings.warn(f"{path or 'document'}: {message}", stacklevel=3)
+    if unknown:
+        raise DocumentError(
+            f"unknown keys in {where}: " + ", ".join(unknown), path=path)
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,12 @@ def _read_json(path: Path | str):
         raise DocumentError(f"unreadable JSON: {exc}", path=path) from None
 
 
-def parse_workflow_document(data, *, path: Path | None = None,
-                            strict: bool = True) -> WorkflowDocument:
+def parse_workflow_document(data, *,
+                            path: Path | None = None) -> WorkflowDocument:
     if not isinstance(data, dict):
         raise DocumentError("top level must be a JSON object", path=path)
     _check_keys(data, {"tasks", "variant_groups", "known_orderings"},
-                strict=strict, path=path)
+                path=path)
     raw_tasks = data.get("tasks")
     if not isinstance(raw_tasks, list):
         raise DocumentError("`tasks` must be an array", path=path, field="tasks")
@@ -146,7 +150,7 @@ def parse_workflow_document(data, *, path: Path | None = None,
         if not isinstance(row, dict):
             raise DocumentError("task entry must be an object",
                                 path=path, field=field)
-        _check_keys(row, task_keys, strict=strict, path=path, where=field)
+        _check_keys(row, task_keys, path=path, where=field)
         missing = sorted(task_keys - {"prerequisites"} - set(row))
         if missing:
             raise DocumentError("missing keys: " + ", ".join(missing),
@@ -156,7 +160,7 @@ def parse_workflow_document(data, *, path: Path | None = None,
             raise DocumentError("`prerequisites` must be an array",
                                 path=path, field=f"{field}.prerequisites")
         tasks.append(Task(
-            code=_require_str(row["code"], path=path, field=f"{field}.code"),
+            code=_require_code(row["code"], path=path, field=f"{field}.code"),
             name=_require_str(row["name"], path=path, field=f"{field}.name"),
             resource=parse_resource(row["resource"],
                                     path=path, field=f"{field}.resource"),
@@ -184,14 +188,14 @@ def parse_workflow_document(data, *, path: Path | None = None,
         if not isinstance(row, dict):
             raise DocumentError("variant group entry must be an object",
                                 path=path, field=field)
-        _check_keys(row, {"code", "members"}, strict=strict,
-                    path=path, where=field)
+        _check_keys(row, {"code", "members"}, path=path, where=field)
         members = row.get("members")
         if not isinstance(members, list) or not members:
             raise DocumentError("`members` must be a non-empty array",
                                 path=path, field=f"{field}.members")
         groups.append(VariantGroup(
-            code=_require_str(row.get("code"), path=path, field=f"{field}.code"),
+            code=_require_code(row.get("code"), path=path,
+                               field=f"{field}.code"),
             members=frozenset(
                 _require_str(m, path=path, field=f"{field}.members")
                 for m in members
@@ -200,7 +204,7 @@ def parse_workflow_document(data, *, path: Path | None = None,
 
     try:
         workflow = Workflow.from_tasks(tasks, groups)
-    except Exception as exc:
+    except CogseqError as exc:
         raise DocumentError(str(exc), path=path) from None
 
     known: dict[str, Ordering] = {}
@@ -225,13 +229,12 @@ def parse_workflow_document(data, *, path: Path | None = None,
                             source=path)
 
 
-def load_document(path: Path | str, *, strict: bool = True) -> WorkflowDocument:
-    return parse_workflow_document(_read_json(path), path=Path(path),
-                                   strict=strict)
+def load_document(path: Path | str) -> WorkflowDocument:
+    return parse_workflow_document(_read_json(path), path=Path(path))
 
 
-def load_workflow(path: Path | str, *, strict: bool = True) -> Workflow:
-    return load_document(path, strict=strict).workflow
+def load_workflow(path: Path | str) -> Workflow:
+    return load_document(path).workflow
 
 
 def document_to_dict(document: WorkflowDocument) -> dict:
@@ -271,14 +274,14 @@ def save_document(document: WorkflowDocument, path: Path | str) -> None:
     )
 
 
-def parse_cost_model_document(data, *, path: Path | None = None,
-                              strict: bool = True) -> CostModel:
+def parse_cost_model_document(data, *,
+                              path: Path | None = None) -> CostModel:
     if not isinstance(data, dict):
         raise DocumentError("top level must be a JSON object", path=path)
     _check_keys(
         data,
         {"matrix", "rules", "recent_practice_scope", "rules_enabled"},
-        strict=strict, path=path,
+        path=path,
     )
 
     kwargs: dict = {}
@@ -297,7 +300,7 @@ def parse_cost_model_document(data, *, path: Path | None = None,
             kwargs["matrix"] = tuple(
                 tuple(to_thousandths(cell) for cell in row) for row in raw
             )
-        except Exception as exc:
+        except CogseqError as exc:
             raise DocumentError(str(exc), path=path, field="matrix") from None
 
     if "rules" in data:
@@ -310,27 +313,25 @@ def parse_cost_model_document(data, *, path: Path | None = None,
             field = f"rules.{label}"
             try:
                 rule = Rule.parse(label)
-            except Exception as exc:
+            except CogseqError as exc:
                 raise DocumentError(str(exc), path=path, field=field) from None
             if value is None:
-                costs.pop(rule, None)  # null disables the rule outright
+                costs.pop(rule, None)  # null withholds the rule outright
                 continue
             try:
                 costs[rule] = to_thousandths(value)
-            except Exception as exc:
+            except CogseqError as exc:
                 raise DocumentError(str(exc), path=path, field=field) from None
         kwargs["rules"] = frozenset(
             TransitionRule(rule, cost) for rule, cost in costs.items()
         )
 
     if "recent_practice_scope" in data:
+        label = _require_str(data["recent_practice_scope"], path=path,
+                             field="recent_practice_scope")
         try:
-            kwargs["recent_practice_scope"] = Scope.parse(
-                _require_str(data["recent_practice_scope"], path=path,
-                             field="recent_practice_scope"))
-        except DocumentError:
-            raise
-        except Exception as exc:
+            kwargs["recent_practice_scope"] = Scope.parse(label)
+        except CogseqError as exc:
             raise DocumentError(str(exc), path=path,
                                 field="recent_practice_scope") from None
 
@@ -338,25 +339,23 @@ def parse_cost_model_document(data, *, path: Path | None = None,
         if not isinstance(data["rules_enabled"], bool):
             raise DocumentError("`rules_enabled` must be true or false",
                                 path=path, field="rules_enabled")
-        kwargs["rules_enabled"] = data["rules_enabled"]
+        if not data["rules_enabled"]:
+            # Withholds every rule, whatever `rules` lists.
+            kwargs["rules"] = frozenset()
 
     try:
         return CostModel(**kwargs)
-    except Exception as exc:
+    except CogseqError as exc:
         raise DocumentError(str(exc), path=path) from None
 
 
-def load_cost_model(path: Path | str | None = None, *,
-                    strict: bool = True) -> CostModel:
-    """Load a cost-model file; with no path, the calibrated default applies.
+def load_cost_model(path: Path | str) -> CostModel:
+    """Load a cost-model file.
 
     An empty document ({}) yields the full published model: omitted fields
     default to the literal matrix and rule tables.
     """
-    if path is None:
-        return CostModel.calibrated()
-    return parse_cost_model_document(_read_json(path), path=Path(path),
-                                     strict=strict)
+    return parse_cost_model_document(_read_json(path), path=Path(path))
 
 
 FIXTURES = ("checkin-full.json", "checkin-validation.json")
@@ -374,7 +373,7 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> WorkflowDocument:
     data = json.loads(fixture_text(name))
-    return parse_workflow_document(data, path=None, strict=True)
+    return parse_workflow_document(data)
 
 
 def resolve_workflow_path(spec: str) -> WorkflowDocument:
@@ -446,8 +445,9 @@ def render_cost_model(model: CostModel) -> str:
             f"{render_effect(model.matrix[i][j]):>6}" for j in range(5)
         )
         lines.append(f"{name:>6} {cells}")
-    lines.append("rules: " + ("enabled" if model.rules_enabled else "disabled"))
-    for rule, cost in model.active_rule_costs().items():
+    active = model.active_rule_costs()
+    lines.append("rules: " + ("enabled" if active else "disabled"))
+    for rule, cost in active.items():
         lines.append(f"  {rule.value}: {render_effect(cost)}")
     lines.append(f"recent-practice scope: {model.recent_practice_scope.value}")
     return "\n".join(lines)

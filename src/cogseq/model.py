@@ -13,7 +13,7 @@ import enum
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .errors import WorkflowError
+from .errors import BudgetExceededError, WorkflowError
 
 Ordering = tuple[str, ...]
 
@@ -398,13 +398,13 @@ def _freed(i: int, placed: int, preds: list[int],
     return ready
 
 
-def enumerate_linear_extensions(workflow: Workflow,
-                                limit: int | None = None) -> Iterator[Ordering]:
+def enumerate_linear_extensions(workflow: Workflow) -> Iterator[Ordering]:
     """Yield every linear extension, lexicographically by task code.
 
     At each step the eligible tasks are tried in ascending code order, so the
     stream is deterministic and each extension appears exactly once.  The
-    stream is single-consumer.  Raises :class:`WorkflowError` on an invalid
+    stream is lazy and single-consumer: take a prefix with
+    :func:`itertools.islice`.  Raises :class:`WorkflowError` on an invalid
     workflow.
     """
     _require_valid(workflow, "enumeration")
@@ -418,13 +418,9 @@ def enumerate_linear_extensions(workflow: Workflow,
     placed: list[int] = []  # explicit stack: the indices placed so far
     done = 0
     first = 0  # lowest index still to try at the current depth
-    produced = 0
     while True:
         if len(placed) == n:
             yield tuple(codes[i] for i in placed)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
         candidates = ready >> first << first
         if candidates:
             low = candidates & -candidates
@@ -448,9 +444,9 @@ def count_linear_extensions(workflow: Workflow) -> int:
 
     Dynamic programming over downsets of the precedence order, one level of
     placed tasks at a time: each downset holds the number of ways to reach
-    it and its ready tasks.  Refuses workflows with more than
-    ``MAX_COUNTED_IDEALS`` downsets short of the full set, and raises
-    :class:`WorkflowError` on an invalid workflow.
+    it and its ready tasks.  Raises :class:`BudgetExceededError` on a
+    workflow with more than ``MAX_COUNTED_IDEALS`` downsets short of the
+    full set, and :class:`WorkflowError` on an invalid workflow.
     """
     _require_valid(workflow, "counting")
 
@@ -461,9 +457,8 @@ def count_linear_extensions(workflow: Workflow) -> int:
     for _ in range(n):
         seen += len(level)
         if seen > MAX_COUNTED_IDEALS:
-            raise WorkflowError(
-                "workflow too large for exact extension counting"
-            )
+            raise BudgetExceededError(seen, MAX_COUNTED_IDEALS,
+                                      "order ideals or more")
         below = level
         level = {}
         for placed, (ways, ready) in below.items():

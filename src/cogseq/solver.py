@@ -22,7 +22,6 @@ from .costs import (
     RESOURCE_INDEX,
     CostModel,
     Rule,
-    Scope,
     TransitionBreakdown,
     pair_cost,
     sequence_cost,
@@ -129,11 +128,8 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
     tasks = [workflow.tasks[code] for code in codes]
     n = len(codes)
 
-    rp = model.rule_cost(Rule.RECENT_PRACTICE)
-    lift_rp = (model.rules_enabled and rp is not None
-               and model.recent_practice_scope is Scope.FULL_HISTORY)
-    if lift_rp:
-        rp_cost = rp
+    if model.history_dependent:
+        rp_cost = model.rule_cost(Rule.RECENT_PRACTICE)
         base_model = model.without_rule(Rule.RECENT_PRACTICE)
         # shares[j]: the other tasks with j's modality or j's resource.
         by_modality: dict[str, int] = {}
@@ -158,7 +154,7 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
 def _pair_pricer(tasks: list[Task], model: CostModel):
     """``price(a, b)``: ``pair_cost(tasks[a], tasks[b], model)`` from
     per-task integer arrays, without building a breakdown per pair."""
-    costs = dict(model._rule_cost_pairs())
+    costs = dict(model._rule_costs)
     modality = costs.get(Rule.MODALITY, 0)
     practice = costs.get(Rule.RECENT_PRACTICE, 0)
     familiarity = costs.get(Rule.FAMILIARITY, 0)
@@ -215,14 +211,6 @@ def _ordering_total(ordering: Ordering, workflow: Workflow, model: CostModel,
     return total
 
 
-def _is_pairwise(model: CostModel) -> bool:
-    # Adjacent scope (or rules off entirely) makes the total a sum over
-    # consecutive pairs, so enumeration can price orderings pair by pair.
-    return (not model.rules_enabled
-            or model.recent_practice_scope is Scope.ADJACENT
-            or model.rule_cost(Rule.RECENT_PRACTICE) is None)
-
-
 def _finish(workflow: Workflow, model: CostModel, ordering: Ordering,
             total: int, stats: SearchStats) -> Solution:
     check, breakdowns = sequence_cost(ordering, workflow, model)
@@ -273,7 +261,9 @@ def brute_force(workflow: Workflow, model: CostModel,
     if count > DEFAULT_BUDGET:
         raise BudgetExceededError(count, DEFAULT_BUDGET)
 
-    price = _pair_memo(workflow, model) if _is_pairwise(model) else None
+    # Unless the model is history-dependent, a total is a sum over
+    # consecutive pairs, so orderings are priced pair by pair.
+    price = None if model.history_dependent else _pair_memo(workflow, model)
     sign = -1 if objective is Objective.MAXIMIZE else 1
     best = min(
         enumerate_linear_extensions(workflow),

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .costs import CostModel, Scope, pair_cost, render_effect
+from .costs import CostModel, pair_cost, render_effect
 from .errors import CostModelError, OrderingError, WorkflowError
-from .model import Ordering, Workflow, validate_workflow
+from .model import Ordering, Workflow, _require_valid
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,17 +62,15 @@ class WcspInstance:
 
 
 def encode_workflow(workflow: Workflow, model: CostModel) -> WcspInstance:
-    """Encode a concrete, valid workflow under an adjacent-scope model.
+    """Encode a concrete, valid workflow under a pairwise cost model.
 
     binary_costs[a][b] prices task a immediately before task b, so the table
-    only sees one step of history; a full-history RecentPractice scope cannot
-    be expressed this way and is rejected.
+    only sees one step of history; a history-dependent model (RecentPractice
+    present under full-history scope) cannot be expressed this way and is
+    rejected.
     """
-    workflow.require_concrete("WCSP encoding")
-    report = validate_workflow(workflow)
-    if not report.ok:
-        raise WorkflowError("invalid workflow:\n" + report.summary())
-    if model.rules_enabled and model.recent_practice_scope is Scope.FULL_HISTORY:
+    _require_valid(workflow, "WCSP encoding")
+    if model.history_dependent:
         raise CostModelError(
             "full-history recent-practice scope cannot be encoded as "
             "adjacent binary costs; use the sequence-search solver instead"

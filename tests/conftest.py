@@ -71,8 +71,10 @@ def random_model(rng: random.Random,
         for rule in RULE_ORDER
         if rng.random() < 0.8
     )
-    return CostModel(matrix=matrix, rules=rules, recent_practice_scope=scope,
-                     rules_enabled=rng.random() < 0.9)
+    # One model in ten withholds every rule.
+    if rng.random() >= 0.9:
+        rules = frozenset()
+    return CostModel(matrix=matrix, rules=rules, recent_practice_scope=scope)
 
 
 def permutation_extensions(workflow: Workflow) -> list[tuple[str, ...]]:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -70,6 +73,16 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert "error:" in err_text(result)
         assert "variant_groups" in err_text(result)
+
+    def test_blank_task_code_names_file_and_field(self, runner, tmp_path):
+        doc = json.loads(CYCLIC_DOC)
+        doc["tasks"][1]["code"] = " "
+        path = tmp_path / "blank.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(cli, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {path}: tasks[1].code: " in err_text(result)
 
 
 class TestSolve:
@@ -206,6 +219,37 @@ class TestCostModelSelection:
         assert "Familiarity: 0.42" in result.output
         assert "recent-practice scope: adjacent-only" in result.output
 
+    def test_every_rule_withheld_prints_disabled(self, runner, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"rules": {
+            "Modality": None, "RecentPractice": None, "Familiarity": None,
+            "VoluntaryComplexityDrop": None,
+            "InvoluntaryComplexityDrop": None,
+        }}), encoding="utf-8")
+        result = runner.invoke(cli, ["show-model", "--cost-model",
+                                     str(model_file)])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-2:] == [
+            "rules: disabled", "recent-practice scope: adjacent-only"]
+
+    @pytest.mark.parametrize("doc", [
+        {"rules": {"Familiarity": [0, [4, 2], -2]}},
+        {"matrix": [[0, [0, [4, 2], -2], 0, 0, 0]] + [[0] * 5] * 4},
+    ], ids=["rule", "matrix"])
+    @pytest.mark.parametrize("command", [
+        ["show-model"], ["solve", "checkin-validation"],
+    ], ids=["show-model", "solve"])
+    def test_non_numeric_effect_size(self, runner, tmp_path, doc, command):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(cli, command + ["--cost-model",
+                                               str(model_file)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "effect size must be numeric, got list" in err_text(result)
+        assert "Traceback" not in err_text(result)
+
     @pytest.mark.parametrize("doc", [
         {"rules": {"Familiarity": "1e5000"}},
         {"matrix": [0, 2e6] + [0] * 23},
@@ -223,6 +267,31 @@ class TestCostModelSelection:
         assert "error:" in err_text(result)
         assert "exceeds the maximum effect size" in err_text(result)
         assert "Traceback" not in err_text(result)
+
+
+class TestReadme:
+    """The README's command-line examples print what the README shows."""
+
+    EXAMPLE = re.compile(r"```sh\n(?P<commands>.*?)```\n\n```\n(?P<output>.*?)```",
+                         re.DOTALL)
+
+    def examples(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        return [(m["commands"].splitlines()[-1], m["output"])
+                for m in self.EXAMPLE.finditer(text)]
+
+    def test_examples_are_found(self):
+        assert [command for command, _ in self.examples()] == [
+            "cogseq solve checkin-full --variant AUTH=AUPS --k 3",
+            "cogseq compare-variants checkin-full",
+        ]
+
+    def test_output_matches_byte_for_byte(self, runner):
+        for command, output in self.examples():
+            result = runner.invoke(cli, shlex.split(command)[1:])
+            assert result.exit_code == 0, command
+            assert result.output == output, command
 
 
 class TestCompareVariants:

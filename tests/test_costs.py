@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 from decimal import Decimal
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,7 @@ from cogseq import (
     transition_cost,
 )
 from cogseq import enumerate_linear_extensions, instantiate_variant
-from cogseq.costs import MAX_EFFECT
+from cogseq.costs import DEFAULT_RULE_COSTS, DEFAULT_RULES, MAX_EFFECT
 
 from conftest import random_model, random_workflow, simple_task
 
@@ -43,6 +47,7 @@ class TestThousandths:
     @pytest.mark.parametrize("bad", [
         "0.1234", 0.0001, "-1", -3, True, "abc",
         "Infinity", float("inf"), "NaN", "sNaN", "1e999999999",
+        None, [1], {}, [0, [4, 2], -2], (0, (4, 2), -2),
     ])
     def test_rejections(self, bad):
         with pytest.raises(CostModelError):
@@ -84,7 +89,6 @@ class TestCostModel:
     def test_default_is_published_model(self):
         model = CostModel()
         assert model.matrix[3][2] == 1078
-        assert model.rules_enabled
         assert model.recent_practice_scope is Scope.ADJACENT
         assert model.active_rule_costs() == {
             Rule.MODALITY: 160,
@@ -131,6 +135,44 @@ class TestCostModel:
         with pytest.raises(CostModelError, match="more than once"):
             CostModel(rules=rules)
 
+    def test_withholding_every_rule(self):
+        model = CostModel(rules=frozenset())
+        assert all(model.rule_cost(rule) is None for rule in Rule)
+        assert model.active_rule_costs() == {}
+
+    @pytest.mark.parametrize("model,expected", [
+        (CostModel(), False),
+        (CostModel(recent_practice_scope=Scope.FULL_HISTORY), True),
+        (CostModel.calibrated(), False),
+        (replace(CostModel.calibrated(),
+                 recent_practice_scope=Scope.FULL_HISTORY), False),
+        (CostModel(rules=frozenset(),
+                   recent_practice_scope=Scope.FULL_HISTORY), False),
+    ], ids=["literal", "literal-full", "calibrated", "calibrated-full",
+            "no-rules-full"])
+    def test_history_dependent(self, model, expected):
+        assert model.history_dependent is expected
+
+    @pytest.mark.parametrize("model", [
+        CostModel(), CostModel.calibrated(), CostModel(rules=frozenset()),
+        CostModel(recent_practice_scope=Scope.FULL_HISTORY),
+    ], ids=["literal", "calibrated", "no-rules", "full-history"])
+    def test_resolved_rules_survive_copies(self, model):
+        twin = CostModel(matrix=model.matrix, rules=model.rules,
+                         recent_practice_scope=model.recent_practice_scope)
+        assert twin == model and hash(twin) == hash(model)
+        assert "_rule_costs" not in repr(model)
+        for copied in (replace(model), copy.copy(model),
+                       copy.deepcopy(model),
+                       pickle.loads(pickle.dumps(model))):
+            assert copied == model and hash(copied) == hash(model)
+            assert copied.active_rule_costs() == model.active_rule_costs()
+            assert copied._rule_costs == model._rule_costs
+        literal = replace(model, rules=DEFAULT_RULES)
+        assert literal.active_rule_costs() == DEFAULT_RULE_COSTS
+        with pytest.raises(ValueError):
+            replace(model, _rule_costs=())
+
     def test_rule_parse_aliases(self):
         assert Rule.parse("RecentPractice") is Rule.RECENT_PRACTICE
         assert Rule.parse("recent_practice") is Rule.RECENT_PRACTICE
@@ -168,7 +210,7 @@ class TestFiredRules:
 
     def test_rules_disabled_fires_nothing(self, checkin_tasks):
         lang, airl = checkin_tasks["LANG"], checkin_tasks["AIRL"]
-        model = CostModel(rules_enabled=False)
+        model = CostModel(rules=frozenset())
         assert fired_rules(lang, airl, [lang], model) == ()
 
     def test_modality_needs_same_resource(self):
@@ -234,7 +276,7 @@ class TestTransitionCost:
         wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
         stso, stsr = wf.tasks["STSO"], wf.tasks["STSR"]
         assert transition_cost(stso, stsr, [stso], CostModel.calibrated()).total == 0
-        no_rules = CostModel(rules_enabled=False)
+        no_rules = CostModel(rules=frozenset())
         assert transition_cost(stso, stsr, [stso], no_rules).total == 0
 
     def test_total_never_below_matrix_entry(self):
@@ -290,7 +332,7 @@ class TestSequenceCost:
             CostModel.calibrated(),
             CostModel(),
             CostModel(recent_practice_scope=Scope.FULL_HISTORY),
-            CostModel(rules_enabled=False),
+            CostModel(rules=frozenset()),
             random_model(rng),
             random_model(rng, scope=Scope.FULL_HISTORY),
         ]
@@ -310,7 +352,7 @@ class TestSequenceCost:
         rng = random.Random(seed)
         wf = random_workflow(rng, n_max=6)
         model = random_model(rng, scope=Scope.ADJACENT)
-        for ordering in enumerate_linear_extensions(wf, limit=40):
+        for ordering in islice(enumerate_linear_extensions(wf), 40):
             total, _ = sequence_cost(ordering, wf, model)
             pair_sum = sum(
                 pair_cost(wf.tasks[ordering[i]], wf.tasks[ordering[i + 1]], model)
@@ -325,7 +367,7 @@ class TestSequenceCost:
         wf = random_workflow(rng, n_max=6)
         adjacent = CostModel()
         full = CostModel(recent_practice_scope=Scope.FULL_HISTORY)
-        for ordering in enumerate_linear_extensions(wf, limit=40):
+        for ordering in islice(enumerate_linear_extensions(wf), 40):
             total_adj, _ = sequence_cost(ordering, wf, adjacent)
             total_full, _ = sequence_cost(ordering, wf, full)
             assert total_full >= total_adj
@@ -352,7 +394,7 @@ class TestSequenceCost:
                          familiarity=2, complexity=4)
         b2 = simple_task("B", resource=Resource.ER, modality="card reader",
                          familiarity=4, complexity=2)
-        model = CostModel(rules_enabled=False)
+        model = CostModel(rules=frozenset())
         wf1 = Workflow.from_tasks([a1, b1])
         wf2 = Workflow.from_tasks([a2, b2])
         assert sequence_cost(("A", "B"), wf1, model)[0] == \

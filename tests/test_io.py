@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogseq import (
     CostModel,
@@ -38,6 +41,13 @@ def make_doc(**overrides):
     doc = {"tasks": [dict(MINIMAL_TASK)]}
     doc.update(overrides)
     return doc
+
+
+def matrix_with(cell):
+    """A 5x5 zero matrix whose row 0, column 1 cell is ``cell``."""
+    rows = [[0] * 5 for _ in range(5)]
+    rows[0][1] = cell
+    return rows
 
 
 class TestFixtures:
@@ -84,12 +94,7 @@ class TestWorkflowParsing:
 
     def test_unknown_top_level_key_strict(self):
         with pytest.raises(DocumentError, match="unknown keys"):
-            parse_workflow_document(make_doc(banana=1), strict=True)
-
-    def test_unknown_top_level_key_lenient_warns(self):
-        with pytest.warns(UserWarning, match="unknown keys"):
-            doc = parse_workflow_document(make_doc(banana=1), strict=False)
-        assert doc.workflow.codes() == ("A",)
+            parse_workflow_document(make_doc(banana=1))
 
     def test_unknown_task_key(self):
         task = dict(MINIMAL_TASK, color="red")
@@ -170,6 +175,16 @@ class TestWorkflowParsing:
         with pytest.raises(DocumentError, match="non-empty array"):
             parse_workflow_document(doc)
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"tasks": [dict(MINIMAL_TASK, code=" ")]}, "tasks[0].code"),
+        (make_doc(variant_groups=[{"code": "", "members": ["A"]}]),
+         "variant_groups[0].code"),
+    ], ids=["task", "group"])
+    def test_blank_code_names_its_field(self, doc, field):
+        with pytest.raises(DocumentError, match="non-empty") as err:
+            parse_workflow_document(doc, path="doc.json")
+        assert (err.value.path, err.value.field) == ("doc.json", field)
+
 
 class TestFileErrors:
     def test_missing_file(self, tmp_path):
@@ -222,9 +237,6 @@ class TestCostModelDocuments:
     def test_empty_document_is_published_model(self):
         assert parse_cost_model_document({}) == CostModel()
 
-    def test_no_path_is_calibrated(self):
-        assert load_cost_model(None) == CostModel.calibrated()
-
     def test_file_round_trip(self, tmp_path):
         target = tmp_path / "model.json"
         target.write_text("{}", encoding="utf-8")
@@ -274,6 +286,19 @@ class TestCostModelDocuments:
             parse_cost_model_document(data)
 
     @pytest.mark.parametrize("data,field", [
+        ({"rules": {"Familiarity": [0, [4, 2], -2]}}, "rules.Familiarity"),
+        ({"rules": {"Familiarity": {}}}, "rules.Familiarity"),
+        ({"matrix": matrix_with([0, [4, 2], -2])}, "matrix"),
+        ({"matrix": matrix_with(None)}, "matrix"),
+        ({"matrix": matrix_with([1])}, "matrix"),
+    ])
+    def test_non_numeric_effect_size(self, data, field):
+        # Decimal would read [0, [4, 2], -2] as (sign, digits, exponent).
+        with pytest.raises(DocumentError, match="must be numeric") as err:
+            parse_cost_model_document(data)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("data,field", [
         ({"rules": {"Familiarity": "1e5000"}}, "rules.Familiarity"),
         ({"rules": {"Modality": 1000000.001}}, "rules.Modality"),
         ({"matrix": [0, 1e7] + [0] * 23}, "matrix"),
@@ -306,7 +331,22 @@ class TestCostModelDocuments:
 
     def test_rules_disabled(self):
         model = parse_cost_model_document({"rules_enabled": False})
-        assert not model.rules_enabled
+        assert model == CostModel(rules=frozenset())
+        assert model.active_rule_costs() == {}
+
+    def test_rules_disabled_overrides_rules(self):
+        model = parse_cost_model_document(
+            {"rules": {"Modality": 1}, "rules_enabled": False})
+        assert model == CostModel(rules=frozenset())
+        # The listed costs are still checked.
+        with pytest.raises(DocumentError, match="negative"):
+            parse_cost_model_document(
+                {"rules": {"Modality": -1}, "rules_enabled": False})
+
+    def test_rules_enabled_true_changes_nothing(self):
+        model = parse_cost_model_document(
+            {"rules": {"RecentPractice": None}, "rules_enabled": True})
+        assert model == CostModel.calibrated()
 
     def test_unknown_key_strict(self):
         with pytest.raises(DocumentError, match="unknown keys"):
@@ -393,3 +433,88 @@ class TestDotExport:
         assert parse_resource(" SR ") is Resource.SR
         with pytest.raises(DocumentError):
             parse_resource("psychokinesis")
+
+
+FUZZ_WORKFLOW = {
+    "tasks": [
+        dict(MINIMAL_TASK),
+        dict(MINIMAL_TASK, code="B", resource="procedural memory",
+             voluntary="yes", prerequisites=["A", "G"]),
+        dict(MINIMAL_TASK, code="C", familiarity=5),
+        dict(MINIMAL_TASK, code="D", complexity=1),
+    ],
+    "variant_groups": [{"code": "G", "members": ["C", "D"]}],
+    "known_orderings": {"ref": ["A", "C", "B"]},
+}
+
+FUZZ_COST_MODEL = {
+    "matrix": [[0 if i == j else "0.5" for j in range(5)] for i in range(5)],
+    "rules": {"Modality": 0.16, "RecentPractice": None, "familiarity": "1"},
+    "recent_practice_scope": "full-history",
+    "rules_enabled": True,
+}
+
+#: Short strings that codes, labels and effect sizes treat specially,
+#: drawn as often as the rest of the JSON values together.
+json_values = st.sampled_from(["", " ", "A", "G", "-1", "1e9"]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8,
+)
+
+
+def json_paths(value, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from json_paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from json_paths(child, prefix + (i,))
+
+
+def substituted(document, path, value):
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return document
+
+
+FUZZ_CASES = [
+    pytest.param(document, parse, path,
+                 id=kind + ":" + ".".join(map(str, path)))
+    for kind, document, parse in (
+        ("workflow", FUZZ_WORKFLOW, parse_workflow_document),
+        ("cost-model", FUZZ_COST_MODEL, parse_cost_model_document),
+    )
+    for path in json_paths(document)
+]
+
+
+class TestDocumentFuzz:
+    """Any JSON value at any path of a valid document parses or is a
+    DocumentError: never another exception."""
+
+    @pytest.mark.parametrize("document,parse,path", FUZZ_CASES)
+    @given(value=json_values)
+    @settings(max_examples=15, deadline=None)
+    def test_substitution_parses_or_is_document_error(self, document, parse,
+                                                      path, value):
+        try:
+            parse(substituted(document, path, value))
+        except DocumentError:
+            pass
+
+    def test_fuzz_documents_are_valid(self):
+        doc = parse_workflow_document(FUZZ_WORKFLOW)
+        assert len(doc.workflow.tasks) == 4
+        model = parse_cost_model_document(FUZZ_COST_MODEL)
+        assert model.history_dependent is False
+        assert model.rule_cost(Rule.FAMILIARITY) == 1000

@@ -148,7 +148,7 @@ class TestTieBreaks:
             simple_task("D"),
             simple_task("E", prerequisites=("B",)),
         ])
-        model = CostModel(rules_enabled=False)
+        model = CostModel(rules=frozenset())
         k = 7
         solutions = solve(SolveRequest(workflow=wf, model=model,
                                        objective=objective, k=k))
@@ -162,7 +162,7 @@ class TestTieBreaks:
         a = simple_task("A", resource=Resource.SR)
         b = simple_task("B", resource=Resource.ER)
         wf = Workflow.from_tasks([a, b])
-        model = CostModel(rules_enabled=False)
+        model = CostModel(rules=frozenset())
         low = brute_force(wf, model)
         high = brute_force(wf, model, objective=Objective.MAXIMIZE)
         assert (low.ordering, low.total) == (("B", "A"), 354)
@@ -259,6 +259,15 @@ class TestBudget:
         assert (err.value.budget, err.value.what) == (
             10_000_000, "linear extensions")
 
+    def test_brute_force_counting_budget(self, monkeypatch):
+        # Four unordered tasks have 15 order ideals short of the full set.
+        monkeypatch.setattr("cogseq.model.MAX_COUNTED_IDEALS", 14)
+        wf = Workflow.from_tasks([simple_task(c) for c in "ABCD"])
+        with pytest.raises(BudgetExceededError) as err:
+            brute_force(wf, CostModel())
+        assert (err.value.count, err.value.budget, err.value.what) == (
+            15, 14, "order ideals or more")
+
     def test_bnb_solves_within_ideal_budget(self):
         # The same workflow has only 2**11 = 2048 order ideals.
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
@@ -336,7 +345,6 @@ model_strategy = st.builds(
         lambda costs: frozenset(TransitionRule(rule, cost)
                                 for rule, cost in costs.items())),
     recent_practice_scope=st.sampled_from(list(Scope)),
-    rules_enabled=st.booleans(),
 )
 
 
@@ -356,7 +364,7 @@ class TestPairPricer:
         CostModel.calibrated(),
         CostModel(),
         CostModel().without_rule(Rule.RECENT_PRACTICE),
-        CostModel(rules_enabled=False),
+        CostModel(rules=frozenset()),
     ], ids=["calibrated", "literal", "full-history-lifted", "rules-off"])
     @pytest.mark.parametrize("seed", range(5))
     def test_named_models_match_pair_cost(self, model, seed):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -83,10 +83,13 @@ class TestEncoding:
         model = CostModel(recent_practice_scope=Scope.FULL_HISTORY)
         with pytest.raises(CostModelError, match="sequence-search solver"):
             encode_workflow(wf, model)
-        # With rules off the scope is inert, so the encoding is allowed.
-        inert = CostModel(recent_practice_scope=Scope.FULL_HISTORY,
-                          rules_enabled=False)
-        assert encode_workflow(wf, inert).n == 13
+        # Without RecentPractice the scope is inert, so the encoding is
+        # allowed and prices like the adjacent-scope model.
+        for rules in (CostModel.calibrated().rules, frozenset()):
+            inert = CostModel(rules=rules,
+                              recent_practice_scope=Scope.FULL_HISTORY)
+            adjacent = CostModel(rules=rules)
+            assert encode_workflow(wf, inert) == encode_workflow(wf, adjacent)
 
     def test_grouped_workflow_rejected(self, full_document):
         with pytest.raises(WorkflowError, match="variant"):
@@ -143,7 +146,7 @@ class TestEquivalence:
         wf = random_workflow(rng, n_max=6)
         model = random_model(rng, scope=Scope.ADJACENT)
         inst = encode_workflow(wf, model)
-        for ordering in enumerate_linear_extensions(wf, limit=60):
+        for ordering in islice(enumerate_linear_extensions(wf), 60):
             assignment = ordering_to_assignment(inst, ordering)
             assert evaluate_assignment(inst, assignment) == \
                 sequence_cost(ordering, wf, model)[0]
