@@ -10,6 +10,9 @@ the empty set and one backward pass computes the exact cost-to-go of every
 depth-first branch and bound then collects the top k, pruned by that exact
 bound, so ties keep breaking toward the smaller index sequence.
 
+An ideal's only name is its bitmask of placed tasks, and the forward pass
+inserts ideals by size, so reverse insertion order puts children first.
+
 Tasks are dense indices 0..n-1 in ascending-code order, so index-tuple
 comparison is exactly lexicographic code comparison.  Nothing here recurses,
 so no workflow size can reach the interpreter's recursion limit.
@@ -51,17 +54,17 @@ def search(n: int,
     """
     if n == 0:
         return [(0, ())], 0, 0
-    elig, kids, masks = _ideals(n, preds)
-    go = _cost_to_go(pair, shares, rp_cost, maximize, elig, kids, masks)
-    return _top_k(n, pair, shares, rp_cost, maximize, k, elig, kids, go)
+    elig = _ideals(n, preds)
+    go = _cost_to_go(pair, shares, rp_cost, maximize, elig)
+    return _top_k(n, pair, shares, rp_cost, maximize, k, elig, go)
 
 
-def _ideals(n: int, preds: list[int]):
-    """Order ideals reachable from the empty set, in breadth-first order.
+def _ideals(n: int, preds: list[int]) -> dict[int, list[int]]:
+    """Order ideals reachable from the empty set, keyed by bitmask.
 
-    Returns per ideal id: its eligible tasks in ascending index, the id of
-    the ideal each of them leads to, and the ideal's bitmask.  Id 0 is the
-    empty set; a child always has a larger id than its parent.
+    Maps each ideal to its eligible tasks in ascending index.  Keys are
+    inserted level by level (every ideal of s tasks precedes every ideal of
+    s + 1), each level expanded from a list because the dict keeps growing.
     """
     succ: list[list[int]] = [[] for _ in range(n)]
     for s in range(n):
@@ -71,56 +74,50 @@ def _ideals(n: int, preds: list[int]):
             succ[low.bit_length() - 1].append(s)
             mask ^= low
 
-    roots = [t for t in range(n) if not preds[t]]
-    index = {0: 0}
-    masks = [0]
-    elig = [roots]
-    kids: list[list[int]] = []
-    for ideal, placed in enumerate(masks):
-        row: list[int] = []
-        el = elig[ideal]
-        for i, t in enumerate(el):
-            child = placed | 1 << t
-            cid = index.get(child)
-            if cid is None:
-                cid = len(masks)
-                if cid >= MAX_IDEALS:
-                    raise BudgetExceededError(cid + 1, MAX_IDEALS,
-                                              "order ideals or more")
-                index[child] = cid
-                masks.append(child)
-                rest = el[:i] + el[i + 1:]
-                opened = [s for s in succ[t] if not preds[s] & ~child]
-                elig.append(sorted(rest + opened) if opened else rest)
-            row.append(cid)
-        kids.append(row)
-    return elig, kids, masks
+    elig = {0: [t for t in range(n) if not preds[t]]}
+    level = [0]
+    while level:
+        nxt: list[int] = []
+        for placed in level:
+            el = elig[placed]
+            for i, t in enumerate(el):
+                child = placed | 1 << t
+                if child not in elig:
+                    if len(elig) >= MAX_IDEALS:
+                        raise BudgetExceededError(MAX_IDEALS + 1, MAX_IDEALS,
+                                                  "order ideals or more")
+                    rest = el[:i] + el[i + 1:]
+                    opened = [s for s in succ[t] if not preds[s] & ~child]
+                    elig[child] = sorted(rest + opened) if opened else rest
+                    nxt.append(child)
+        level = nxt
+    return elig
 
 
-def _cost_to_go(pair, shares, rp_cost, maximize, elig, kids, masks):
-    """``go[d][i]``: the exact best cost of finishing after placing
-    ``elig[d][i]`` on ideal d, including that step's lifted RecentPractice
-    term but not its pair cost."""
+def _cost_to_go(pair, shares, rp_cost, maximize, elig):
+    """``go[placed][i]``: the exact best cost of finishing after placing
+    ``elig[placed][i]`` on ideal ``placed``, including that step's lifted
+    RecentPractice term but not its pair cost."""
     best = max if maximize else min
-    full = len(masks) - 1
-    go: list[list[int]] = [[]] * len(masks)
-    for ideal in range(full - 1, -1, -1):
-        placed = masks[ideal]
+    full = next(reversed(elig))
+    go: dict[int, list[int]] = {}
+    for placed, el in reversed(elig.items()):
         row: list[int] = []
-        for t, cid in zip(elig[ideal], kids[ideal]):
-            if cid == full:
+        for t in el:
+            child = placed | 1 << t
+            if child == full:
                 rest = 0
             else:
-                rest = best(map(add, map(pair[t].__getitem__, elig[cid]),
-                                go[cid]))
+                rest = best(map(add, map(pair[t].__getitem__, elig[child]),
+                                go[child]))
             if rp_cost and placed & shares[t]:
                 rest += rp_cost
             row.append(rest)
-        go[ideal] = row
+        go[placed] = row
     return go
 
 
-def _top_k(n, pair, shares, rp_cost, maximize, k, elig, kids, go):
+def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
     """Lexicographic depth-first branch and bound on an explicit stack.
 
     A step is pruned when even its exact best completion cannot enter the
@@ -135,18 +132,18 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, kids, go):
     prunes = 0
     leaf_depth = n - 1
     # Per depth: placed mask, running total, and an iterator over the
-    # remaining (task, child ideal, cost-to-go) steps.
+    # remaining (task, cost-to-go) steps.
     placed_at = [0] * n
     total_at = [0] * n
     steps_at: list = [None] * n
-    steps_at[0] = zip(elig[0], kids[0], go[0])
+    steps_at[0] = zip(elig[0], go[0])
     no_pair = [0] * n
     depth = 0
     while depth >= 0:
         placed = placed_at[depth]
         total = total_at[depth]
         prow = pair[seq[depth - 1]] if depth else no_pair
-        for t, cid, rest in steps_at[depth]:
+        for t, rest in steps_at[depth]:
             nodes += 1
             base = total + prow[t]
             if depth == leaf_depth:
@@ -168,9 +165,10 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, kids, go):
                 base += rp_cost
             seq[depth] = t
             depth += 1
-            placed_at[depth] = placed | 1 << t
+            child = placed | 1 << t
+            placed_at[depth] = child
             total_at[depth] = base
-            steps_at[depth] = zip(elig[cid], kids[cid], go[cid])
+            steps_at[depth] = zip(elig[child], go[child])
             break
         else:
             depth -= 1

@@ -61,7 +61,6 @@ def _variant_option(f):
 def _cost_model_option(f):
     return click.option(
         "--cost-model", "cost_model_spec", metavar="FILE",
-        envvar="COGSEQ_COST_MODEL",
         help="Cost-model file, or the names 'calibrated' (default) and "
              "'literal' for the built-in configurations.",
     )(f)

@@ -51,6 +51,10 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
         raise CostModelError(
             f"effect size must be numeric, got {type(value).__name__}"
         )
+    if isinstance(value, str) and "_" in value:
+        # Decimal accepts PEP 515 digit grouping; cost models hold plain
+        # decimals only.
+        raise CostModelError(f"invalid effect size {value!r}")
     try:
         if isinstance(value, float):
             dec = Decimal(str(value))

@@ -309,12 +309,18 @@ def parse_cost_model_document(data, *,
             raise DocumentError("`rules` must be an object of {rule: cost}",
                                 path=path, field="rules")
         costs = dict(DEFAULT_RULE_COSTS)
+        labels: dict[Rule, str] = {}
         for label, value in raw.items():
             field = f"rules.{label}"
             try:
                 rule = Rule.parse(label)
             except CogseqError as exc:
                 raise DocumentError(str(exc), path=path, field=field) from None
+            if rule in labels:
+                raise DocumentError(
+                    f"labels {labels[rule]!r} and {label!r} both name rule "
+                    f"{rule.value}", path=path, field=field)
+            labels[rule] = label
             if value is None:
                 costs.pop(rule, None)  # null withholds the rule outright
                 continue

@@ -206,11 +206,13 @@ class TestCostModelSelection:
         assert result.exit_code == 0
         assert "rules: disabled" in result.output
 
-    def test_environment_variable(self, runner):
+    def test_environment_variable_is_ignored(self, runner):
+        # --cost-model is the only way to choose a model.
         result = runner.invoke(cli, ["show-model"],
                                env={"COGSEQ_COST_MODEL": "literal"})
         assert result.exit_code == 0
-        assert "RecentPractice: 0.31" in result.output
+        assert "RecentPractice" not in result.output
+        assert "Familiarity: 0.42" in result.output
 
     def test_default_is_calibrated(self, runner):
         result = runner.invoke(cli, ["show-model"])
@@ -292,6 +294,13 @@ class TestReadme:
             result = runner.invoke(cli, shlex.split(command)[1:])
             assert result.exit_code == 0, command
             assert result.output == output, command
+
+    def test_python_api_example_runs(self, capsys):
+        text = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        (code,) = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        exec(code, {})
+        assert capsys.readouterr().out.startswith("5760 ('LANG', 'AIRL'")
 
 
 class TestCompareVariants:

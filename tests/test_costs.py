@@ -47,7 +47,7 @@ class TestThousandths:
     @pytest.mark.parametrize("bad", [
         "0.1234", 0.0001, "-1", -3, True, "abc",
         "Infinity", float("inf"), "NaN", "sNaN", "1e999999999",
-        None, [1], {}, [0, [4, 2], -2], (0, (4, 2), -2),
+        None, [1], {}, [0, [4, 2], -2], (0, (4, 2), -2), "1_000",
     ])
     def test_rejections(self, bad):
         with pytest.raises(CostModelError):

@@ -316,6 +316,23 @@ class TestCostModelDocuments:
         with pytest.raises(DocumentError, match="unknown rule"):
             parse_cost_model_document({"rules": {"Sleepiness": 1}})
 
+    @pytest.mark.parametrize("rules,field", [
+        ({"Modality": 1, "modality": 2}, "rules.modality"),
+        ({"RecentPractice": None, "recent_practice": 1},
+         "rules.recent_practice"),
+    ])
+    def test_two_labels_for_one_rule(self, rules, field):
+        with pytest.raises(DocumentError, match="both name rule") as err:
+            parse_cost_model_document({"rules": rules})
+        assert err.value.field == field
+
+    def test_digit_grouping_rejected(self):
+        # Decimal reads "1_000" as 1000 (PEP 515); documents hold plain
+        # decimals.
+        with pytest.raises(DocumentError, match="invalid effect size") as err:
+            parse_cost_model_document({"rules": {"Familiarity": "1_000"}})
+        assert err.value.field == "rules.Familiarity"
+
     def test_scope_override(self):
         model = parse_cost_model_document(
             {"recent_practice_scope": "full-history"})
