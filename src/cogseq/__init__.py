@@ -3,16 +3,15 @@
 Workflows are task sets with prerequisite edges and optional variant groups;
 costs come from an empirically grounded task-switching model (a 5x5
 cognitive-resource matrix plus five property-transition rules).  The solver
-finds exact optima with a dynamic program over order ideals and a
-branch-and-bound search pruned by it; a brute-force oracle and a WCSP
-encoding provide independent evaluation routes.
+finds exact optima with a dynamic program over order ideals and depth-first
+passes with a rising threshold on its exact cost-to-go; a brute-force oracle
+and a WCSP encoding provide independent evaluation routes.
 """
 
 from ._backend import KERNEL_NAME
 from .analysis import (
     ReportRow,
     consensus_ordering,
-    distance_squared,
     ordering_distance,
     transition_report,
 )
@@ -109,7 +108,7 @@ __all__ = [
     "VariantComparison", "VariantGroup", "VariantRow", "Violation",
     "WcspInstance", "Workflow", "WorkflowDocument", "WorkflowError",
     "assignment_to_ordering", "brute_force", "compare_variants",
-    "consensus_ordering", "count_linear_extensions", "distance_squared",
+    "consensus_ordering", "count_linear_extensions",
     "document_to_dict", "dump_instance", "encode_workflow",
     "enumerate_linear_extensions", "evaluate_assignment", "export_dot",
     "fired_rules", "fixture_text", "instantiate_all", "instantiate_variant",

@@ -6,9 +6,13 @@ and the lifted full-history RecentPractice term depends only on the placed
 set.  Those sets are the order ideals (prerequisite-closed subsets) of the
 precedence order, so one forward pass enumerates the ideals reachable from
 the empty set and one backward pass computes the exact cost-to-go of every
-(ideal, next task) step (Held & Karp 1962; Lawler 1978).  A lexicographic
-depth-first branch and bound then collects the top k, pruned by that exact
-bound, so ties keep breaking toward the smaller index sequence.
+(ideal, next task) step (Held & Karp 1962; Lawler 1978).  Depth-first
+threshold passes then collect the top k (iterative deepening, IDA*, Korf
+1985, with that exact cost-to-go as its heuristic).  The first threshold is
+the root optimum, and each pass expands only the steps on some ordering that
+costs no more than it, in lexicographic order, so ties keep breaking toward
+the smaller index sequence.  A pass that ends with fewer than k orderings is
+followed by one at the smallest bound it cut off.
 
 An ideal's only name is its bitmask of placed tasks, and the forward pass
 inserts ideals by size, so reverse insertion order puts children first.
@@ -20,7 +24,7 @@ so no workflow size can reach the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from math import inf
 from operator import add
 
 from .errors import BudgetExceededError
@@ -48,8 +52,12 @@ def search(n: int,
     such pair before the depth-first search starts.  So a row may price on
     first read: a dict per row whose ``__missing__`` prices b and stores it
     will do.  Solutions are (total, index-tuple), best-first, ties
-    lexicographic.  ``nodes`` and ``prunes`` count depth-first steps tried
-    and cut off, not order ideals.  Raises :class:`BudgetExceededError`
+    lexicographic.  The depth-first search runs in passes with a rising
+    threshold: a pass expands only steps whose exact best completion is
+    within it, and the next pass starts from the smallest bound the last
+    one cut off, until k orderings are collected or none are left.
+    ``nodes`` and ``prunes`` count depth-first steps tried and cut off over
+    all passes, not order ideals.  Raises :class:`BudgetExceededError`
     when the order has more than ``MAX_IDEALS`` ideals.
     """
     if n == 0:
@@ -118,15 +126,19 @@ def _cost_to_go(pair, shares, rp_cost, maximize, elig):
 
 
 def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
-    """Lexicographic depth-first branch and bound on an explicit stack.
+    """Depth-first threshold passes on an explicit stack (IDA*).
 
-    A step is pruned when even its exact best completion cannot enter the
-    running top k; equal keys lose, because every ordering seen later is
-    lexicographically larger.
+    A pass expands, in lexicographic order, only the steps whose exact best
+    completion is within the threshold.  The first threshold is the root
+    optimum; a pass that ends short of k orderings is followed by one at the
+    smallest bound it cut off.  No ordering costs strictly between two
+    consecutive thresholds, so every ordering a pass collects costs exactly
+    its threshold, cheaper ones were collected by earlier passes, and the
+    k-th ordering collected ends the search: every later one is
+    lexicographically larger and costs no less.
     """
     sign = -1 if maximize else 1
-    keys: list[int] = []
-    seqs: list[tuple[int, ...]] = []
+    solutions: list[tuple[int, tuple[int, ...]]] = []
     seq = [0] * n
     nodes = 0
     prunes = 0
@@ -136,41 +148,47 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
     placed_at = [0] * n
     total_at = [0] * n
     steps_at: list = [None] * n
-    steps_at[0] = zip(elig[0], go[0])
     no_pair = [0] * n
-    depth = 0
-    while depth >= 0:
-        placed = placed_at[depth]
-        total = total_at[depth]
-        prow = pair[seq[depth - 1]] if depth else no_pair
-        for t, rest in steps_at[depth]:
-            nodes += 1
-            base = total + prow[t]
-            if depth == leaf_depth:
-                # rest is this step's RecentPractice term alone.
+    threshold = min(sign * g for g in go[0])
+    while True:
+        # Smallest key cut off for exceeding the threshold.
+        above = inf
+        steps_at[0] = zip(elig[0], go[0])
+        depth = 0
+        while depth >= 0:
+            placed = placed_at[depth]
+            total = total_at[depth]
+            prow = pair[seq[depth - 1]] if depth else no_pair
+            for t, rest in steps_at[depth]:
+                nodes += 1
+                base = total + prow[t]
                 key = sign * (base + rest)
-                if len(keys) < k or key < keys[-1]:
-                    seq[depth] = t
-                    pos = bisect_right(keys, key)
-                    keys.insert(pos, key)
-                    seqs.insert(pos, tuple(seq))
-                    if len(keys) > k:
-                        keys.pop()
-                        seqs.pop()
-                continue
-            if len(keys) == k and sign * (base + rest) >= keys[-1]:
-                prunes += 1
-                continue
-            if rp_cost and placed & shares[t]:
-                base += rp_cost
-            seq[depth] = t
-            depth += 1
-            child = placed | 1 << t
-            placed_at[depth] = child
-            total_at[depth] = base
-            steps_at[depth] = zip(elig[child], go[child])
-            break
-        else:
-            depth -= 1
-    solutions = [(sign * key, seqs[i]) for i, key in enumerate(keys)]
-    return solutions, nodes, prunes
+                if key > threshold:
+                    prunes += 1
+                    if key < above:
+                        above = key
+                    continue
+                if depth == leaf_depth:
+                    # rest is this step's RecentPractice term alone, so key
+                    # is the ordering's cost.
+                    if key == threshold:
+                        seq[depth] = t
+                        solutions.append((sign * key, tuple(seq)))
+                        if len(solutions) == k:
+                            return solutions, nodes, prunes
+                    continue
+                if rp_cost and placed & shares[t]:
+                    base += rp_cost
+                seq[depth] = t
+                depth += 1
+                child = placed | 1 << t
+                placed_at[depth] = child
+                total_at[depth] = base
+                steps_at[depth] = zip(elig[child], go[child])
+                break
+            else:
+                depth -= 1
+        if above == inf:
+            # Nothing was cut off: every extension has been collected.
+            return solutions, nodes, prunes
+        threshold = above

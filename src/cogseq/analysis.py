@@ -41,17 +41,12 @@ def _require_same_tasks(a: Sequence[str], b: Sequence[str]) -> None:
         )
 
 
-def distance_squared(a: Sequence[str], b: Sequence[str]) -> int:
-    """Exact squared Euclidean distance between position vectors."""
+def ordering_distance(a: Sequence[str], b: Sequence[str]) -> float:
+    """Euclidean distance on task indices; the square stays exact internally."""
     pos_a = _position_vector(a)
     pos_b = _position_vector(b)
     _require_same_tasks(a, b)
-    return sum((pos_a[code] - pos_b[code]) ** 2 for code in pos_a)
-
-
-def ordering_distance(a: Sequence[str], b: Sequence[str]) -> float:
-    """Euclidean distance on task indices; the square stays exact internally."""
-    return math.sqrt(distance_squared(a, b))
+    return math.sqrt(sum((pos_a[code] - pos_b[code]) ** 2 for code in pos_a))
 
 
 def consensus_ordering(orderings: Sequence[Sequence[str]]) -> Ordering:

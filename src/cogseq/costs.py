@@ -39,9 +39,9 @@ def _above_max(what: str) -> CostModelError:
 def to_thousandths(value: int | float | str | Decimal) -> int:
     """Convert an effect size to integer thousandths, exactly.
 
-    Accepts ints, decimal strings, Decimal, and floats (read back through
-    their shortest decimal form); any other type, bool included, is
-    rejected.  Values with more than three fractional digits, below zero or
+    Accepts ints, plain ASCII decimal strings, Decimal, and floats (read
+    back through their shortest decimal form); any other type, bool
+    included, is rejected.  Values with more than three fractional digits, below zero or
     above :data:`MAX_EFFECT` are rejected rather than rounded or clamped,
     and so are infinities and NaNs.
     """
@@ -51,9 +51,9 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
         raise CostModelError(
             f"effect size must be numeric, got {type(value).__name__}"
         )
-    if isinstance(value, str) and "_" in value:
-        # Decimal accepts PEP 515 digit grouping; cost models hold plain
-        # decimals only.
+    if isinstance(value, str) and ("_" in value or not value.isascii()):
+        # Decimal accepts PEP 515 digit grouping and any Unicode decimal
+        # digit ("١٢", "１.５"); cost models hold plain ASCII decimals only.
         raise CostModelError(f"invalid effect size {value!r}")
     try:
         if isinstance(value, float):

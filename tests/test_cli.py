@@ -270,6 +270,24 @@ class TestCostModelSelection:
         assert "exceeds the maximum effect size" in err_text(result)
         assert "Traceback" not in err_text(result)
 
+    @pytest.mark.parametrize("value", ["\u0661\u0662", "\uff11.\uff15"],
+                             ids=["arabic-indic", "full-width"])
+    @pytest.mark.parametrize("command", [
+        ["show-model"], ["solve", "checkin-validation"],
+    ], ids=["show-model", "solve"])
+    def test_non_ascii_digits_rejected(self, runner, tmp_path, value, command):
+        # Decimal reads both as numbers (12 and 1.5).
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"rules": {"Familiarity": value}}),
+                              encoding="utf-8")
+        result = runner.invoke(cli, command + ["--cost-model",
+                                               str(model_file)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "invalid effect size" in err_text(result)
+        assert "Traceback" not in err_text(result)
+
 
 class TestReadme:
     """The README's command-line examples print what the README shows."""

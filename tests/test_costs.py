@@ -48,6 +48,7 @@ class TestThousandths:
         "0.1234", 0.0001, "-1", -3, True, "abc",
         "Infinity", float("inf"), "NaN", "sNaN", "1e999999999",
         None, [1], {}, [0, [4, 2], -2], (0, (4, 2), -2), "1_000",
+        "\u0661\u0662", "\uff11.\uff15",
     ])
     def test_rejections(self, bad):
         with pytest.raises(CostModelError):

@@ -23,6 +23,7 @@ from cogseq import (
     WorkflowError,
     brute_force,
     compare_variants,
+    count_linear_extensions,
     enumerate_linear_extensions,
     instantiate_variant,
     pair_cost,
@@ -281,6 +282,72 @@ class TestBudget:
             solve(SolveRequest(workflow=wf))
         assert (err.value.count, err.value.budget) == (101, 100)
         assert "101 order ideals" in str(err.value)
+
+
+class TestThresholdPasses:
+    """The search's depth-first passes with a rising cost threshold."""
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_zero_effect_ties_keep_extension_order(self, objective):
+        # Every effect size 0: one threshold admits every ordering, and the
+        # first k leaves reached must be the first k extensions.
+        zero = CostModel(
+            matrix=((0,) * 5,) * 5,
+            rules=frozenset(TransitionRule(rule, 0) for rule in RULE_ORDER),
+            recent_practice_scope=Scope.FULL_HISTORY)
+        wf = Workflow.from_tasks([
+            simple_task("A", resource=Resource.SR),
+            simple_task("B", resource=Resource.ER, voluntary=True),
+            simple_task("C", prerequisites=("A",), modality="speech"),
+            simple_task("D", resource=Resource.PM, familiarity=5),
+            simple_task("E", prerequisites=("B",), complexity=1),
+        ])
+        expected = list(islice(enumerate_linear_extensions(wf), 6))
+        for k in range(1, 7):
+            solutions = solve(SolveRequest(workflow=wf, model=zero,
+                                           objective=objective, k=k))
+            assert [sol.ordering for sol in solutions] == expected[:k]
+            assert {sol.total for sol in solutions} == {0}
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_k_beyond_extension_count_returns_every_extension(self, objective):
+        # Passes run until no step is cut off by the threshold.
+        wf = Workflow.from_tasks([
+            simple_task("A", resource=Resource.SR),
+            simple_task("B", resource=Resource.ER, voluntary=True),
+            simple_task("C", prerequisites=("A",), modality="speech"),
+            simple_task("D", resource=Resource.PM, familiarity=5),
+        ])
+        model = CostModel(recent_practice_scope=Scope.FULL_HISTORY)
+        maximize = objective is Objective.MAXIMIZE
+        solutions = solve(SolveRequest(workflow=wf, model=model,
+                                       objective=objective, k=100))
+        assert len(solutions) == count_linear_extensions(wf) == 12
+        assert _totals(solutions) == reference_top_k(wf, model, maximize, 100)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_multi_pass_lists_match_oracle(self, seed):
+        rng = random.Random(7000 + seed)
+        wf = random_workflow(rng, n_min=5, n_max=7)
+        model = CostModel(recent_practice_scope=Scope.FULL_HISTORY)
+        for objective in Objective:
+            oracle = reference_top_k(
+                wf, model, objective is Objective.MAXIMIZE, 12)
+            # Each pass adds orderings of one total at most, so two totals
+            # take at least two passes.
+            assert len({total for total, _ in oracle}) > 1
+            for k in (2, 5, 12):
+                solutions = solve(SolveRequest(workflow=wf, model=model,
+                                               objective=objective, k=k))
+                assert _totals(solutions) == oracle[:k]
+
+    def test_checkin_optimum_takes_few_nodes(self, full_document):
+        # The first pass extends only prefixes of optimal orderings; a
+        # branch and bound that prunes nothing until it holds k leaves
+        # tried 295 steps here.
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        (sol,) = solve(SolveRequest(workflow=wf, model=CostModel.calibrated()))
+        assert sol.stats.nodes <= 42
 
 
 class TestSearchEngine:
