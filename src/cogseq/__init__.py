@@ -9,12 +9,7 @@ and a WCSP encoding provide independent evaluation routes.
 """
 
 from ._backend import KERNEL_NAME
-from .analysis import (
-    ReportRow,
-    consensus_ordering,
-    ordering_distance,
-    transition_report,
-)
+from .analysis import consensus_ordering, ordering_distance
 from .costs import (
     DEFAULT_MATRIX,
     DEFAULT_RULE_COSTS,
@@ -42,13 +37,11 @@ from .errors import (
 from .io import (
     FIXTURES,
     WorkflowDocument,
-    document_to_dict,
     export_dot,
     fixture_text,
     load_cost_model,
     load_document,
     load_fixture,
-    load_workflow,
     parse_cost_model_document,
     parse_ordering_text,
     parse_resource,
@@ -56,7 +49,6 @@ from .io import (
     read_orderings_file,
     render_cost_model,
     resolve_workflow_path,
-    save_document,
 )
 from .model import (
     Ordering,
@@ -68,7 +60,6 @@ from .model import (
     Workflow,
     count_linear_extensions,
     enumerate_linear_extensions,
-    instantiate_all,
     instantiate_variant,
     is_linear_extension,
     validate_workflow,
@@ -90,7 +81,6 @@ from .wcsp import (
     OrderPair,
     WcspInstance,
     assignment_to_ordering,
-    dump_instance,
     encode_workflow,
     evaluate_assignment,
     ordering_to_assignment,
@@ -102,22 +92,21 @@ __all__ = [
     "AllDifferent", "Assignment", "BudgetExceededError",
     "CogseqError", "CostModel", "CostModelError", "DEFAULT_MATRIX",
     "DEFAULT_RULE_COSTS", "DocumentError", "FIXTURES", "KERNEL_NAME",
-    "Objective", "OrderPair", "Ordering", "OrderingError", "ReportRow",
+    "Objective", "OrderPair", "Ordering", "OrderingError",
     "Resource", "Rule", "Scope", "SearchStats", "Solution", "SolveRequest",
     "Task", "TransitionBreakdown", "TransitionRule", "ValidationReport",
     "VariantComparison", "VariantGroup", "VariantRow", "Violation",
     "WcspInstance", "Workflow", "WorkflowDocument", "WorkflowError",
     "assignment_to_ordering", "brute_force", "compare_variants",
-    "consensus_ordering", "count_linear_extensions",
-    "document_to_dict", "dump_instance", "encode_workflow",
+    "consensus_ordering", "count_linear_extensions", "encode_workflow",
     "enumerate_linear_extensions", "evaluate_assignment", "export_dot",
-    "fired_rules", "fixture_text", "instantiate_all", "instantiate_variant",
+    "fired_rules", "fixture_text", "instantiate_variant",
     "is_linear_extension", "load_cost_model", "load_document",
-    "load_fixture", "load_workflow", "ordering_distance",
+    "load_fixture", "ordering_distance",
     "ordering_to_assignment", "pair_cost", "parse_cost_model_document",
     "parse_ordering_text", "parse_resource", "parse_workflow_document",
     "read_orderings_file", "render_cost_model", "render_effect",
-    "resolve_workflow_path", "resource_switch_cost", "save_document",
+    "resolve_workflow_path", "resource_switch_cost",
     "sequence_cost", "solve", "to_thousandths", "transition_cost",
-    "transition_report", "validate_workflow",
+    "validate_workflow",
 ]

@@ -1,15 +1,12 @@
-"""Ordering comparison and consensus utilities, plus per-solution reporting."""
+"""Ordering comparison and consensus utilities."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .costs import Rule
 from .errors import OrderingError
 from .model import Ordering
-from .solver import Solution
 
 
 def _position_vector(ordering: Sequence[str]) -> dict[str, int]:
@@ -97,29 +94,3 @@ def consensus_ordering(orderings: Sequence[Sequence[str]]) -> Ordering:
         result[position] = code
     return tuple(result)  # type: ignore[arg-type]
 
-
-@dataclass(frozen=True, slots=True)
-class ReportRow:
-    """One transition of a solution with the running total after it."""
-
-    previous: str
-    current: str
-    resource_cost: int
-    fired: tuple[tuple[Rule, int], ...]
-    running_total: int
-
-
-def transition_report(solution: Solution) -> tuple[ReportRow, ...]:
-    """Rows in sequence order; the last running total equals solution.total."""
-    rows: list[ReportRow] = []
-    running = 0
-    for breakdown in solution.breakdowns:
-        running += breakdown.total
-        rows.append(ReportRow(
-            previous=breakdown.previous,
-            current=breakdown.current,
-            resource_cost=breakdown.resource_cost,
-            fired=breakdown.fired,
-            running_total=running,
-        ))
-    return tuple(rows)

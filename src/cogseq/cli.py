@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .analysis import consensus_ordering, ordering_distance, transition_report
+from .analysis import consensus_ordering, ordering_distance
 from .costs import CostModel, render_effect, sequence_cost
 from .errors import CogseqError, WorkflowError
 from .io import (
@@ -26,14 +26,7 @@ from .io import (
     resolve_workflow_path,
 )
 from .model import instantiate_variant, validate_workflow
-from .solver import (
-    Objective,
-    SearchStats,
-    Solution,
-    SolveRequest,
-    compare_variants,
-    solve,
-)
+from .solver import Objective, Solution, SolveRequest, compare_variants, solve
 
 
 def _domain_errors(f):
@@ -134,17 +127,18 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-def _transition_table(solution: Solution) -> list[str]:
+def _transition_table(breakdowns) -> list[str]:
     lines = [f"{'from':>6} {'to':>6} {'resource':>9} {'step':>7} "
              f"{'running':>8}  rules"]
-    for row in transition_report(solution):
-        fired = "+".join(rule.value for rule, _ in row.fired) or "-"
-        step = row.resource_cost + sum(cost for _, cost in row.fired)
+    running = 0
+    for breakdown in breakdowns:
+        running += breakdown.total
+        fired = "+".join(rule.value for rule, _ in breakdown.fired) or "-"
         lines.append(
-            f"{row.previous:>6} {row.current:>6} "
-            f"{render_effect(row.resource_cost):>9} "
-            f"{render_effect(step):>7} "
-            f"{render_effect(row.running_total):>8}  {fired}"
+            f"{breakdown.previous:>6} {breakdown.current:>6} "
+            f"{render_effect(breakdown.resource_cost):>9} "
+            f"{render_effect(breakdown.total):>7} "
+            f"{render_effect(running):>8}  {fired}"
         )
     return lines
 
@@ -278,9 +272,6 @@ def explain(workflow_file: str, ordering: str, variants, cost_model_spec,
     else:
         codes = parse_ordering_text(ordering)
     total, breakdowns = sequence_cost(codes, workflow, model)
-    solution = Solution(ordering=tuple(codes), total=total,
-                        breakdowns=breakdowns,
-                        stats=SearchStats(nodes=0, prunes=0, elapsed=0.0))
     if fmt == "json":
         _echo_json({
             "ordering": list(codes),
@@ -290,7 +281,7 @@ def explain(workflow_file: str, ordering: str, variants, cost_model_spec,
         })
         return
     click.echo("ordering: " + " ".join(codes))
-    for line in _transition_table(solution):
+    for line in _transition_table(breakdowns):
         click.echo(line)
     click.echo(f"total: {render_effect(total)}")
 

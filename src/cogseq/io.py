@@ -6,7 +6,8 @@ e.g. published study sequences).  A cost-model document may override the
 matrix, individual rule costs (null withholds a rule), and the
 recent-practice scope, and ``"rules_enabled": false`` withholds every rule;
 omitted fields keep the published defaults.  An unknown key anywhere is a
-:class:`DocumentError`, and so is every other malformed field.
+:class:`DocumentError`, as is every other malformed field and any file that
+cannot be read, is not UTF-8 text, or does not parse as JSON.
 """
 
 from __future__ import annotations
@@ -115,12 +116,19 @@ class WorkflowDocument:
     source: Path | None = None
 
 
-def _read_json(path: Path | str):
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """A file's text; an unreadable or non-UTF-8 file is a DocumentError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc}", path=path) from None
     except OSError as exc:
         raise DocumentError(str(exc), path=path) from None
+
+
+def _read_json(path: Path | str):
+    path = Path(path)
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,6 +138,9 @@ def _read_json(path: Path | str):
         ) from None
     except ValueError as exc:  # an integer literal too long to convert
         raise DocumentError(f"unreadable JSON: {exc}", path=path) from None
+    except RecursionError:
+        raise DocumentError("unreadable JSON: nested too deeply",
+                            path=path) from None
 
 
 def parse_workflow_document(data, *,
@@ -231,47 +242,6 @@ def parse_workflow_document(data, *,
 
 def load_document(path: Path | str) -> WorkflowDocument:
     return parse_workflow_document(_read_json(path), path=Path(path))
-
-
-def load_workflow(path: Path | str) -> Workflow:
-    return load_document(path).workflow
-
-
-def document_to_dict(document: WorkflowDocument) -> dict:
-    """Canonical JSON form: tasks by ascending code, normalized labels."""
-    workflow = document.workflow
-    tasks = []
-    for code in workflow.codes():
-        task = workflow.tasks[code]
-        tasks.append({
-            "code": task.code,
-            "name": task.name,
-            "resource": task.resource.value,
-            "modality": task.modality,
-            "voluntary": task.voluntary,
-            "familiarity": task.familiarity,
-            "complexity": task.complexity,
-            "prerequisites": sorted(task.prerequisites),
-        })
-    out: dict = {"tasks": tasks}
-    if workflow.variant_groups:
-        out["variant_groups"] = [
-            {"code": grp.code, "members": sorted(grp.members)}
-            for grp in workflow.variant_groups
-        ]
-    if document.known_orderings:
-        out["known_orderings"] = {
-            name: list(ordering)
-            for name, ordering in document.known_orderings.items()
-        }
-    return out
-
-
-def save_document(document: WorkflowDocument, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(document_to_dict(document), indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def parse_cost_model_document(data, *,
@@ -404,13 +374,8 @@ def parse_ordering_text(text: str) -> Ordering:
 
 def read_orderings_file(path: Path | str) -> list[Ordering]:
     """One ordering per line; '#' starts a comment; blank lines skipped."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(str(exc), path=path) from None
     orderings = []
-    for line in text.splitlines():
+    for line in _read_text(Path(path)).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             orderings.append(parse_ordering_text(line))

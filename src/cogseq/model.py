@@ -309,21 +309,6 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
     return Workflow(tasks=tasks, variant_groups=remaining)
 
 
-def instantiate_all(workflow: Workflow, choices: Mapping[str, str]) -> Workflow:
-    """Resolve every variant group using ``choices`` (group code -> member)."""
-    current = workflow
-    for grp in workflow.variant_groups:
-        if grp.code not in choices:
-            raise WorkflowError(
-                f"no member chosen for variant group {grp.code!r}"
-            )
-        current = instantiate_variant(current, grp.code, choices[grp.code])
-    for group in choices:
-        if workflow.group(group) is None:
-            raise WorkflowError(f"unknown variant group {group!r}")
-    return current
-
-
 def is_linear_extension(ordering: Sequence[str], workflow: Workflow) -> bool:
     """True iff ``ordering`` permutes the task set and respects every prerequisite."""
     workflow.require_concrete("is_linear_extension")

@@ -91,6 +91,7 @@ class SolveRequest:
             raise CogseqError(f"k must be at least 1, got {self.k}")
 
 
+# Not model._require_valid: traced runs wrap this module's validate_workflow.
 def _checked(workflow: Workflow, operation: str) -> None:
     workflow.require_concrete(operation)
     report = validate_workflow(workflow)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .costs import CostModel, pair_cost, render_effect
+from .costs import CostModel, pair_cost
 from .errors import CostModelError, OrderingError, WorkflowError
 from .model import Ordering, Workflow, _require_valid
 
@@ -149,27 +149,3 @@ def assignment_to_ordering(instance: WcspInstance,
     _require_complete(instance, assignment)
     return tuple(instance.codes[val] for val in assignment)
 
-
-def dump_instance(instance: WcspInstance) -> str:
-    """Human-readable listing for debugging; not a stable format."""
-    n = instance.n
-    lines = [f"variables: x1..x{n} over values 0..{n - 1}", "values:"]
-    for val, code in enumerate(instance.codes):
-        lines.append(f"  {val} = {code}")
-    lines.append("hard constraints:")
-    for constraint in instance.hard_constraints:
-        if isinstance(constraint, AllDifferent):
-            lines.append(f"  alldifferent(x1..x{n})")
-        else:
-            lines.append(
-                f"  order({instance.codes[constraint.before]} before "
-                f"{instance.codes[constraint.after]})"
-            )
-    lines.append("binary costs (adjacent pairs, from row to column):")
-    lines.append(" " * 9 + " ".join(f"{code:>6}" for code in instance.codes))
-    for a, code in enumerate(instance.codes):
-        cells = " ".join(
-            f"{render_effect(instance.binary_costs[a][b]):>6}" for b in range(n)
-        )
-        lines.append(f"  {code:>6} {cells}")
-    return "\n".join(lines)

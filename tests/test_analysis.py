@@ -1,4 +1,4 @@
-"""Ordering distance, consensus, and transition reports."""
+"""Ordering distance and consensus."""
 
 from __future__ import annotations
 
@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogseq import (
-    CostModel,
-    OrderingError,
-    SolveRequest,
-    consensus_ordering,
-    ordering_distance,
-    solve,
-    transition_report,
-)
+from cogseq import OrderingError, consensus_ordering, ordering_distance
 
 ABC = ("A", "B", "C")
 
@@ -134,32 +126,3 @@ class TestConsensus:
         result = consensus_ordering(votes)
         assert sorted(result) == sorted(votes[0])
 
-
-class TestTransitionReport:
-    def test_running_totals(self, validation_document):
-        (sol,) = solve(SolveRequest(workflow=validation_document.workflow))
-        rows = transition_report(sol)
-        assert len(rows) == len(sol.ordering) - 1
-        assert rows[-1].running_total == sol.total
-        running = 0
-        for row, breakdown in zip(rows, sol.breakdowns):
-            running += breakdown.total
-            assert row.running_total == running
-            assert row.previous == breakdown.previous
-            assert row.current == breakdown.current
-
-    def test_row_fields_follow_ordering(self, validation_document):
-        (sol,) = solve(SolveRequest(workflow=validation_document.workflow,
-                                    model=CostModel.calibrated()))
-        rows = transition_report(sol)
-        for i, row in enumerate(rows):
-            assert row.previous == sol.ordering[i]
-            assert row.current == sol.ordering[i + 1]
-
-    def test_single_task_report_is_empty(self):
-        from cogseq import Workflow
-        from conftest import simple_task
-
-        wf = Workflow.from_tasks([simple_task("A")])
-        (sol,) = solve(SolveRequest(workflow=wf))
-        assert transition_report(sol) == ()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,38 @@ class TestCostModelSelection:
         assert "Traceback" not in err_text(result)
 
 
+class TestUnreadableInput:
+    """A file that cannot be decoded is a domain error, not a traceback."""
+
+    COMMANDS = {
+        "validate": ["validate", "{path}"],
+        "cost-model": ["show-model", "--cost-model", "{path}"],
+        "consensus": ["consensus", "{path}"],
+    }
+
+    def run(self, runner, command, path):
+        result = runner.invoke(cli, [arg.format(path=path)
+                                     for arg in self.COMMANDS[command]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in err_text(result)
+        assert "Traceback" not in err_text(result)
+        return err_text(result)
+
+    @pytest.mark.parametrize("command", ["validate", "cost-model",
+                                         "consensus"])
+    def test_non_utf8_file(self, runner, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert "not UTF-8 text" in self.run(runner, command, path)
+
+    @pytest.mark.parametrize("command", ["validate", "cost-model"])
+    def test_deeply_nested_json(self, runner, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert "nested too deeply" in self.run(runner, command, path)
+
+
 class TestReadme:
     """The README's command-line examples print what the README shows."""
 
@@ -405,6 +438,30 @@ class TestExplain:
         ]).output)
         assert explained["total_thousandths"] == \
             solved["solutions"][0]["total_thousandths"]
+
+
+    @pytest.mark.parametrize("args", [
+        ["checkin-validation", "--ordering", "paper_pessimal"],
+        ["checkin-validation", "--ordering", "paper_optimal"],
+        ["checkin-validation", "--ordering", "paper_expert_consensus"],
+        ["checkin-full", "--variant", "AUTH=AUPS",
+         "--ordering", "paper_optimal_aups"],
+    ], ids=lambda args: args[-1])
+    def test_table_running_column_sums_the_steps(self, runner, args):
+        result = runner.invoke(cli, ["explain", *args])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        codes = lines[0].split()[1:]
+        assert lines[1].split() == ["from", "to", "resource", "step",
+                                    "running", "rules"]
+        rows = [line.split() for line in lines[2:-1]]
+        assert [(row[0], row[1]) for row in rows] == list(zip(codes,
+                                                              codes[1:]))
+        running = Decimal(0)
+        for row in rows:
+            running += Decimal(row[3])
+            assert Decimal(row[4]) == running
+        assert lines[-1] == f"total: {rows[-1][4]}"
 
 
 class TestDistance:

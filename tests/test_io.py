@@ -15,19 +15,16 @@ from cogseq import (
     Resource,
     Rule,
     Scope,
-    document_to_dict,
     export_dot,
     fixture_text,
     load_cost_model,
     load_document,
-    load_fixture,
     parse_cost_model_document,
     parse_ordering_text,
     parse_resource,
     parse_workflow_document,
     read_orderings_file,
     resolve_workflow_path,
-    save_document,
 )
 
 
@@ -207,32 +204,6 @@ class TestFileErrors:
             load_cost_model(target)
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["checkin-full.json",
-                                      "checkin-validation.json"])
-    def test_fixture_survives_save_and_load(self, tmp_path, name):
-        original = load_fixture(name)
-        target = tmp_path / name
-        save_document(original, target)
-        reloaded = load_document(target)
-        assert reloaded.workflow == original.workflow
-        assert dict(reloaded.known_orderings) == dict(original.known_orderings)
-
-    def test_document_to_dict_is_canonical(self, full_document):
-        data = document_to_dict(full_document)
-        codes = [row["code"] for row in data["tasks"]]
-        assert codes == sorted(codes)
-        assert all(isinstance(row["voluntary"], bool)
-                   for row in data["tasks"])
-        resources = {row["resource"] for row in data["tasks"]}
-        assert resources <= {r.value for r in Resource}
-
-    def test_canonical_dict_reparses_identically(self, validation_document):
-        data = document_to_dict(validation_document)
-        again = parse_workflow_document(data)
-        assert again.workflow == validation_document.workflow
-
-
 class TestCostModelDocuments:
     def test_empty_document_is_published_model(self):
         assert parse_cost_model_document({}) == CostModel()
@@ -371,9 +342,10 @@ class TestCostModelDocuments:
 
 
 class TestResolution:
-    def test_filesystem_path_wins(self, tmp_path, validation_document):
+    def test_filesystem_path_wins(self, tmp_path):
         target = tmp_path / "checkin-full.json"  # shadows the fixture name
-        save_document(validation_document, target)
+        target.write_text(fixture_text("checkin-validation.json"),
+                          encoding="utf-8")
         doc = resolve_workflow_path(str(target))
         assert len(doc.workflow.tasks) == 10
 

@@ -21,7 +21,6 @@ from cogseq import (
     WorkflowError,
     count_linear_extensions,
     enumerate_linear_extensions,
-    instantiate_all,
     instantiate_variant,
     is_linear_extension,
     sequence_cost,
@@ -63,8 +62,8 @@ def positional_violation(ordering, workflow: Workflow) -> str | None:
 
 
 def rebuilt_every_task(workflow: Workflow, choices: dict) -> Workflow:
-    """``instantiate_all`` as it was before untouched tasks were shared:
-    every kept task is rebuilt, group by group."""
+    """Resolving each group with ``choices`` as ``instantiate_variant`` did
+    before untouched tasks were shared: every kept task is rebuilt."""
     for grp in workflow.variant_groups:
         member = choices[grp.code]
         dropped = grp.members - {member}
@@ -244,7 +243,7 @@ class TestVariants:
     def test_instantiate_all_matches_rebuilding_every_task(
             self, full_document, member):
         wf = full_document.workflow
-        out = instantiate_all(wf, {"AUTH": member})
+        out = instantiate_variant(wf, "AUTH", member)
         old = rebuilt_every_task(wf, {"AUTH": member})
         assert list(out.tasks) == list(old.tasks)
         for code in old.tasks:
@@ -256,13 +255,6 @@ class TestVariants:
             instantiate_variant(self.build(), "NOPE", "M1")
         with pytest.raises(WorkflowError, match="not a member"):
             instantiate_variant(self.build(), "G", "E")
-
-    def test_instantiate_all(self):
-        wf = instantiate_all(self.build(), {"G": "M2"})
-        assert wf.is_concrete
-        assert "M1" not in wf.tasks
-        with pytest.raises(WorkflowError, match="no member chosen"):
-            instantiate_all(self.build(), {})
 
     def test_concrete_required_for_sequencing(self):
         with pytest.raises(WorkflowError, match="unresolved variant groups"):

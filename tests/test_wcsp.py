@@ -17,7 +17,6 @@ from cogseq import (
     Workflow,
     WorkflowError,
     assignment_to_ordering,
-    dump_instance,
     encode_workflow,
     enumerate_linear_extensions,
     evaluate_assignment,
@@ -180,12 +179,3 @@ class TestConverters:
         assignment = ordering_to_assignment(inst, ordering)
         assert inst.codes[assignment[0]] == ordering[0]
 
-
-class TestDump:
-    def test_dump_mentions_structure(self, aups_instance):
-        _, inst = aups_instance
-        text = dump_instance(inst)
-        assert "variables: x1..x13 over values 0..12" in text
-        assert "alldifferent(x1..x13)" in text
-        assert "order(BKRF before CFRM)" in text
-        assert text.count("order(") == 25
