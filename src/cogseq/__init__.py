@@ -17,7 +17,6 @@ from .costs import (
     Rule,
     Scope,
     TransitionBreakdown,
-    TransitionRule,
     fired_rules,
     pair_cost,
     render_effect,
@@ -94,7 +93,7 @@ __all__ = [
     "DEFAULT_RULE_COSTS", "DocumentError", "FIXTURES", "KERNEL_NAME",
     "Objective", "OrderPair", "Ordering", "OrderingError",
     "Resource", "Rule", "Scope", "SearchStats", "Solution", "SolveRequest",
-    "Task", "TransitionBreakdown", "TransitionRule", "ValidationReport",
+    "Task", "TransitionBreakdown", "ValidationReport",
     "VariantComparison", "VariantGroup", "VariantRow", "Violation",
     "WcspInstance", "Workflow", "WorkflowDocument", "WorkflowError",
     "assignment_to_ordering", "brute_force", "compare_variants",

@@ -8,8 +8,8 @@ sequence totals are sums of nonnegative integers with no floating drift.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation, Overflow
 
 from .errors import CostModelError, OrderingError
@@ -111,14 +111,8 @@ class Rule(enum.Enum):
         )
 
 
-#: Canonical evaluation and reporting order for rules.
-RULE_ORDER: tuple[Rule, ...] = (
-    Rule.MODALITY,
-    Rule.RECENT_PRACTICE,
-    Rule.FAMILIARITY,
-    Rule.VOLUNTARY_COMPLEXITY_DROP,
-    Rule.INVOLUNTARY_COMPLEXITY_DROP,
-)
+#: Canonical evaluation and reporting order for rules: declaration order.
+RULE_ORDER: tuple[Rule, ...] = tuple(Rule)
 
 # The rules as module globals for ``_fired``, which runs once per priced
 # transition: reading a member off an Enum class costs about ten times as
@@ -149,22 +143,6 @@ class Scope(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionRule:
-    """One property rule with its flat cost in thousandths."""
-
-    rule: Rule
-    cost: int
-
-    def __post_init__(self):
-        if self.cost < 0:
-            raise CostModelError(
-                f"rule {self.rule.value} has negative cost {self.cost}"
-            )
-        if self.cost > MAX_EFFECT:
-            raise _above_max(f"rule {self.rule.value} cost")
-
-
 # Resource-transition costs in thousandths; rows = from, cols = to, both in
 # RESOURCE_ORDER (VWM, PM, DR, SR, ER).
 DEFAULT_MATRIX: tuple[tuple[int, ...], ...] = (
@@ -183,18 +161,28 @@ DEFAULT_RULE_COSTS: dict[Rule, int] = {
     Rule.INVOLUNTARY_COMPLEXITY_DROP: 1630,
 }
 
-DEFAULT_RULES: frozenset[TransitionRule] = frozenset(
-    TransitionRule(rule, cost) for rule, cost in DEFAULT_RULE_COSTS.items()
-)
+
+def _check_cost(what: str, cost) -> None:
+    """Refuse a configured cost that is not integer thousandths in range."""
+    if not isinstance(cost, int) or isinstance(cost, bool):
+        raise CostModelError(
+            f"{what} must be integer thousandths, got {cost!r}"
+        )
+    if cost < 0:
+        raise CostModelError(f"{what} is negative")
+    if cost > MAX_EFFECT:
+        raise _above_max(what)
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Immutable cost configuration; all evaluation functions are pure.
 
-    A rule participates iff present in ``rules``, so removing an entry
-    withholds that rule entirely and ``rules=frozenset()`` withholds them
-    all.  The bare constructor is the literal published model.
+    ``rules`` maps each participating rule to its flat cost in thousandths,
+    so leaving a rule out withholds it entirely and ``rules={}`` withholds
+    them all.  It is held as (rule, cost) pairs in :data:`RULE_ORDER`, and
+    those pairs are accepted back, so ``replace(model, rules=model.rules)``
+    round-trips.  The bare constructor is the literal published model.
     :meth:`calibrated` is the recommended configuration for the bundled
     check-in workflows: identical except that RecentPractice is withheld,
     which keeps the cost of swapping the two interchangeable seat-selection
@@ -203,12 +191,9 @@ class CostModel:
     """
 
     matrix: tuple[tuple[int, ...], ...] = DEFAULT_MATRIX
-    rules: frozenset[TransitionRule] = DEFAULT_RULES
+    rules: Mapping[Rule, int] | tuple[tuple[Rule, int], ...] = tuple(
+        DEFAULT_RULE_COSTS.items())
     recent_practice_scope: Scope = Scope.ADJACENT
-    #: The present rules' (rule, cost) pairs in :data:`RULE_ORDER`, resolved
-    #: once here because every priced transition reads them.
-    _rule_costs: tuple[tuple[Rule, int], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = tuple(tuple(row) for row in self.matrix)
@@ -217,45 +202,32 @@ class CostModel:
             raise CostModelError(f"matrix must be {n}x{n}")
         for i, row in enumerate(matrix):
             for j, cell in enumerate(row):
-                if not isinstance(cell, int) or isinstance(cell, bool):
-                    raise CostModelError(
-                        f"matrix[{i}][{j}] must be integer thousandths, got {cell!r}"
-                    )
-                if cell < 0:
-                    raise CostModelError(f"matrix[{i}][{j}] is negative")
-                if cell > MAX_EFFECT:
-                    raise _above_max(f"matrix[{i}][{j}]")
+                _check_cost(f"matrix[{i}][{j}]", cell)
             if row[i] != 0:
                 raise CostModelError(
                     f"matrix diagonal must be zero, got {row[i]} at "
                     f"{RESOURCE_ORDER[i].value}"
                 )
         object.__setattr__(self, "matrix", matrix)
-        rules = frozenset(self.rules)
-        seen: set[Rule] = set()
-        for entry in rules:
-            if entry.rule in seen:
+        table = dict(self.rules)
+        for rule, cost in table.items():
+            if not isinstance(rule, Rule):
                 raise CostModelError(
-                    f"rule {entry.rule.value} configured more than once"
-                )
-            seen.add(entry.rule)
-        object.__setattr__(self, "rules", rules)
-        present = {entry.rule: entry.cost for entry in rules}
-        object.__setattr__(self, "_rule_costs", tuple(
-            (rule, present[rule]) for rule in RULE_ORDER if rule in present))
+                    f"rules must be keyed by Rule, got {rule!r}")
+            _check_cost(f"rule {rule.value} cost", cost)
+        object.__setattr__(self, "rules", tuple(
+            (rule, table[rule]) for rule in RULE_ORDER if rule in table))
 
     @classmethod
     def calibrated(cls) -> CostModel:
         """The default configuration used by the command-line tools."""
-        kept = frozenset(
-            entry for entry in DEFAULT_RULES
-            if entry.rule is not Rule.RECENT_PRACTICE
-        )
-        return cls(rules=kept)
+        return cls(rules={rule: cost
+                          for rule, cost in DEFAULT_RULE_COSTS.items()
+                          if rule is not Rule.RECENT_PRACTICE})
 
     def rule_cost(self, rule: Rule) -> int | None:
         """Cost of a present rule in thousandths, or None if withheld."""
-        for present, cost in self._rule_costs:
+        for present, cost in self.rules:
             if present is rule:
                 return cost
         return None
@@ -272,12 +244,13 @@ class CostModel:
                 and self.rule_cost(Rule.RECENT_PRACTICE) is not None)
 
     def without_rule(self, rule: Rule) -> CostModel:
-        kept = frozenset(e for e in self.rules if e.rule is not rule)
-        return replace(self, rules=kept)
+        return replace(self, rules={present: cost
+                                    for present, cost in self.rules
+                                    if present is not rule})
 
     def active_rule_costs(self) -> dict[Rule, int]:
         """Present rules and costs, in canonical rule order."""
-        return dict(self._rule_costs)
+        return dict(self.rules)
 
 
 def resource_switch_cost(frm: Resource, to: Resource,
@@ -321,7 +294,7 @@ def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
         earlier.modality == cur.modality or earlier.resource is cur.resource
         for earlier in scope
     )
-    return _fired(prev, cur, practiced, model._rule_costs)
+    return _fired(prev, cur, practiced, model.rules)
 
 
 def _fired(prev: Task, cur: Task, practiced: bool,
@@ -378,8 +351,7 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
         raise OrderingError(f"not a linear extension: {problem}")
     tasks = [workflow.tasks[code] for code in ordering]
     res = [RESOURCE_INDEX[task.resource] for task in tasks]
-    matrix = model.matrix
-    rule_costs = model._rule_costs
+    matrix, rules = model.matrix, model.rules
     full_history = model.recent_practice_scope is Scope.FULL_HISTORY
     modalities: set[str] = set()
     resources: set[int] = set()
@@ -394,7 +366,7 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
         else:
             practiced = prev.modality == cur.modality or res[i - 1] == res[i]
         base = matrix[res[i - 1]][res[i]]
-        fired = _fired(prev, cur, practiced, rule_costs)
+        fired = _fired(prev, cur, practiced, rules)
         step = base + sum(cost for _, cost in fired)
         breakdowns.append(TransitionBreakdown(
             previous=prev.code, current=cur.code, resource_cost=base,

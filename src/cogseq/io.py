@@ -3,11 +3,12 @@
 Documents are UTF-8 JSON.  A workflow document carries `tasks`,
 `variant_groups`, and optional `known_orderings` (named reference orderings,
 e.g. published study sequences).  A cost-model document may override the
-matrix, individual rule costs (null withholds a rule), and the
-recent-practice scope, and ``"rules_enabled": false`` withholds every rule;
-omitted fields keep the published defaults.  An unknown key anywhere is a
-:class:`DocumentError`, as is every other malformed field and any file that
-cannot be read, is not UTF-8 text, or does not parse as JSON.
+matrix (5 rows of 5 effect sizes), individual rule costs (null withholds a
+rule), and the recent-practice scope, and ``"rules_enabled": false``
+withholds every rule; omitted fields keep the published defaults.  An
+unknown key anywhere is a :class:`DocumentError`, as is every other
+malformed field, any string that cannot be written back as UTF-8, and any
+file that cannot be read, is not UTF-8 text, or does not parse as JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .costs import (
     DEFAULT_RULE_COSTS,
     Rule,
     Scope,
-    TransitionRule,
     render_effect,
     to_thousandths,
 )
@@ -89,6 +89,13 @@ def _require_str(value, *, path=None, field=None) -> str:
     if not isinstance(value, str):
         raise DocumentError(f"expected a string, got {value!r}",
                             path=path, field=field)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        # JSON can spell a lone surrogate ("\ud800"), which no output
+        # stream can write back.
+        raise DocumentError(f"not encodable as UTF-8: {value!r}",
+                            path=path, field=field) from None
     return value
 
 
@@ -113,7 +120,6 @@ class WorkflowDocument:
 
     workflow: Workflow
     known_orderings: Mapping[str, Ordering]
-    source: Path | None = None
 
 
 def _read_text(path: Path) -> str:
@@ -236,8 +242,7 @@ def parse_workflow_document(data, *,
                 raise DocumentError(f"ordering names unknown task {code!r}",
                                     path=path, field=field)
         known[name] = ordering
-    return WorkflowDocument(workflow=workflow, known_orderings=known,
-                            source=path)
+    return WorkflowDocument(workflow=workflow, known_orderings=known)
 
 
 def load_document(path: Path | str) -> WorkflowDocument:
@@ -257,15 +262,10 @@ def parse_cost_model_document(data, *,
     kwargs: dict = {}
     if "matrix" in data:
         raw = data["matrix"]
-        if (isinstance(raw, list) and len(raw) == 25
-                and not any(isinstance(x, list) for x in raw)):
-            raw = [raw[i * 5:(i + 1) * 5] for i in range(5)]
         if not (isinstance(raw, list) and len(raw) == 5
                 and all(isinstance(r, list) and len(r) == 5 for r in raw)):
-            raise DocumentError(
-                "`matrix` must be 5 rows of 5 values (or a flat list of 25)",
-                path=path, field="matrix",
-            )
+            raise DocumentError("`matrix` must be 5 rows of 5 values",
+                                path=path, field="matrix")
         try:
             kwargs["matrix"] = tuple(
                 tuple(to_thousandths(cell) for cell in row) for row in raw
@@ -298,9 +298,7 @@ def parse_cost_model_document(data, *,
                 costs[rule] = to_thousandths(value)
             except CogseqError as exc:
                 raise DocumentError(str(exc), path=path, field=field) from None
-        kwargs["rules"] = frozenset(
-            TransitionRule(rule, cost) for rule, cost in costs.items()
-        )
+        kwargs["rules"] = costs
 
     if "recent_practice_scope" in data:
         label = _require_str(data["recent_practice_scope"], path=path,
@@ -317,7 +315,7 @@ def parse_cost_model_document(data, *,
                                 path=path, field="rules_enabled")
         if not data["rules_enabled"]:
             # Withholds every rule, whatever `rules` lists.
-            kwargs["rules"] = frozenset()
+            kwargs["rules"] = {}
 
     try:
         return CostModel(**kwargs)

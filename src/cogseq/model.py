@@ -28,10 +28,9 @@ class Resource(enum.Enum):
     ER = "ER"    # episodic recognition
 
 
-#: Canonical row/column order used everywhere a resource index is needed.
-RESOURCE_ORDER: tuple[Resource, ...] = (
-    Resource.VWM, Resource.PM, Resource.DR, Resource.SR, Resource.ER,
-)
+#: Canonical row/column order used everywhere a resource index is needed:
+#: declaration order.
+RESOURCE_ORDER: tuple[Resource, ...] = tuple(Resource)
 
 
 def normalize_modality(label: str) -> str:

@@ -12,7 +12,6 @@ Agreement between the two is part of the test contract.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from time import perf_counter
@@ -156,7 +155,7 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
 def _pair_pricer(tasks: list[Task], model: CostModel):
     """``price(a, b)``: ``pair_cost(tasks[a], tasks[b], model)`` from
     per-task integer arrays, without building a breakdown per pair."""
-    costs = dict(model._rule_costs)
+    costs = dict(model.rules)
     modality = costs.get(Rule.MODALITY, 0)
     practice = costs.get(Rule.RECENT_PRACTICE, 0)
     familiarity = costs.get(Rule.FAMILIARITY, 0)
@@ -293,47 +292,34 @@ class VariantComparison:
     delta: int
 
 
-def compare_variants(workflow: Workflow, model: CostModel,
-                     baseline: Mapping[str, str] | None = None
+def compare_variants(workflow: Workflow, model: CostModel
                      ) -> tuple[VariantComparison, ...]:
-    """Sweep each variant group, solving minimize/k=1 per member.
+    """Sweep the workflow's one variant group, solving minimize/k=1 per
+    member.
 
-    With several groups, the groups not being swept are pinned to
-    ``baseline`` choices; a missing baseline entry is an error rather than a
-    silent guess.
+    A workflow with several unresolved groups is refused rather than
+    resolved by a guess: resolve all but one first.
     """
     if workflow.is_concrete:
         raise WorkflowError(
             "workflow has no variant groups; use solve for a plain optimum"
         )
-    baseline = dict(baseline or {})
-    group_codes = {g.code for g in workflow.variant_groups}
-    for code in baseline:
-        if code not in group_codes:
-            raise WorkflowError(f"baseline names unknown variant group {code!r}")
-
-    comparisons: list[VariantComparison] = []
-    for grp in workflow.variant_groups:
-        rows: list[VariantRow] = []
-        for member in sorted(grp.members):
-            candidate = instantiate_variant(workflow, grp.code, member)
-            for other in tuple(candidate.variant_groups):
-                if other.code not in baseline:
-                    raise WorkflowError(
-                        f"several variant groups are unresolved; pick a "
-                        f"baseline member for {other.code!r} while sweeping "
-                        f"{grp.code!r}"
-                    )
-                candidate = instantiate_variant(candidate, other.code,
-                                                baseline[other.code])
-            solution = solve(SolveRequest(
-                workflow=candidate, model=model,
-                objective=Objective.MINIMIZE, k=1,
-            ))[0]
-            rows.append(VariantRow(member=member, solution=solution))
-        rows.sort(key=lambda row: (row.solution.total, row.member))
-        delta = rows[-1].solution.total - rows[0].solution.total
-        comparisons.append(VariantComparison(
-            group=grp.code, rows=tuple(rows), delta=delta,
-        ))
-    return tuple(comparisons)
+    if len(workflow.variant_groups) > 1:
+        groups = ", ".join(g.code for g in workflow.variant_groups)
+        raise WorkflowError(
+            f"several variant groups are unresolved ({groups}); "
+            f"compare_variants sweeps one: resolve the others with "
+            f"instantiate_variant or --variant GROUP=MEMBER"
+        )
+    (grp,) = workflow.variant_groups
+    rows: list[VariantRow] = []
+    for member in sorted(grp.members):
+        candidate = instantiate_variant(workflow, grp.code, member)
+        solution = solve(SolveRequest(
+            workflow=candidate, model=model,
+            objective=Objective.MINIMIZE, k=1,
+        ))[0]
+        rows.append(VariantRow(member=member, solution=solution))
+    rows.sort(key=lambda row: (row.solution.total, row.member))
+    delta = rows[-1].solution.total - rows[0].solution.total
+    return (VariantComparison(group=grp.code, rows=tuple(rows), delta=delta),)

@@ -18,7 +18,6 @@ from cogseq import (
     Resource,
     Scope,
     Task,
-    TransitionRule,
     Workflow,
     load_fixture,
     sequence_cost,
@@ -66,14 +65,12 @@ def random_model(rng: random.Random,
         tuple(0 if i == j else rng.randrange(0, 2000) for j in range(5))
         for i in range(5)
     )
-    rules = frozenset(
-        TransitionRule(rule, rng.randrange(0, 1500))
-        for rule in RULE_ORDER
-        if rng.random() < 0.8
-    )
+    rules = {rule: rng.randrange(0, 1500)
+             for rule in RULE_ORDER
+             if rng.random() < 0.8}
     # One model in ten withholds every rule.
     if rng.random() >= 0.9:
-        rules = frozenset()
+        rules = {}
     return CostModel(matrix=matrix, rules=rules, recent_practice_scope=scope)
 
 

@@ -255,7 +255,7 @@ class TestCostModelSelection:
 
     @pytest.mark.parametrize("doc", [
         {"rules": {"Familiarity": "1e5000"}},
-        {"matrix": [0, 2e6] + [0] * 23},
+        {"matrix": [[0, 2e6, 0, 0, 0]] + [[0] * 5] * 4},
     ], ids=["rule", "matrix"])
     @pytest.mark.parametrize("command", [
         ["show-model"], ["solve", "checkin-validation"],
@@ -297,6 +297,8 @@ class TestUnreadableInput:
         "validate": ["validate", "{path}"],
         "cost-model": ["show-model", "--cost-model", "{path}"],
         "consensus": ["consensus", "{path}"],
+        "solve": ["solve", "{path}"],
+        "export-dot": ["export-dot", "{path}"],
     }
 
     def run(self, runner, command, path):
@@ -320,6 +322,18 @@ class TestUnreadableInput:
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000, encoding="utf-8")
         assert "nested too deeply" in self.run(runner, command, path)
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "export-dot"])
+    def test_lone_surrogate_in_code(self, runner, tmp_path, command):
+        # json.loads accepts the escape "\ud800"; no output can encode it.
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps({"tasks": [
+            {"code": "A\ud800", "name": "A", "resource": "VWM",
+             "modality": "t", "voluntary": False, "familiarity": 3,
+             "complexity": 3},
+        ]}), encoding="utf-8")
+        message = self.run(runner, command, path)
+        assert "tasks[0].code: not encodable as UTF-8: 'A\\ud800'" in message
 
 
 class TestReadme:
@@ -381,6 +395,29 @@ class TestCompareVariants:
         result = runner.invoke(cli, ["compare-variants", "checkin-validation"])
         assert result.exit_code == 1
         assert "use solve" in err_text(result)
+
+    def test_several_groups_need_all_but_one_resolved(self, runner,
+                                                      tmp_path):
+        task = {"name": "T", "resource": "VWM", "modality": "t",
+                "voluntary": False, "familiarity": 3, "complexity": 3}
+        path = tmp_path / "two-groups.json"
+        path.write_text(json.dumps({
+            "tasks": [dict(task, code=code) for code in ("A1", "A2", "B1")]
+            + [dict(task, code="B2", resource="PM")],
+            "variant_groups": [{"code": "GA", "members": ["A1", "A2"]},
+                               {"code": "GB", "members": ["B1", "B2"]}],
+        }), encoding="utf-8")
+        result = runner.invoke(cli, ["compare-variants", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert ("error: several variant groups are unresolved (GA, GB); "
+                "compare_variants sweeps one: resolve the others with "
+                "instantiate_variant or --variant GROUP=MEMBER"
+                in err_text(result))
+        result = runner.invoke(cli, ["compare-variants", str(path),
+                                     "--variant", "GB=B2"])
+        assert result.exit_code == 0
+        assert result.output.startswith("group GA:\n")
 
 
 class TestExplain:

@@ -20,7 +20,6 @@ from cogseq import (
     Resource,
     Rule,
     Scope,
-    TransitionRule,
     Workflow,
     fired_rules,
     pair_cost,
@@ -31,7 +30,7 @@ from cogseq import (
     transition_cost,
 )
 from cogseq import enumerate_linear_extensions, instantiate_variant
-from cogseq.costs import DEFAULT_RULE_COSTS, DEFAULT_RULES, MAX_EFFECT
+from cogseq.costs import DEFAULT_RULE_COSTS, MAX_EFFECT
 
 from conftest import random_model, random_workflow, simple_task
 
@@ -124,20 +123,37 @@ class TestCostModel:
             CostModel(matrix=tuple(tuple(r) for r in bad))
 
     def test_rule_cost_above_maximum_rejected(self):
-        assert TransitionRule(Rule.MODALITY, MAX_EFFECT).cost == MAX_EFFECT
+        model = CostModel(rules={Rule.MODALITY: MAX_EFFECT})
+        assert model.rule_cost(Rule.MODALITY) == MAX_EFFECT
         with pytest.raises(CostModelError, match="Modality cost exceeds"):
-            TransitionRule(Rule.MODALITY, MAX_EFFECT + 1)
+            CostModel(rules={Rule.MODALITY: MAX_EFFECT + 1})
 
-    def test_duplicate_rule_rejected(self):
-        rules = frozenset({
-            TransitionRule(Rule.MODALITY, 100),
-            TransitionRule(Rule.MODALITY, 200),
-        })
-        with pytest.raises(CostModelError, match="more than once"):
+    @pytest.mark.parametrize("rules,message", [
+        ({Rule.MODALITY: "1"}, "Modality cost must be integer thousandths"),
+        ({Rule.MODALITY: 1.5}, "Modality cost must be integer thousandths"),
+        ({Rule.MODALITY: True}, "Modality cost must be integer thousandths"),
+        ({Rule.FAMILIARITY: -1}, "Familiarity cost is negative"),
+        ({Rule.FAMILIARITY: MAX_EFFECT + 1}, "Familiarity cost exceeds"),
+        ({"Modality": 160}, "keyed by Rule, got 'Modality'"),
+    ], ids=["str", "float", "bool", "negative", "above-max", "label-key"])
+    def test_bad_rule_cost_rejected(self, rules, message):
+        with pytest.raises(CostModelError, match=message):
             CostModel(rules=rules)
 
+    def test_rule_table_order_is_canonical(self):
+        a = CostModel(rules={Rule.FAMILIARITY: 1, Rule.MODALITY: 2})
+        b = CostModel(rules={Rule.MODALITY: 2, Rule.FAMILIARITY: 1})
+        assert a == b and hash(a) == hash(b)
+        assert a.rules == ((Rule.MODALITY, 2), (Rule.FAMILIARITY, 1))
+        assert list(a.active_rule_costs()) == [Rule.MODALITY, Rule.FAMILIARITY]
+        for copied in (pickle.loads(pickle.dumps(a)), replace(a),
+                       replace(a, rules=a.rules),
+                       replace(a, rules=a.active_rule_costs())):
+            assert copied == a and hash(copied) == hash(a)
+            assert copied.rules == a.rules
+
     def test_withholding_every_rule(self):
-        model = CostModel(rules=frozenset())
+        model = CostModel(rules={})
         assert all(model.rule_cost(rule) is None for rule in Rule)
         assert model.active_rule_costs() == {}
 
@@ -147,7 +163,7 @@ class TestCostModel:
         (CostModel.calibrated(), False),
         (replace(CostModel.calibrated(),
                  recent_practice_scope=Scope.FULL_HISTORY), False),
-        (CostModel(rules=frozenset(),
+        (CostModel(rules={},
                    recent_practice_scope=Scope.FULL_HISTORY), False),
     ], ids=["literal", "literal-full", "calibrated", "calibrated-full",
             "no-rules-full"])
@@ -155,24 +171,23 @@ class TestCostModel:
         assert model.history_dependent is expected
 
     @pytest.mark.parametrize("model", [
-        CostModel(), CostModel.calibrated(), CostModel(rules=frozenset()),
+        CostModel(), CostModel.calibrated(), CostModel(rules={}),
         CostModel(recent_practice_scope=Scope.FULL_HISTORY),
     ], ids=["literal", "calibrated", "no-rules", "full-history"])
     def test_resolved_rules_survive_copies(self, model):
         twin = CostModel(matrix=model.matrix, rules=model.rules,
                          recent_practice_scope=model.recent_practice_scope)
         assert twin == model and hash(twin) == hash(model)
-        assert "_rule_costs" not in repr(model)
         for copied in (replace(model), copy.copy(model),
                        copy.deepcopy(model),
                        pickle.loads(pickle.dumps(model))):
             assert copied == model and hash(copied) == hash(model)
             assert copied.active_rule_costs() == model.active_rule_costs()
-            assert copied._rule_costs == model._rule_costs
-        literal = replace(model, rules=DEFAULT_RULES)
+            assert copied.rules == model.rules
+        literal = replace(model, rules=DEFAULT_RULE_COSTS)
         assert literal.active_rule_costs() == DEFAULT_RULE_COSTS
-        with pytest.raises(ValueError):
-            replace(model, _rule_costs=())
+        assert literal == CostModel(
+            recent_practice_scope=model.recent_practice_scope)
 
     def test_rule_parse_aliases(self):
         assert Rule.parse("RecentPractice") is Rule.RECENT_PRACTICE
@@ -211,7 +226,7 @@ class TestFiredRules:
 
     def test_rules_disabled_fires_nothing(self, checkin_tasks):
         lang, airl = checkin_tasks["LANG"], checkin_tasks["AIRL"]
-        model = CostModel(rules=frozenset())
+        model = CostModel(rules={})
         assert fired_rules(lang, airl, [lang], model) == ()
 
     def test_modality_needs_same_resource(self):
@@ -277,7 +292,7 @@ class TestTransitionCost:
         wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
         stso, stsr = wf.tasks["STSO"], wf.tasks["STSR"]
         assert transition_cost(stso, stsr, [stso], CostModel.calibrated()).total == 0
-        no_rules = CostModel(rules=frozenset())
+        no_rules = CostModel(rules={})
         assert transition_cost(stso, stsr, [stso], no_rules).total == 0
 
     def test_total_never_below_matrix_entry(self):
@@ -333,7 +348,7 @@ class TestSequenceCost:
             CostModel.calibrated(),
             CostModel(),
             CostModel(recent_practice_scope=Scope.FULL_HISTORY),
-            CostModel(rules=frozenset()),
+            CostModel(rules={}),
             random_model(rng),
             random_model(rng, scope=Scope.FULL_HISTORY),
         ]
@@ -395,7 +410,7 @@ class TestSequenceCost:
                          familiarity=2, complexity=4)
         b2 = simple_task("B", resource=Resource.ER, modality="card reader",
                          familiarity=4, complexity=2)
-        model = CostModel(rules=frozenset())
+        model = CostModel(rules={})
         wf1 = Workflow.from_tasks([a1, b1])
         wf2 = Workflow.from_tasks([a2, b2])
         assert sequence_cost(("A", "B"), wf1, model)[0] == \

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -219,15 +221,13 @@ class TestCostModelDocuments:
         assert model.matrix[0][1] == 100
         assert model.matrix[2][2] == 0
 
-    def test_matrix_override_flat(self):
-        flat = [0 if i % 6 == 0 else 50 for i in range(25)]
-        model = parse_cost_model_document({"matrix": flat})
-        assert model.matrix[0][1] == 50000
-        assert model.matrix[4][4] == 0
-
     def test_matrix_wrong_shape(self):
-        with pytest.raises(DocumentError, match="5 rows of 5"):
-            parse_cost_model_document({"matrix": [[0, 1], [1, 0]]})
+        # A flat list of 25 is one of the wrong shapes: rows are the only
+        # spelling.
+        flat = [0 if i % 6 == 0 else 50 for i in range(25)]
+        for matrix in ([[0, 1], [1, 0]], flat):
+            with pytest.raises(DocumentError, match="5 rows of 5 values$"):
+                parse_cost_model_document({"matrix": matrix})
 
     def test_matrix_too_precise(self):
         rows = [[0] * 5 for _ in range(5)]
@@ -272,7 +272,7 @@ class TestCostModelDocuments:
     @pytest.mark.parametrize("data,field", [
         ({"rules": {"Familiarity": "1e5000"}}, "rules.Familiarity"),
         ({"rules": {"Modality": 1000000.001}}, "rules.Modality"),
-        ({"matrix": [0, 1e7] + [0] * 23}, "matrix"),
+        ({"matrix": matrix_with(1e7)}, "matrix"),
     ])
     def test_effect_size_above_maximum(self, data, field):
         with pytest.raises(DocumentError, match="exceeds the maximum") as err:
@@ -319,13 +319,13 @@ class TestCostModelDocuments:
 
     def test_rules_disabled(self):
         model = parse_cost_model_document({"rules_enabled": False})
-        assert model == CostModel(rules=frozenset())
+        assert model == CostModel(rules={})
         assert model.active_rule_costs() == {}
 
     def test_rules_disabled_overrides_rules(self):
         model = parse_cost_model_document(
             {"rules": {"Modality": 1}, "rules_enabled": False})
-        assert model == CostModel(rules=frozenset())
+        assert model == CostModel(rules={})
         # The listed costs are still checked.
         with pytest.raises(DocumentError, match="negative"):
             parse_cost_model_document(
@@ -500,6 +500,18 @@ class TestDocumentFuzz:
             parse(substituted(document, path, value))
         except DocumentError:
             pass
+
+    @pytest.mark.parametrize("path", [
+        pytest.param(path, id=".".join(map(str, path)))
+        for path in json_paths(FUZZ_WORKFLOW)
+        if isinstance(reduce(getitem, path, FUZZ_WORKFLOW), str)
+    ])
+    def test_lone_surrogate_is_document_error(self, path):
+        # json.loads accepts "\ud800", which no output stream can encode.
+        with pytest.raises(DocumentError, match=r"'A\\ud800'") as err:
+            parse_workflow_document(
+                substituted(FUZZ_WORKFLOW, path, "A\ud800"))
+        assert err.value.field is not None
 
     def test_fuzz_documents_are_valid(self):
         doc = parse_workflow_document(FUZZ_WORKFLOW)

@@ -31,7 +31,7 @@ from cogseq import (
     sequence_cost,
     solve,
 )
-from cogseq.costs import RULE_ORDER, Rule, TransitionRule
+from cogseq.costs import RULE_ORDER, Rule
 
 from conftest import (
     MODALITIES,
@@ -150,7 +150,7 @@ class TestTieBreaks:
             simple_task("D"),
             simple_task("E", prerequisites=("B",)),
         ])
-        model = CostModel(rules=frozenset())
+        model = CostModel(rules={})
         k = 7
         solutions = solve(SolveRequest(workflow=wf, model=model,
                                        objective=objective, k=k))
@@ -164,7 +164,7 @@ class TestTieBreaks:
         a = simple_task("A", resource=Resource.SR)
         b = simple_task("B", resource=Resource.ER)
         wf = Workflow.from_tasks([a, b])
-        model = CostModel(rules=frozenset())
+        model = CostModel(rules={})
         low = brute_force(wf, model)
         high = brute_force(wf, model, objective=Objective.MAXIMIZE)
         assert (low.ordering, low.total) == (("B", "A"), 354)
@@ -294,7 +294,7 @@ class TestThresholdPasses:
         # first k leaves reached must be the first k extensions.
         zero = CostModel(
             matrix=((0,) * 5,) * 5,
-            rules=frozenset(TransitionRule(rule, 0) for rule in RULE_ORDER),
+            rules=dict.fromkeys(RULE_ORDER, 0),
             recent_practice_scope=Scope.FULL_HISTORY)
         wf = Workflow.from_tasks([
             simple_task("A", resource=Resource.SR),
@@ -409,9 +409,7 @@ model_strategy = st.builds(
         lambda rows: tuple(tuple(0 if i == j else cell
                                  for j, cell in enumerate(row))
                            for i, row in enumerate(rows))),
-    rules=st.dictionaries(st.sampled_from(RULE_ORDER), cost_strategy).map(
-        lambda costs: frozenset(TransitionRule(rule, cost)
-                                for rule, cost in costs.items())),
+    rules=st.dictionaries(st.sampled_from(RULE_ORDER), cost_strategy),
     recent_practice_scope=st.sampled_from(list(Scope)),
 )
 
@@ -432,7 +430,7 @@ class TestPairPricer:
         CostModel.calibrated(),
         CostModel(),
         CostModel().without_rule(Rule.RECENT_PRACTICE),
-        CostModel(rules=frozenset()),
+        CostModel(rules={}),
     ], ids=["calibrated", "literal", "full-history-lifted", "rules-off"])
     @pytest.mark.parametrize("seed", range(5))
     def test_named_models_match_pair_cost(self, model, seed):
@@ -652,11 +650,6 @@ class TestCompareVariants:
             assert row.solution.ordering == sol.ordering
         assert comparison.delta == totals[-1] - totals[0]
 
-    def test_unknown_baseline_group(self, full_document):
-        with pytest.raises(WorkflowError, match="unknown variant group"):
-            compare_variants(full_document.workflow, CostModel.calibrated(),
-                             baseline={"NOPE": "AUPS"})
-
     @pytest.fixture()
     def two_group_workflow(self):
         tasks = [
@@ -674,20 +667,17 @@ class TestCompareVariants:
         return Workflow.from_tasks(tasks, variant_groups=groups)
 
     def test_multi_group_requires_baseline(self, two_group_workflow):
-        with pytest.raises(WorkflowError, match="baseline"):
-            compare_variants(two_group_workflow, CostModel.calibrated())
-
-    def test_multi_group_with_baseline(self, two_group_workflow):
+        # Every group but the swept one must be resolved beforehand.
         model = CostModel.calibrated()
-        baseline = {"GRPA": "A1", "GRPB": "B2"}
-        comparisons = compare_variants(two_group_workflow, model,
-                                       baseline=baseline)
-        assert [c.group for c in comparisons] == ["GRPA", "GRPB"]
-        swept = comparisons[0]
+        with pytest.raises(WorkflowError,
+                           match=r"unresolved \(GRPA, GRPB\).*"
+                                 r"instantiate_variant"):
+            compare_variants(two_group_workflow, model)
+        resolved = instantiate_variant(two_group_workflow, "GRPB", "B2")
+        (swept,) = compare_variants(resolved, model)
+        assert swept.group == "GRPA"
         assert {row.member for row in swept.rows} == {"A1", "A2"}
         for row in swept.rows:
-            concrete = instantiate_variant(two_group_workflow, "GRPA",
-                                           row.member)
-            concrete = instantiate_variant(concrete, "GRPB", "B2")
+            concrete = instantiate_variant(resolved, "GRPA", row.member)
             (sol,) = solve(SolveRequest(workflow=concrete, model=model))
             assert row.solution.total == sol.total

@@ -84,7 +84,7 @@ class TestEncoding:
             encode_workflow(wf, model)
         # Without RecentPractice the scope is inert, so the encoding is
         # allowed and prices like the adjacent-scope model.
-        for rules in (CostModel.calibrated().rules, frozenset()):
+        for rules in (CostModel.calibrated().rules, {}):
             inert = CostModel(rules=rules,
                               recent_practice_scope=Scope.FULL_HISTORY)
             adjacent = CostModel(rules=rules)
