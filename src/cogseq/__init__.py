@@ -9,7 +9,6 @@ and a WCSP encoding provide independent evaluation routes.
 """
 
 from ._backend import KERNEL_NAME
-from .analysis import consensus_ordering, ordering_distance
 from .costs import (
     DEFAULT_MATRIX,
     DEFAULT_RULE_COSTS,
@@ -74,16 +73,34 @@ from .solver import (
     compare_variants,
     solve,
 )
-from .wcsp import (
-    AllDifferent,
-    Assignment,
-    OrderPair,
-    WcspInstance,
-    assignment_to_ordering,
-    encode_workflow,
-    evaluate_assignment,
-    ordering_to_assignment,
-)
+
+#: Names resolved on first access (PEP 562), by the module that defines
+#: them: only the non-solve commands use these modules, so ``import cogseq``
+#: does not load them.
+_LAZY = {
+    "consensus_ordering": "analysis",
+    "ordering_distance": "analysis",
+    "AllDifferent": "wcsp",
+    "Assignment": "wcsp",
+    "OrderPair": "wcsp",
+    "WcspInstance": "wcsp",
+    "assignment_to_ordering": "wcsp",
+    "encode_workflow": "wcsp",
+    "evaluate_assignment": "wcsp",
+    "ordering_to_assignment": "wcsp",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

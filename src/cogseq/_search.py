@@ -88,16 +88,24 @@ def _ideals(n: int, preds: list[int]) -> dict[int, list[int]]:
         nxt: list[int] = []
         for placed in level:
             el = elig[placed]
-            for i, t in enumerate(el):
+            i = 0
+            for t in el:
                 child = placed | 1 << t
                 if child not in elig:
                     if len(elig) >= MAX_IDEALS:
                         raise BudgetExceededError(MAX_IDEALS + 1, MAX_IDEALS,
                                                   "order ideals or more")
+                    # Concatenation sizes the list exactly; += would not.
                     rest = el[:i] + el[i + 1:]
-                    opened = [s for s in succ[t] if not preds[s] & ~child]
-                    elig[child] = sorted(rest + opened) if opened else rest
+                    dependents = succ[t]
+                    if dependents:
+                        opened = [s for s in dependents
+                                  if not preds[s] & ~child]
+                        if opened:
+                            rest = sorted(rest + opened)
+                    elig[child] = rest
                     nxt.append(child)
+                i += 1
         level = nxt
     return elig
 
@@ -107,6 +115,9 @@ def _cost_to_go(pair, shares, rp_cost, maximize, elig):
     ``elig[placed][i]`` on ideal ``placed``, including that step's lifted
     RecentPractice term but not its pair cost."""
     best = max if maximize else min
+    # One bound method per row, not one per (ideal, task) cell; a dict's
+    # __getitem__ still falls back to the row's __missing__.
+    gets = [row.__getitem__ for row in pair]
     full = next(reversed(elig))
     go: dict[int, list[int]] = {}
     for placed, el in reversed(elig.items()):
@@ -116,7 +127,7 @@ def _cost_to_go(pair, shares, rp_cost, maximize, elig):
             if child == full:
                 rest = 0
             else:
-                rest = best(map(add, map(pair[t].__getitem__, elig[child]),
+                rest = best(map(add, map(gets[t], elig[child]),
                                 go[child]))
             if rp_cost and placed & shares[t]:
                 rest += rp_cost

@@ -14,7 +14,6 @@ import sys
 
 import click
 
-from .analysis import consensus_ordering, ordering_distance
 from .costs import CostModel, render_effect, sequence_cost
 from .errors import CogseqError, WorkflowError
 from .io import (
@@ -76,12 +75,18 @@ def _load_model(spec: str | None) -> CostModel:
 
 def _apply_variants(document, variants):
     workflow = document.workflow
+    resolved: set[str] = set()
     for spec in variants:
         group, sep, member = spec.partition("=")
-        if not sep or not group.strip() or not member.strip():
+        group, member = group.strip(), member.strip()
+        if not sep or not group or not member:
             raise click.BadParameter("expected GROUP=MEMBER",
                                      param_hint="--variant")
-        workflow = instantiate_variant(workflow, group.strip(), member.strip())
+        if group in resolved:
+            raise click.BadParameter(f"variant group {group!r} given twice",
+                                     param_hint="--variant")
+        resolved.add(group)
+        workflow = instantiate_variant(workflow, group, member)
     return workflow
 
 
@@ -292,6 +297,9 @@ def explain(workflow_file: str, ordering: str, variants, cost_model_spec,
 @_domain_errors
 def distance(a_text: str, b_text: str) -> None:
     """Euclidean distance between two orderings of the same tasks."""
+    # Imported on use: only distance and consensus need analysis.
+    from .analysis import ordering_distance
+
     a = parse_ordering_text(a_text)
     b = parse_ordering_text(b_text)
     click.echo(f"{ordering_distance(a, b):.4f}")
@@ -302,6 +310,8 @@ def distance(a_text: str, b_text: str) -> None:
 @_domain_errors
 def consensus(orderings_file: str) -> None:
     """Consensus ordering of a file of orderings (one per line, # comments)."""
+    from .analysis import consensus_ordering
+
     orderings = read_orderings_file(orderings_file)
     result = consensus_ordering(orderings)
     click.echo(", ".join(result))

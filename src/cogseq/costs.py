@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation, Overflow
+from typing import TYPE_CHECKING
 
 from .errors import CostModelError, OrderingError
 from .model import (
@@ -21,6 +21,9 @@ from .model import (
     Workflow,
     extension_violation,
 )
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 RESOURCE_INDEX = {resource: i for i, resource in enumerate(RESOURCE_ORDER)}
 
@@ -45,6 +48,9 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
     above :data:`MAX_EFFECT` are rejected rather than rounded or clamped,
     and so are infinities and NaNs.
     """
+    # Imported here: only cost-model documents reach this, not solve().
+    from decimal import Decimal, InvalidOperation, Overflow
+
     if (isinstance(value, bool)
             or not isinstance(value, (int, float, str, Decimal))):
         # The type, not the value: a list holding a huge int has no repr.
@@ -349,30 +355,37 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
     problem = extension_violation(ordering, workflow)
     if problem is not None:
         raise OrderingError(f"not a linear extension: {problem}")
-    tasks = [workflow.tasks[code] for code in ordering]
-    res = [RESOURCE_INDEX[task.resource] for task in tasks]
+    if not ordering:
+        return 0, ()
+    tasks = workflow.tasks
     matrix, rules = model.matrix, model.rules
     full_history = model.recent_practice_scope is Scope.FULL_HISTORY
     modalities: set[str] = set()
     resources: set[int] = set()
     breakdowns: list[TransitionBreakdown] = []
     total = 0
-    for i in range(1, len(tasks)):
-        prev, cur = tasks[i - 1], tasks[i]
+    codes = iter(ordering)
+    prev = tasks[next(codes)]
+    prev_res = RESOURCE_INDEX[prev.resource]
+    for code in codes:
+        cur = tasks[code]
+        cur_res = RESOURCE_INDEX[cur.resource]
         if full_history:
             modalities.add(prev.modality)
-            resources.add(res[i - 1])
-            practiced = cur.modality in modalities or res[i] in resources
+            resources.add(prev_res)
+            practiced = cur.modality in modalities or cur_res in resources
         else:
-            practiced = prev.modality == cur.modality or res[i - 1] == res[i]
-        base = matrix[res[i - 1]][res[i]]
+            practiced = prev.modality == cur.modality or prev_res == cur_res
+        base = step = matrix[prev_res][cur_res]
         fired = _fired(prev, cur, practiced, rules)
-        step = base + sum(cost for _, cost in fired)
+        for _, cost in fired:
+            step += cost
         breakdowns.append(TransitionBreakdown(
             previous=prev.code, current=cur.code, resource_cost=base,
             fired=fired, total=step,
         ))
         total += step
+        prev, prev_res = cur, cur_res
     return total, tuple(breakdowns)
 
 

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cogseq
 from cogseq.cli import cli
 
 
@@ -129,6 +133,14 @@ class TestSolve:
         ])
         assert result.exit_code == 2
         assert "GROUP=MEMBER" in err_text(result)
+
+    def test_repeated_variant_group_is_usage_error(self, runner):
+        result = runner.invoke(cli, [
+            "solve", "checkin-full", "--variant", "AUTH=AUPS",
+            "--variant", " AUTH =AUPW",
+        ])
+        assert result.exit_code == 2
+        assert "variant group 'AUTH' given twice" in err_text(result)
 
     def test_unknown_option(self, runner):
         result = runner.invoke(cli, ["solve", "checkin-full", "--frobnicate"])
@@ -548,3 +560,29 @@ class TestExportDot:
         assert result.exit_code == 0
         assert "AUTH" not in result.output
         assert '"AUCC"' in result.output
+
+
+class TestImports:
+    def test_solve_loads_no_module_it_does_not_use(self):
+        # Only distance, consensus and the WCSP helpers use these modules,
+        # and only cost-model documents need decimal.
+        src = Path(cogseq.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cogseq.cli", "solve",
+             "checkin-full", "--variant", "AUTH=AUPS", "--k", "3"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("objective: minimize   solutions: 3\n")
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "cogseq.solver" in imported
+        assert not imported & {"cogseq.wcsp", "cogseq.analysis", "decimal"}
+
+    def test_every_exported_name_resolves(self):
+        for name in cogseq.__all__:
+            assert getattr(cogseq, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cogseq.no_such_name

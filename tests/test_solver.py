@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import islice
 
@@ -32,6 +33,7 @@ from cogseq import (
     solve,
 )
 from cogseq.costs import RULE_ORDER, Rule
+from cogseq.model import _precedence
 
 from conftest import (
     MODALITIES,
@@ -350,6 +352,20 @@ class TestThresholdPasses:
         (sol,) = solve(SolveRequest(workflow=wf, model=CostModel.calibrated()))
         assert sol.stats.nodes <= 42
 
+    @pytest.mark.parametrize("objective,k,counts", [
+        (Objective.MINIMIZE, 1, (26, 13)),
+        (Objective.MINIMIZE, 10, (221, 127)),
+        (Objective.MAXIMIZE, 10, (503, 281)),
+    ])
+    def test_checkin_search_counts(self, full_document, objective, k, counts):
+        # Pinned so that a change to the search's loops that alters which
+        # steps it tries, and not only how fast, shows here.
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        solutions = solve(SolveRequest(workflow=wf, model=CostModel.calibrated(),
+                                       objective=objective, k=k))
+        assert len(solutions) == k
+        assert (solutions[0].stats.nodes, solutions[0].stats.prunes) == counts
+
 
 class TestSearchEngine:
     def test_long_chain_needs_no_recursion(self):
@@ -361,6 +377,31 @@ class TestSearchEngine:
             n, preds, pair, [0] * n, 0, False, 1)
         assert solutions == [(0, tuple(range(n)))]
         assert (nodes, prunes) == (n, 0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_ideals_are_the_prerequisite_closed_subsets(self, seed):
+        rng = random.Random(7000 + seed)
+        wf = random_workflow(rng, n_max=9, edge_p=rng.choice((0.0, 0.2, 0.5)),
+                             max_extensions=math.factorial(9))
+        codes = sorted(wf.tasks)
+        n = len(codes)
+        prereqs = [{codes.index(p) for p in wf.tasks[code].prerequisites}
+                   for code in codes]
+
+        def eligible(placed):
+            return [t for t in range(n)
+                    if t not in placed and prereqs[t] <= placed]
+
+        closed = {}
+        for mask in range(1 << n):
+            placed = {t for t in range(n) if mask >> t & 1}
+            if all(prereqs[t] <= placed for t in placed):
+                closed[mask] = eligible(placed)
+        _, preds, _ = _precedence(wf)
+        elig = _search._ideals(n, preds)
+        assert elig == closed
+        sizes = [mask.bit_count() for mask in elig]
+        assert sizes == sorted(sizes)
 
 
 def _random_chain(n: int, seed: int) -> Workflow:
