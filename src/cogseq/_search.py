@@ -17,6 +17,16 @@ followed by one at the smallest bound it cut off.
 An ideal's only name is its bitmask of placed tasks, and the forward pass
 inserts ideals by size, so reverse insertion order puts children first.
 
+Twins (tasks with equal properties, prerequisites and dependents) are
+interchangeable: swapping two of them changes no cost (Freuder 1991, value
+interchangeability).  So the dynamic program places the members of a twin
+class in index order only, by chaining each member to the one before it,
+and a class of c twins takes c + 1 states instead of 2^c.  The depth-first
+passes still place real tasks in any order: each real prefix reads the row
+of its canonical ideal, the one that places as many members of every class,
+lowest indices first, with the class's next member standing for every
+unplaced one.
+
 Tasks are dense indices 0..n-1 in ascending-code order, so index-tuple
 comparison is exactly lexicographic code comparison.  Nothing here recurses,
 so no workflow size can reach the interpreter's recursion limit.
@@ -30,7 +40,8 @@ from operator import add
 from .errors import BudgetExceededError
 
 #: Most order ideals the forward pass may build before giving up: the count
-#: of an 18-task antichain, whose every subset is an ideal.
+#: of an 18-task antichain of distinct tasks, whose every subset is an ideal.
+#: Twin classes are chained first, so this counts canonical ideals.
 MAX_IDEALS = 2 ** 18
 
 
@@ -40,30 +51,45 @@ def search(n: int,
            shares: list[int],
            rp_cost: int,
            maximize: bool,
-           k: int):
+           k: int,
+           twins: tuple[tuple[int, ...], ...]):
     """Find the k extremal linear extensions; returns (solutions, nodes, prunes).
 
     ``preds[t]``: bitmask of direct predecessors.  ``pair[a][b]``: cost of a
     immediately before b, excluding any history-dependent RecentPractice term;
     that term is ``rp_cost`` added whenever an already-placed task is in
     ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
-    adjacent scope).  ``pair[a][b]`` is read only for b that can follow a
-    immediately in some linear extension, and the backward pass reads every
-    such pair before the depth-first search starts.  So a row may price on
-    first read: a dict per row whose ``__missing__`` prices b and stores it
-    will do.  Solutions are (total, index-tuple), best-first, ties
-    lexicographic.  The depth-first search runs in passes with a rising
+    adjacent scope).  ``twins``: classes of two or more interchangeable
+    tasks, each in ascending index; every cost must be symmetric in the
+    members of a class, and ``()`` is always correct.  ``pair[a][b]`` is read
+    only for b that can follow a immediately in some linear extension.  With
+    no twins the backward pass reads every such pair before the depth-first
+    search starts; with twins it reads those of the canonical orderings
+    only, and the depth-first search may read a twin's pair first.  So a row
+    may price on first read: a dict per row whose ``__missing__`` prices b
+    and stores it will do.  Solutions are (total, index-tuple), best-first,
+    ties lexicographic.  The depth-first search runs in passes with a rising
     threshold: a pass expands only steps whose exact best completion is
     within it, and the next pass starts from the smallest bound the last
     one cut off, until k orderings are collected or none are left.
     ``nodes`` and ``prunes`` count depth-first steps tried and cut off over
     all passes, not order ideals.  Raises :class:`BudgetExceededError`
-    when the order has more than ``MAX_IDEALS`` ideals.
+    when the order has more than ``MAX_IDEALS`` canonical ideals.
     """
     if n == 0:
         return [(0, ())], 0, 0
+    if twins:
+        # Each member after the first waits for the one before it, in the
+        # tables only.
+        preds = preds[:]
+        for members in twins:
+            for prev, t in zip(members, members[1:]):
+                preds[t] |= 1 << prev
     elig = _ideals(n, preds)
     go = _cost_to_go(pair, shares, rp_cost, maximize, elig)
+    if twins:
+        elig = _RealRows(n, twins, elig, go)
+        go = elig.go
     return _top_k(n, pair, shares, rp_cost, maximize, k, elig, go)
 
 
@@ -134,6 +160,63 @@ def _cost_to_go(pair, shares, rp_cost, maximize, elig):
             row.append(rest)
         go[placed] = row
     return go
+
+
+class _RealRows(dict):
+    """``elig`` of the real prefixes, built on first read from the
+    canonical tables; building one also fills its row of ``go``.
+
+    A real prefix's canonical ideal places as many members of each class,
+    the lowest first.  Its row names one member of each eligible class, and
+    every unplaced member of that class is eligible in the real prefix and
+    finishes at the same cost.  The depth-first search reads a prefix's
+    ``elig`` row before its ``go`` row, and rows are kept for later passes.
+    """
+
+    __slots__ = ("go", "_elig", "_go", "_classmask", "_twinned", "_firsts")
+
+    def __init__(self, n, twins, elig, go):
+        classmask = [1 << t for t in range(n)]
+        twinned = 0
+        # (class mask, masks of its first 0, 1, ..., c members)
+        firsts = []
+        for members in twins:
+            prefixes = [0]
+            for t in members:
+                prefixes.append(prefixes[-1] | 1 << t)
+            mask = prefixes[-1]
+            for t in members:
+                classmask[t] = mask
+            twinned |= mask
+            firsts.append((mask, prefixes))
+        # A plain dict of tuples: a finished search leaves no reference
+        # cycle for the garbage collector.
+        self.go: dict[int, tuple[int, ...]] = {}
+        self._elig = elig
+        self._go = go
+        self._classmask = classmask
+        self._twinned = twinned
+        self._firsts = firsts
+        # The search reads the root's go row first, for its first threshold.
+        self[0]
+
+    def __missing__(self, placed: int) -> tuple[int, ...]:
+        canonical = placed & ~self._twinned
+        for mask, prefixes in self._firsts:
+            canonical |= prefixes[(placed & mask).bit_count()]
+        classmask = self._classmask
+        steps = []
+        for u, rest in zip(self._elig[canonical], self._go[canonical]):
+            free = classmask[u] & ~placed
+            while free:
+                low = free & -free
+                steps.append((low.bit_length() - 1, rest))
+                free ^= low
+        steps.sort()
+        # The search reads only prefixes with a task left to place.
+        tasks, self.go[placed] = zip(*steps)
+        self[placed] = tasks
+        return tasks
 
 
 def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):

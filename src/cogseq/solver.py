@@ -120,12 +120,13 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
     ascending code order, so index tuples compare exactly like code
     sequences.  Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the
     first time the search reads it.  The search reads only the b that can
-    follow a immediately in some linear extension, so those transitions are
-    the only ones priced, each once.  Under full-history scope the
+    follow a immediately in some linear extension, so only those
+    transitions are priced, each once.  Under full-history scope the
     history-dependent RecentPractice term is lifted out of the pair rows
-    into (shares, rp_cost); otherwise it stays folded into them.
+    into (shares, rp_cost); otherwise it stays folded into them.  ``twins``
+    are the classes of interchangeable tasks (:func:`_twin_classes`).
     """
-    codes, preds, _ = _precedence(workflow)
+    codes, preds, succ = _precedence(workflow)
     tasks = [workflow.tasks[code] for code in codes]
     n = len(codes)
 
@@ -149,7 +150,49 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
 
     price = _pair_pricer(tasks, base_model)
     pair = [_PairRow(a, price) for a in range(n)]
-    return codes, preds, pair, shares, rp_cost
+    return codes, preds, pair, shares, rp_cost, _twin_classes(tasks, preds,
+                                                             succ)
+
+
+def _twin_classes(tasks: list[Task], preds: list[int],
+                  succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Classes of two or more twins, each ascending, ordered by first index.
+
+    Twins have equal resource, modality, voluntary flag, familiarity and
+    complexity, the same prerequisites and the same dependents, so every
+    cost is symmetric in them.  Only tasks with equal prerequisite masks
+    are compared, field by field, so no task's profile is hashed.
+    """
+    # Two tasks with equal masks are two roots or share a prerequisite, so
+    # with one root and no task with two dependents (a chain) all differ.
+    if preds.count(0) < 2 and max(map(len, succ), default=0) < 2:
+        return ()
+    by_preds: dict[int, list[int]] = {}
+    for t, mask in enumerate(preds):
+        by_preds.setdefault(mask, []).append(t)
+    classes = []
+    for members in by_preds.values():
+        if len(members) < 2:
+            continue
+        found: list[list[int]] = []
+        for t in members:
+            a = tasks[t]
+            for cls in found:
+                b = tasks[cls[0]]
+                # Dependents lists are built in one order, so equal sets
+                # are equal lists.
+                if (a.resource is b.resource and a.modality == b.modality
+                        and a.voluntary == b.voluntary
+                        and a.familiarity == b.familiarity
+                        and a.complexity == b.complexity
+                        and succ[t] == succ[cls[0]]):
+                    cls.append(t)
+                    break
+            else:
+                found.append([t])
+        classes.extend(tuple(cls) for cls in found if len(cls) > 1)
+    classes.sort()
+    return tuple(classes)
 
 
 def _pair_pricer(tasks: list[Task], model: CostModel):
@@ -229,15 +272,16 @@ def solve(request: SolveRequest) -> list[Solution]:
 
     Deterministic: ties are broken by lexicographically smallest code
     sequence.  Raises :class:`BudgetExceededError` when the workflow has
-    more than ``_search.MAX_IDEALS`` order ideals.
+    more than ``_search.MAX_IDEALS`` order ideals once twins are chained.
     """
     workflow, model = request.workflow, request.model
     _checked(workflow, "solve")
     start = perf_counter()
-    codes, preds, pair, shares, rp_cost = _kernel_inputs(workflow, model)
+    codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(workflow,
+                                                                model)
     solutions, nodes, prunes = _backend.search(
         len(codes), preds, pair, shares, rp_cost,
-        request.objective is Objective.MAXIMIZE, request.k)
+        request.objective is Objective.MAXIMIZE, request.k, twins)
     stats = SearchStats(nodes=nodes, prunes=prunes,
                         elapsed=perf_counter() - start)
     return [

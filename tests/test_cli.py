@@ -176,9 +176,10 @@ class TestSolve:
     def test_search_budget_is_domain_error(self, runner, tmp_path,
                                            monkeypatch):
         monkeypatch.setattr("cogseq._search.MAX_IDEALS", 100)
+        # Distinct modalities: identical tasks would be twins, 11 ideals.
         doc = {"tasks": [
             {"code": f"T{i}", "name": f"T{i}", "resource": "VWM",
-             "modality": "t", "voluntary": False, "familiarity": 3,
+             "modality": f"m{i}", "voluntary": False, "familiarity": 3,
              "complexity": 3}
             for i in range(10)
         ]}

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from dataclasses import replace
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,155 @@ class TestBackendAgreement:
         assert high.total == max(totals)
 
 
+def _add_copies(wf: Workflow, original: str, codes) -> Workflow:
+    """``wf`` plus exact copies of ``original`` under ``codes``: the same
+    properties and prerequisites, and each of its dependents made to depend
+    on every copy."""
+    tasks = dict(wf.tasks)
+    for code in codes:
+        tasks[code] = replace(tasks[original], code=code, name=code)
+    for code, task in tasks.items():
+        if original in task.prerequisites:
+            tasks[code] = replace(task,
+                                  prerequisites=task.prerequisites | set(codes))
+    return Workflow.from_tasks(tasks.values())
+
+
+def _with_copies(wf: Workflow, rng: random.Random) -> Workflow:
+    original = rng.choice(sorted(wf.tasks))
+    return _add_copies(wf, original,
+                       [f"C{j}" for j in range(rng.randint(1, 2))])
+
+
+def _ancestors(wf: Workflow, code: str) -> set[str]:
+    found: set[str] = set()
+    todo = list(wf.tasks[code].prerequisites)
+    while todo:
+        pre = todo.pop()
+        if pre not in found:
+            found.add(pre)
+            todo.extend(wf.tasks[pre].prerequisites)
+    return found
+
+
+#: What tells a near-twin from its original: one property, or one dependent.
+NEAR_KINDS = ("resource", "modality", "voluntary", "familiarity",
+              "complexity", "dependent")
+
+
+@st.composite
+def twin_workflows(draw):
+    """(workflow, original, copies, near): a random workflow of 1-4 tasks
+    plus 1-2 exact copies of its task ``original``, and with ``near`` not
+    None a copy that differs from it in one property or one dependent.
+    Codes are shuffled, so twins sit anywhere in index order."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from((None,) + NEAR_KINDS))
+    n_copies = draw(st.integers(1, min(2, 6 - n - (kind is not None))))
+    labels = draw(st.permutations("ABCDEFG"))
+    tasks = [simple_task(
+        labels[i], resource=draw(st.sampled_from(list(Resource))),
+        modality=draw(st.sampled_from(MODALITIES[:2])),
+        voluntary=draw(st.booleans()), familiarity=draw(st.integers(1, 5)),
+        complexity=draw(st.integers(1, 5)),
+        prerequisites=[labels[j] for j in range(i) if draw(st.booleans())])
+        for i in range(n)]
+    original = labels[draw(st.integers(0, n - 1))]
+    copies = labels[n:n + n_copies]
+    wf = _add_copies(Workflow.from_tasks(tasks), original, copies)
+    if kind is None:
+        return wf, original, copies, None
+    near = labels[n + n_copies]
+    wf = _add_copies(wf, original, [near])
+    tasks = dict(wf.tasks)
+    task = tasks[near]
+    if kind == "dependent":
+        dependents = sorted(c for c, t in tasks.items()
+                            if near in t.prerequisites)
+        # A new dependent must not lead back to the near-twin's
+        # prerequisites.
+        others = sorted(set(tasks) - set(dependents) - {original, near}
+                        - set(copies) - _ancestors(wf, original))
+        if dependents and (not others or draw(st.booleans())):
+            code = draw(st.sampled_from(dependents))
+            tasks[code] = replace(
+                tasks[code], prerequisites=tasks[code].prerequisites - {near})
+        elif others:
+            code = draw(st.sampled_from(others))
+            tasks[code] = replace(
+                tasks[code], prerequisites=tasks[code].prerequisites | {near})
+        else:
+            kind = "familiarity"
+    if kind == "resource":
+        task = replace(task, resource=draw(st.sampled_from(
+            [r for r in Resource if r is not task.resource])))
+    elif kind == "modality":
+        task = replace(task, modality="speech")
+    elif kind == "voluntary":
+        task = replace(task, voluntary=not task.voluntary)
+    elif kind in ("familiarity", "complexity"):
+        value = getattr(task, kind)
+        task = replace(task, **{kind: draw(st.sampled_from(
+            [v for v in range(1, 6) if v != value]))})
+    tasks[near] = task
+    return Workflow.from_tasks(tasks.values()), original, copies, near
+
+
+def _expected_twins(wf: Workflow) -> list[tuple[str, ...]]:
+    """Oracle: codes grouped by properties, prerequisites and dependents."""
+    groups: dict[tuple, list[str]] = {}
+    for code in sorted(wf.tasks):
+        task = wf.tasks[code]
+        dependents = frozenset(c for c, t in wf.tasks.items()
+                               if code in t.prerequisites)
+        groups.setdefault((task.resource, task.modality, task.voluntary,
+                           task.familiarity, task.complexity,
+                           task.prerequisites, dependents), []).append(code)
+    return sorted(tuple(g) for g in groups.values() if len(g) > 1)
+
+
+class TestTwins:
+    """Interchangeable tasks share one state of the dynamic program."""
+
+    FUZZ_MODELS = (*MODELS, CostModel(rules={}))
+
+    def test_checkin_seat_steps_are_twins(self, full_document):
+        for member in sorted(full_document.workflow.variant_groups[0].members):
+            wf = instantiate_variant(full_document.workflow, "AUTH", member)
+            codes, *_, twins = solver._kernel_inputs(wf, CostModel())
+            assert [tuple(codes[t] for t in c) for c in twins] == [
+                ("STSO", "STSR")]
+
+    def test_chain_has_no_twins(self):
+        *_, twins = solver._kernel_inputs(_random_chain(70, seed=4),
+                                          CostModel())
+        assert twins == ()
+
+    @given(case=twin_workflows())
+    @settings(max_examples=120, deadline=None)
+    def test_top_k_lists_match_oracle(self, case):
+        wf, original, copies, near = case
+        for model in self.FUZZ_MODELS:
+            codes, preds, pair, shares, rp_cost, twins = (
+                solver._kernel_inputs(wf, model))
+            named = [tuple(codes[t] for t in c) for c in twins]
+            assert named == _expected_twins(wf)
+            (mine,) = [c for c in named if original in c]
+            assert set(copies) <= set(mine) and near not in mine
+            for maximize in (False, True):
+                oracle = reference_top_k(wf, model, maximize, 7)
+                for k in (1, 3, 7):
+                    found = solve(SolveRequest(
+                        workflow=wf, model=model, k=k,
+                        objective=(Objective.MAXIMIZE if maximize
+                                   else Objective.MINIMIZE)))
+                    assert _totals(found) == oracle[:k]
+                    args = (len(codes), preds, pair, shares, rp_cost,
+                            maximize, k)
+                    assert (_search.search(*args, twins)
+                            == _search.search(*args, ()))
+
+
 class TestBudget:
     def test_exhaustive_budget_is_enforced(self):
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
@@ -279,12 +429,27 @@ class TestBudget:
         assert len(sol.ordering) == 11
 
     def test_bnb_ideal_budget_is_enforced(self, monkeypatch):
+        # Ten unordered tasks of distinct profiles: no twins, so 1024 ideals.
         monkeypatch.setattr("cogseq._search.MAX_IDEALS", 100)
-        wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(10)])
+        wf = Workflow.from_tasks([simple_task(f"T{i:02d}", modality=f"m{i}")
+                                  for i in range(10)])
         with pytest.raises(BudgetExceededError) as err:
             solve(SolveRequest(workflow=wf))
         assert (err.value.count, err.value.budget) == (101, 100)
         assert "101 order ideals" in str(err.value)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_identical_tasks_solve_past_eighteen(self, objective):
+        # Thirty unordered twins form one class of 31 canonical ideals, far
+        # under the cap that 2**30 plain ideals would pass.  Every ordering
+        # costs the same, so the top k are the first k in code order.
+        wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(30)])
+        model = CostModel(recent_practice_scope=Scope.FULL_HISTORY)
+        solutions = solve(SolveRequest(workflow=wf, model=model,
+                                       objective=objective, k=5))
+        expected = list(islice(permutations(sorted(wf.tasks)), 5))
+        assert [sol.ordering for sol in solutions] == expected
+        assert len({sol.total for sol in solutions}) == 1
 
 
 class TestThresholdPasses:
@@ -374,7 +539,7 @@ class TestSearchEngine:
         preds = [0] + [1 << (i - 1) for i in range(1, n)]
         pair = [[0] * n for _ in range(n)]
         solutions, nodes, prunes = _search.search(
-            n, preds, pair, [0] * n, 0, False, 1)
+            n, preds, pair, [0] * n, 0, False, 1, ())
         assert solutions == [(0, tuple(range(n)))]
         assert (nodes, prunes) == (n, 0)
 
@@ -423,9 +588,11 @@ def _priced_pairs(pair) -> set[tuple[int, int]]:
 
 def _searched_inputs(wf, model, maximize=False, k=1):
     """``_kernel_inputs`` after a search has read (and so priced) its rows."""
-    codes, preds, pair, shares, rp_cost = solver._kernel_inputs(wf, model)
-    _search.search(len(codes), preds, pair, shares, rp_cost, maximize, k)
-    return codes, preds, pair, shares, rp_cost
+    inputs = solver._kernel_inputs(wf, model)
+    codes, preds, pair, shares, rp_cost, twins = inputs
+    _search.search(len(codes), preds, pair, shares, rp_cost, maximize, k,
+                   twins)
+    return inputs
 
 
 tasks_strategy = st.lists(
@@ -490,7 +657,7 @@ class TestPairPricer:
         # Full history lifts RecentPractice out of the rows into shares.
         wf = random_workflow(random.Random(71), n_min=7, n_max=7)
         tasks = [wf.tasks[code] for code in wf.codes()]
-        codes, _, pair, shares, rp_cost = _searched_inputs(wf, model)
+        codes, _, pair, shares, rp_cost, _ = _searched_inputs(wf, model)
         assert _priced_pairs(pair)
         lifted = model.recent_practice_scope is Scope.FULL_HISTORY
         base = model.without_rule(Rule.RECENT_PRACTICE) if lifted else model
@@ -504,22 +671,43 @@ class TestPairPricer:
             assert shares[j] == (alike if lifted else 0)
         assert rp_cost == (310 if lifted else 0)
 
-    @pytest.mark.parametrize("seed", range(200))
-    def test_priced_pairs_are_the_adjacent_ones(self, seed):
-        wf = random_workflow(random.Random(8000 + seed), n_max=7,
-                             edge_p=(0.1, 0.35, 0.6)[seed % 3])
+    @staticmethod
+    def _adjacent_pairs(wf) -> set[tuple[int, int]]:
         index = {code: i for i, code in enumerate(wf.codes())}
-        adjacent = {
+        return {
             (index[ordering[i]], index[ordering[i + 1]])
             for ordering in enumerate_linear_extensions(wf)
             for i in range(len(ordering) - 1)
         }
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_priced_pairs_are_the_adjacent_ones(self, seed):
+        # Without twins the backward pass reads every adjacent pair.
+        wf = random_workflow(random.Random(8000 + seed), n_max=7,
+                             edge_p=(0.1, 0.35, 0.6)[seed % 3])
+        adjacent = self._adjacent_pairs(wf)
         for model in MODELS:
             for maximize in (False, True):
                 for k in (1, 4):
-                    _, _, pair, _, _ = _searched_inputs(wf, model,
-                                                        maximize, k)
+                    *_, pair, _, _, twins = _searched_inputs(wf, model,
+                                                             maximize, k)
+                    assert twins == ()
                     assert _priced_pairs(pair) == adjacent
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_twins_price_only_adjacent_pairs(self, seed):
+        # With twins the tables read the canonical orderings' pairs, and the
+        # depth-first passes price a twin's pair on first read: a subset.
+        rng = random.Random(8500 + seed)
+        wf = _with_copies(random_workflow(rng, n_max=5), rng)
+        adjacent = self._adjacent_pairs(wf)
+        for model in MODELS:
+            for maximize in (False, True):
+                for k in (1, 4):
+                    *_, pair, _, _, twins = _searched_inputs(wf, model,
+                                                             maximize, k)
+                    assert twins
+                    assert _priced_pairs(pair) <= adjacent
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_start_empty_and_price_each_pair_once(self, monkeypatch,
@@ -541,11 +729,11 @@ class TestPairPricer:
         for model in MODELS:
             for maximize in (False, True):
                 calls.clear()
-                codes, preds, pair, shares, rp_cost = solver._kernel_inputs(
-                    wf, model)
+                codes, preds, pair, shares, rp_cost, twins = (
+                    solver._kernel_inputs(wf, model))
                 assert not calls and not any(pair)
                 _search.search(len(codes), preds, pair, shares, rp_cost,
-                               maximize, 4)
+                               maximize, 4, twins)
                 assert len(calls) == len(set(calls))
                 assert set(calls) == _priced_pairs(pair)
 
@@ -567,7 +755,7 @@ class TestPairPricer:
         monkeypatch.setattr("cogseq.solver._kernel_inputs", recording)
         monkeypatch.setattr("cogseq.solver.pair_cost", refuse)
         (sol,) = solve(SolveRequest(workflow=wf, model=model))
-        [(_, _, pair, _, _)] = built
+        [(_, _, pair, _, _, _)] = built
         assert _priced_pairs(pair) == {(i, i + 1) for i in range(n - 1)}
         monkeypatch.undo()
         oracle = brute_force(wf, model)
@@ -609,7 +797,8 @@ class TestInternalConsistency:
             simple_task("B", prerequisites=("A",)),
         ])
 
-        def lying_kernel(n, preds, pair, shares, rp_cost, maximize, k):
+        def lying_kernel(n, preds, pair, shares, rp_cost, maximize, k,
+                         twins):
             return [(999_999, (0, 1))], 1, 0
 
         monkeypatch.setattr("cogseq._backend.search", lying_kernel)
