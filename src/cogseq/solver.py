@@ -210,8 +210,9 @@ def _pair_pricer(tasks: list[Task], model: CostModel):
     fam = [task.familiarity for task in tasks]
     cx = [task.complexity for task in tasks]
     # The complexity-drop rule that fires on entering each task.
-    drop = [costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP if task.voluntary
-                      else Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
+    voluntary_drop = costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP, 0)
+    involuntary_drop = costs.get(Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
+    drop = [voluntary_drop if task.voluntary else involuntary_drop
             for task in tasks]
 
     def price(a: int, b: int) -> int:
@@ -285,7 +286,8 @@ def solve(request: SolveRequest) -> list[Solution]:
     stats = SearchStats(nodes=nodes, prunes=prunes,
                         elapsed=perf_counter() - start)
     return [
-        _finish(workflow, model, tuple(codes[i] for i in seq), total, stats)
+        _finish(workflow, model, tuple(map(codes.__getitem__, seq)), total,
+                stats)
         for total, seq in solutions
     ]
 

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_io import FUZZ_WORKFLOW, json_paths, json_values, substituted
 
 import cogseq
 from cogseq.cli import cli
@@ -587,3 +590,34 @@ class TestImports:
             assert getattr(cogseq, name) is not None, name
         with pytest.raises(AttributeError, match="no_such_name"):
             cogseq.no_such_name
+
+
+class TestCliFuzz:
+    """A workflow document with any JSON value at any path ends every
+    command with exit 0, 1 or 2, never with a traceback."""
+
+    @given(path=st.sampled_from(list(json_paths(FUZZ_WORKFLOW))),
+           value=json_values,
+           variant=st.sampled_from([(), ("--variant", "G=C"),
+                                    ("--variant", "G=D")]),
+           by_name=st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_no_traceback(self, runner, tmp_path, path, value, variant,
+                          by_name):
+        document = substituted(FUZZ_WORKFLOW, path, value)
+        doc = tmp_path / "fuzzed.json"
+        doc.write_text(json.dumps(document), encoding="utf-8")
+        tasks = document.get("tasks") if isinstance(document, dict) else None
+        codes = [task.get("code") for task in tasks if isinstance(task, dict)
+                 ] if isinstance(tasks, list) else []
+        # The known ordering "ref", or the document's own task codes.
+        ordering = "ref" if by_name else " ".join(
+            code for code in codes if isinstance(code, str)) or "A"
+        for args in (["validate", str(doc)],
+                     ["solve", str(doc), *variant, "--format", "json"],
+                     ["explain", str(doc), *variant, "--ordering", ordering]):
+            result = runner.invoke(cli, args)
+            assert result.exit_code in (0, 1, 2), (args, result.output)
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), (args, result.exc_info)

@@ -20,6 +20,7 @@ from cogseq import (
     Resource,
     Rule,
     Scope,
+    TransitionBreakdown,
     Workflow,
     fired_rules,
     pair_cost,
@@ -415,3 +416,40 @@ class TestSequenceCost:
         wf2 = Workflow.from_tasks([a2, b2])
         assert sequence_cost(("A", "B"), wf1, model)[0] == \
             sequence_cost(("A", "B"), wf2, model)[0] == 433
+
+
+class TestTransitionBreakdown:
+    """The record ``sequence_cost`` and ``transition_cost`` return."""
+
+    @pytest.fixture()
+    def aups(self, full_document):
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        ordering = full_document.known_orderings["paper_optimal_aups"]
+        return wf, ordering, CostModel.calibrated()
+
+    def test_fields_are_read_only(self, aups):
+        wf, ordering, model = aups
+        step = sequence_cost(ordering, wf, model)[1][0]
+        for name in TransitionBreakdown._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, 0)
+
+    def test_field_order(self):
+        assert TransitionBreakdown._fields == (
+            "previous", "current", "resource_cost", "fired", "total")
+
+    def test_repr(self, aups):
+        wf, ordering, model = aups
+        step = sequence_cost(ordering, wf, model)[1][0]
+        assert repr(step) == (
+            "TransitionBreakdown(previous='LANG', current='AIRL', "
+            "resource_cost=433, fired=(), total=433)")
+
+    def test_both_builders_agree(self, aups):
+        wf, ordering, model = aups
+        tasks = [wf.tasks[code] for code in ordering]
+        _, steps = sequence_cost(ordering, wf, model)
+        for i, step in enumerate(steps, start=1):
+            single = transition_cost(tasks[i - 1], tasks[i], tasks[:i], model)
+            assert step == single
+            assert hash(step) == hash(single)

@@ -32,6 +32,7 @@ from cogseq import (
     pair_cost,
     sequence_cost,
     solve,
+    transition_cost,
 )
 from cogseq.costs import RULE_ORDER, Rule
 from cogseq.model import _precedence
@@ -804,6 +805,34 @@ class TestInternalConsistency:
         monkeypatch.setattr("cogseq._backend.search", lying_kernel)
         with pytest.raises(CogseqError, match="internal error"):
             solve(SolveRequest(workflow=wf))
+
+
+class TestSolutionBreakdowns:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_breakdowns_match_per_step_definition(self, seed):
+        # The oracles compare totals and orderings; this checks the terms.
+        rng = random.Random(7000 + seed)
+        wf = random_workflow(rng, n_max=7)
+        models = (
+            CostModel.calibrated(),
+            CostModel(),
+            CostModel(recent_practice_scope=Scope.FULL_HISTORY),
+            CostModel(rules={}),
+            random_model(rng),
+            random_model(rng, scope=Scope.FULL_HISTORY),
+        )
+        for model in models:
+            for objective in Objective:
+                for k in (1, 3):
+                    for sol in solve(SolveRequest(workflow=wf, model=model,
+                                                  objective=objective, k=k)):
+                        tasks = [wf.tasks[code] for code in sol.ordering]
+                        assert sol.breakdowns == tuple(
+                            transition_cost(tasks[i - 1], tasks[i],
+                                            tasks[:i], model)
+                            for i in range(1, len(tasks)))
+                        assert sum(b.total for b in sol.breakdowns) \
+                            == sol.total
 
 
 def _solve_request(workflow):
