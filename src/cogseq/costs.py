@@ -120,11 +120,6 @@ class Rule(enum.Enum):
 #: Canonical evaluation and reporting order for rules: declaration order.
 RULE_ORDER: tuple[Rule, ...] = tuple(Rule)
 
-# The rules as module globals for ``_fired``, which runs once per priced
-# transition: reading a member off an Enum class costs about ten times as
-# much as reading a global.
-_MODALITY, _RECENT_PRACTICE, _FAMILIARITY, _VOLUNTARY_DROP = RULE_ORDER[:4]
-
 
 class Scope(enum.Enum):
     """How far back the RecentPractice rule looks."""
@@ -304,32 +299,41 @@ def fired_rules(prev: Task, cur: Task, history: Sequence[Task],
         earlier.modality == cur.modality or earlier.resource is cur.resource
         for earlier in scope
     )
-    return _fired(prev, cur, practiced, model.rules)
+    return _fired(prev, cur, practiced, _rule_pairs(model))
+
+
+def _rule_pairs(model: CostModel) -> tuple[tuple[Rule, int] | None, ...]:
+    """Each rule's (rule, cost) pair in :data:`RULE_ORDER`, None if withheld."""
+    pairs: dict[Rule, tuple[Rule, int] | None] = dict.fromkeys(RULE_ORDER)
+    for pair in model.rules:
+        pairs[pair[0]] = pair
+    return tuple(pairs.values())
 
 
 def _fired(prev: Task, cur: Task, practiced: bool,
-           rule_costs: tuple[tuple[Rule, int], ...]
+           rules: tuple[tuple[Rule, int] | None, ...]
            ) -> tuple[tuple[Rule, int], ...]:
-    """The rules of ``rule_costs`` that fire for prev -> cur.
+    """The rules that fire for prev -> cur, in :data:`RULE_ORDER`.
 
+    ``rules`` is :func:`_rule_pairs` of the model, read once by the caller:
+    a present rule's pair is what its firing adds to the result.
     ``practiced`` says whether RecentPractice's window holds a task sharing
     cur's modality or resource, which is all that rule needs of the history.
     """
-    fired: list[tuple[Rule, int]] = []
-    for rule, cost in rule_costs:
-        if rule is _MODALITY:
-            hit = prev.resource is cur.resource and prev.modality != cur.modality
-        elif rule is _RECENT_PRACTICE:
-            hit = practiced
-        elif rule is _FAMILIARITY:
-            hit = cur.familiarity > prev.familiarity
-        elif rule is _VOLUNTARY_DROP:
-            hit = cur.voluntary and cur.complexity < prev.complexity
-        else:
-            hit = not cur.voluntary and cur.complexity < prev.complexity
-        if hit:
-            fired.append((rule, cost))
-    return tuple(fired)
+    modality, recent, familiarity, voluntary_drop, involuntary_drop = rules
+    fired: tuple[tuple[Rule, int], ...] = ()
+    if (modality and prev.resource is cur.resource
+            and prev.modality != cur.modality):
+        fired += (modality,)
+    if recent and practiced:
+        fired += (recent,)
+    if familiarity and cur.familiarity > prev.familiarity:
+        fired += (familiarity,)
+    if cur.complexity < prev.complexity:
+        drop = voluntary_drop if cur.voluntary else involuntary_drop
+        if drop:
+            fired += (drop,)
+    return fired
 
 
 def transition_cost(prev: Task, cur: Task, history: Sequence[Task],
@@ -349,7 +353,8 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
     ``transition_cost(tasks[i - 1], tasks[i], tasks[:i], model)``, computed
     in one pass that is linear in the length of the ordering: full-history
     RecentPractice reads running sets of the modalities and resources
-    placed so far instead of rescanning the prefix.
+    placed so far instead of rescanning the prefix.  The rule costs are read
+    from the model once per call, not once per transition.
     """
     problem = extension_violation(ordering, workflow)
     if problem is not None:
@@ -357,11 +362,13 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
     if not ordering:
         return 0, ()
     tasks = workflow.tasks
-    matrix, rules = model.matrix, model.rules
+    matrix, rules = model.matrix, _rule_pairs(model)
     full_history = model.recent_practice_scope is Scope.FULL_HISTORY
     modalities: set[str] = set()
     resources: set[int] = set()
     breakdowns: list[TransitionBreakdown] = []
+    # What the named tuple's own constructor calls, minus a Python frame.
+    new_breakdown = tuple.__new__
     total = 0
     codes = iter(ordering)
     prev = tasks[next(codes)]
@@ -379,8 +386,8 @@ def sequence_cost(ordering: Ordering | Sequence[str], workflow: Workflow,
         fired = _fired(prev, cur, practiced, rules)
         for _, cost in fired:
             step += cost
-        breakdowns.append(TransitionBreakdown(prev.code, cur.code, base,
-                                              fired, step))
+        breakdowns.append(new_breakdown(
+            TransitionBreakdown, (prev.code, cur.code, base, fired, step)))
         total += step
         prev, prev_res = cur, cur_res
     return total, tuple(breakdowns)

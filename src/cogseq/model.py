@@ -157,13 +157,24 @@ class ValidationReport:
 
 
 def validate_workflow(workflow: Workflow) -> ValidationReport:
-    """Check every structural invariant; violations are data, not failures."""
+    """Check every structural invariant; violations are data, not failures.
+
+    One sort of the node set (task codes and group codes), then linear
+    work: the nodes are visited once in that order, and each appends itself
+    to the successor lists of its prerequisites (and a group to those of its
+    members), so every list is built already ascending.  Prerequisite sets
+    are not sorted; only the faulty prerequisites a task has are.
+    Violations come group by group, then task by task in code order (each
+    task's prerequisite findings by prerequisite code), then the one cycle
+    that :func:`_find_cycle` picks.
+    """
     found: list[Violation] = []
     tasks = workflow.tasks
-    group_codes = {g.code for g in workflow.variant_groups}
+    groups: dict[str, list[VariantGroup]] = {}
     member_of: dict[str, str] = {}
 
     for grp in workflow.variant_groups:
+        groups.setdefault(grp.code, []).append(grp)
         if grp.code in tasks:
             found.append(Violation(
                 "group-code-collision",
@@ -174,46 +185,46 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
             found.append(Violation(
                 "empty-group", f"variant group {grp.code!r} has no members", (grp.code,),
             ))
-        for member in sorted(grp.members):
-            if member not in tasks:
-                found.append(Violation(
-                    "unknown-member",
-                    f"variant group {grp.code!r} lists unknown member {member!r}",
-                    (grp.code, member),
-                ))
+        for member in sorted(grp.members.difference(tasks)):
+            found.append(Violation(
+                "unknown-member",
+                f"variant group {grp.code!r} lists unknown member {member!r}",
+                (grp.code, member),
+            ))
+        for member in grp.members:
             member_of[member] = grp.code
 
-    for code in workflow.codes():
-        task = tasks[code]
-        for prop, value in (("familiarity", task.familiarity),
-                            ("complexity", task.complexity)):
-            if not 1 <= value <= 5:
-                found.append(Violation(
-                    "out-of-range",
-                    f"task {code!r} has {prop}={value}, outside [1, 5]",
-                    (code,),
-                ))
-        for pre in sorted(task.prerequisites):
-            if pre == code:
-                found.append(Violation(
-                    "self-prerequisite", f"task {code!r} lists itself as a prerequisite",
-                    (code,),
-                ))
-            elif pre not in tasks and pre not in group_codes:
-                found.append(Violation(
-                    "unknown-prerequisite",
-                    f"task {code!r} requires unknown code {pre!r}",
-                    (code, pre),
-                ))
-            elif pre in member_of:
-                found.append(Violation(
-                    "direct-member-reference",
-                    f"task {code!r} requires {pre!r} directly; use its group "
-                    f"{member_of[pre]!r} instead",
-                    (code, pre),
-                ))
+    nodes = sorted(tasks.keys() | groups.keys())
+    index = {code: i for i, code in enumerate(nodes)}
+    succ: list[list[int]] = [[] for _ in nodes]
+    faulty: list[str] = []  # the prerequisites of this task to report
+    for i, code in enumerate(nodes):
+        task = tasks.get(code)
+        if task is not None:
+            if not 1 <= task.familiarity <= 5:
+                found.append(_out_of_range(code, "familiarity",
+                                           task.familiarity))
+            if not 1 <= task.complexity <= 5:
+                found.append(_out_of_range(code, "complexity",
+                                           task.complexity))
+            for pre in task.prerequisites:
+                j = index.get(pre)
+                if j is None or j == i or pre in member_of:
+                    faulty.append(pre)
+                if j is not None:
+                    succ[j].append(i)
+            if faulty:
+                faulty.sort()
+                found.extend(_prerequisite_fault(code, pre, index, member_of)
+                             for pre in faulty)
+                faulty.clear()
+        for grp in groups.get(code, ()):
+            for member in grp.members:
+                j = index.get(member)
+                if j is not None:
+                    succ[j].append(i)
 
-    cycle = _find_cycle(workflow)
+    cycle = _find_cycle(nodes, succ)
     if cycle:
         found.append(Violation(
             "cycle",
@@ -223,44 +234,69 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-def _find_cycle(workflow: Workflow) -> tuple[str, ...] | None:
+def _out_of_range(code: str, prop: str, value: int) -> Violation:
+    return Violation("out-of-range",
+                     f"task {code!r} has {prop}={value}, outside [1, 5]",
+                     (code,))
+
+
+def _prerequisite_fault(code: str, pre: str, index: Mapping[str, int],
+                        member_of: Mapping[str, str]) -> Violation:
+    """The violation of task ``code`` naming ``pre``: itself, a code that is
+    neither a task nor a group, or a group member named directly."""
+    if pre == code:
+        return Violation(
+            "self-prerequisite", f"task {code!r} lists itself as a prerequisite",
+            (code,),
+        )
+    if pre not in index:
+        return Violation(
+            "unknown-prerequisite",
+            f"task {code!r} requires unknown code {pre!r}",
+            (code, pre),
+        )
+    return Violation(
+        "direct-member-reference",
+        f"task {code!r} requires {pre!r} directly; use its group "
+        f"{member_of[pre]!r} instead",
+        (code, pre),
+    )
+
+
+def _find_cycle(nodes: list[str], succ: list[list[int]]
+                ) -> tuple[str, ...] | None:
     """Find one precedence cycle, if any, over tasks and group codes.
 
-    Group resolution is modelled conservatively by adding member -> group
-    edges: a cycle here exists iff some single choice of members yields a
-    cyclic concrete workflow (a simple cycle passes through a group node at
-    most once, entering via exactly one member).
+    ``nodes`` are the codes in ascending order and ``succ[i]`` the indices
+    of node i's successors, ascending, so the search is linear in the size
+    of the graph.  Group resolution is modelled conservatively by member ->
+    group edges: a cycle here exists iff some single choice of members
+    yields a cyclic concrete workflow (a simple cycle passes through a group
+    node at most once, entering via exactly one member).  The depth-first
+    search starts from each unvisited node in code order and tries
+    successors in code order; the first back edge it meets picks the cycle
+    that is reported.
     """
-    succ: dict[str, list[str]] = {}
-    nodes = set(workflow.tasks) | {g.code for g in workflow.variant_groups}
-    for code, task in workflow.tasks.items():
-        for pre in task.prerequisites:
-            if pre in nodes:
-                succ.setdefault(pre, []).append(code)
-    for grp in workflow.variant_groups:
-        for member in grp.members:
-            if member in nodes:
-                succ.setdefault(member, []).append(grp.code)
-
     # Depth-first search on an explicit stack, so that long chains cannot
     # reach the recursion limit: ``path`` holds the grey nodes and
     # ``pending`` the successors each of them has yet to try.
     WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
-    for start in sorted(nodes):
+    color = [WHITE] * len(nodes)
+    for start in range(len(nodes)):
         if color[start] != WHITE:
             continue
         color[start] = GREY
         path = [start]
-        pending = [iter(sorted(succ.get(start, ())))]
+        pending = [iter(succ[start])]
         while path:
             for nxt in pending[-1]:
-                if color[nxt] == GREY:
-                    return tuple(path[path.index(nxt):])
-                if color[nxt] == WHITE:
+                seen = color[nxt]
+                if seen == GREY:
+                    return tuple(nodes[i] for i in path[path.index(nxt):])
+                if seen == WHITE:
                     color[nxt] = GREY
                     path.append(nxt)
-                    pending.append(iter(sorted(succ.get(nxt, ()))))
+                    pending.append(iter(succ[nxt]))
                     break
             else:
                 color[path.pop()] = BLACK

@@ -23,6 +23,7 @@ from cogseq import (
     sequence_cost,
 )
 from cogseq.costs import RULE_ORDER
+from cogseq.model import ValidationReport, Violation
 
 MODALITIES = ("touch", "keys", "scan", "card reader")
 
@@ -98,6 +99,123 @@ def reference_top_k(workflow: Workflow, model: CostModel, maximize: bool,
               for ordering in permutation_extensions(workflow)]
     priced.sort(key=lambda pair: sign * pair[0])
     return priced[:k]
+
+
+# Oracle: ``validate_workflow`` and ``_find_cycle`` as they were before
+# validation built its successor lists in code order, kept verbatim but for
+# their names.  They sort every prerequisite set and successor list on the
+# spot, so a report that matches theirs shows that building the lists
+# pre-sorted changed no finding, no order and no cycle path.
+def reference_validate_workflow(workflow: Workflow) -> ValidationReport:
+    """Check every structural invariant; violations are data, not failures."""
+    found: list[Violation] = []
+    tasks = workflow.tasks
+    group_codes = {g.code for g in workflow.variant_groups}
+    member_of: dict[str, str] = {}
+
+    for grp in workflow.variant_groups:
+        if grp.code in tasks:
+            found.append(Violation(
+                "group-code-collision",
+                f"variant group {grp.code!r} collides with a task code",
+                (grp.code,),
+            ))
+        if not grp.members:
+            found.append(Violation(
+                "empty-group", f"variant group {grp.code!r} has no members", (grp.code,),
+            ))
+        for member in sorted(grp.members):
+            if member not in tasks:
+                found.append(Violation(
+                    "unknown-member",
+                    f"variant group {grp.code!r} lists unknown member {member!r}",
+                    (grp.code, member),
+                ))
+            member_of[member] = grp.code
+
+    for code in workflow.codes():
+        task = tasks[code]
+        for prop, value in (("familiarity", task.familiarity),
+                            ("complexity", task.complexity)):
+            if not 1 <= value <= 5:
+                found.append(Violation(
+                    "out-of-range",
+                    f"task {code!r} has {prop}={value}, outside [1, 5]",
+                    (code,),
+                ))
+        for pre in sorted(task.prerequisites):
+            if pre == code:
+                found.append(Violation(
+                    "self-prerequisite", f"task {code!r} lists itself as a prerequisite",
+                    (code,),
+                ))
+            elif pre not in tasks and pre not in group_codes:
+                found.append(Violation(
+                    "unknown-prerequisite",
+                    f"task {code!r} requires unknown code {pre!r}",
+                    (code, pre),
+                ))
+            elif pre in member_of:
+                found.append(Violation(
+                    "direct-member-reference",
+                    f"task {code!r} requires {pre!r} directly; use its group "
+                    f"{member_of[pre]!r} instead",
+                    (code, pre),
+                ))
+
+    cycle = _reference_find_cycle(workflow)
+    if cycle:
+        found.append(Violation(
+            "cycle",
+            "precedence cycle: " + " -> ".join(cycle + (cycle[0],)),
+            cycle,
+        ))
+    return ValidationReport(tuple(found))
+
+
+def _reference_find_cycle(workflow: Workflow) -> tuple[str, ...] | None:
+    """Find one precedence cycle, if any, over tasks and group codes.
+
+    Group resolution is modelled conservatively by adding member -> group
+    edges: a cycle here exists iff some single choice of members yields a
+    cyclic concrete workflow (a simple cycle passes through a group node at
+    most once, entering via exactly one member).
+    """
+    succ: dict[str, list[str]] = {}
+    nodes = set(workflow.tasks) | {g.code for g in workflow.variant_groups}
+    for code, task in workflow.tasks.items():
+        for pre in task.prerequisites:
+            if pre in nodes:
+                succ.setdefault(pre, []).append(code)
+    for grp in workflow.variant_groups:
+        for member in grp.members:
+            if member in nodes:
+                succ.setdefault(member, []).append(grp.code)
+
+    # Depth-first search on an explicit stack, so that long chains cannot
+    # reach the recursion limit: ``path`` holds the grey nodes and
+    # ``pending`` the successors each of them has yet to try.
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = dict.fromkeys(nodes, WHITE)
+    for start in sorted(nodes):
+        if color[start] != WHITE:
+            continue
+        color[start] = GREY
+        path = [start]
+        pending = [iter(sorted(succ.get(start, ())))]
+        while path:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    return tuple(path[path.index(nxt):])
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(sorted(succ.get(nxt, ()))))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
+    return None
 
 
 def simple_task(code: str, resource: Resource = Resource.VWM,

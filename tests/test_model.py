@@ -28,7 +28,12 @@ from cogseq import (
 )
 from cogseq.model import extension_violation
 
-from conftest import permutation_extensions, random_workflow, simple_task
+from conftest import (
+    permutation_extensions,
+    random_workflow,
+    reference_validate_workflow,
+    simple_task,
+)
 
 
 def chain(*codes: str) -> Workflow:
@@ -186,6 +191,62 @@ class TestValidation:
     def test_fixtures_validate(self, full_document, validation_document):
         assert validate_workflow(full_document.workflow).ok
         assert validate_workflow(validation_document.workflow).ok
+
+
+# Task codes, group codes (two can collide with a task) and codes that name
+# nothing, spelt so that code order, case order and insertion order differ.
+TASK_CODES = ("A", "B", "C", "D", "E", "b", "C1")
+GROUP_CODES = ("G", "H", "A", "C")
+UNKNOWN_CODES = ("Q", "R")
+any_level = st.one_of(st.integers(1, 5), st.integers(-1, 7))
+
+
+@st.composite
+def checked_workflows(draw):
+    """A workflow and the same workflow with its tasks added in another
+    order, drawn to reach every kind of validation finding.
+
+    Half the draws are acyclic: each task requires only tasks drawn before
+    it, or unknown codes, and never a group.  The rest may also require
+    themselves, any task or any group, so cycles, self-loops and cycles
+    through a group's member -> group edge all occur.
+    """
+    codes = draw(st.lists(st.sampled_from(TASK_CODES), min_size=1,
+                          max_size=7, unique=True))
+    groups = draw(st.lists(st.builds(
+        VariantGroup,
+        code=st.sampled_from(GROUP_CODES),
+        members=st.frozensets(st.sampled_from(codes + list(UNKNOWN_CODES)),
+                              max_size=3),
+    ), max_size=2))
+    acyclic = draw(st.booleans())
+    tasks = []
+    for i, code in enumerate(codes):
+        if acyclic:
+            named = codes[:i] + list(UNKNOWN_CODES)
+        else:
+            named = codes + [g.code for g in groups] + list(UNKNOWN_CODES)
+        tasks.append(simple_task(
+            code, familiarity=draw(any_level), complexity=draw(any_level),
+            prerequisites=draw(st.frozensets(st.sampled_from(named),
+                                             max_size=3)),
+        ))
+    shuffled = draw(st.permutations(tasks))
+    return (Workflow.from_tasks(tasks, groups),
+            Workflow.from_tasks(shuffled, groups))
+
+
+class TestValidationOracle:
+    """``validate_workflow`` against the sort-everything reference copy in
+    ``conftest.py``: same violations, same order, same cycle path."""
+
+    @given(case=checked_workflows())
+    @settings(max_examples=300, deadline=None)
+    def test_report_equals_reference(self, case):
+        workflow, shuffled = case
+        expected = reference_validate_workflow(workflow)
+        assert validate_workflow(workflow) == expected
+        assert validate_workflow(shuffled) == expected
 
 
 class TestVariants:

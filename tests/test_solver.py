@@ -35,7 +35,7 @@ from cogseq import (
     transition_cost,
 )
 from cogseq.costs import RULE_ORDER, Rule
-from cogseq.model import _precedence
+from cogseq.model import RESOURCE_ORDER, _precedence
 
 from conftest import (
     MODALITIES,
@@ -833,6 +833,67 @@ class TestSolutionBreakdowns:
                             for i in range(1, len(tasks)))
                         assert sum(b.total for b in sol.breakdowns) \
                             == sol.total
+
+
+def _oracle_fired(prev, cur, history, model):
+    """The README's rule table, one line per rule, in RULE_ORDER."""
+    if model.recent_practice_scope is Scope.FULL_HISTORY:
+        window = history
+    else:
+        window = history[-1:]
+    fires = {
+        # same resource, different modality
+        Rule.MODALITY: (prev.resource is cur.resource
+                        and prev.modality != cur.modality),
+        # B shares modality or resource with a recent task
+        Rule.RECENT_PRACTICE: any(t.modality == cur.modality
+                                  or t.resource is cur.resource
+                                  for t in window),
+        # B is more familiar than A
+        Rule.FAMILIARITY: cur.familiarity > prev.familiarity,
+        # B is simpler and voluntary
+        Rule.VOLUNTARY_COMPLEXITY_DROP: (cur.complexity < prev.complexity
+                                         and cur.voluntary),
+        # B is simpler and involuntary
+        Rule.INVOLUNTARY_COMPLEXITY_DROP: (cur.complexity < prev.complexity
+                                           and not cur.voluntary),
+    }
+    costs = dict(model.rules)
+    return tuple((rule, costs[rule]) for rule in RULE_ORDER
+                 if rule in costs and fires[rule])
+
+
+class TestRuleOracle:
+    """Every breakdown against the rule table itself.  ``sequence_cost``,
+    ``transition_cost`` and the search's recheck share ``costs._fired``, so
+    comparing them with each other says nothing about the rules."""
+
+    @given(tasks=tasks_strategy, model=model_strategy, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_breakdowns_follow_the_rule_table(self, tasks, model, data):
+        tasks = [replace(task, code=f"T{i}") for i, task in enumerate(tasks)]
+        wf = Workflow.from_tasks(tasks)
+        ordering = data.draw(st.permutations(tasks))
+
+        def check(breakdowns, placed):
+            assert len(breakdowns) == len(placed) - 1
+            for i, step in enumerate(breakdowns, 1):
+                prev, cur = placed[i - 1], placed[i]
+                base = model.matrix[RESOURCE_ORDER.index(prev.resource)][
+                    RESOURCE_ORDER.index(cur.resource)]
+                fired = _oracle_fired(prev, cur, placed[:i], model)
+                assert step == (prev.code, cur.code, base, fired,
+                                base + sum(cost for _, cost in fired))
+
+        total, breakdowns = sequence_cost([t.code for t in ordering], wf,
+                                          model)
+        check(breakdowns, ordering)
+        assert total == sum(step.total for step in breakdowns)
+        check([transition_cost(ordering[i - 1], ordering[i], ordering[:i],
+                               model) for i in range(1, len(ordering))],
+              ordering)
+        for sol in solve(SolveRequest(workflow=wf, model=model, k=2)):
+            check(sol.breakdowns, [wf.tasks[code] for code in sol.ordering])
 
 
 def _solve_request(workflow):
