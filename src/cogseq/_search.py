@@ -34,6 +34,7 @@ so no workflow size can reach the interpreter's recursion limit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import inf
 from operator import add
 
@@ -46,7 +47,7 @@ MAX_IDEALS = 2 ** 18
 
 
 def search(n: int,
-           preds: list[int],
+           preds: Sequence[int],
            pair: list,
            shares: list[int],
            rp_cost: int,
@@ -81,7 +82,7 @@ def search(n: int,
     if twins:
         # Each member after the first waits for the one before it, in the
         # tables only.
-        preds = preds[:]
+        preds = list(preds)
         for members in twins:
             for prev, t in zip(members, members[1:]):
                 preds[t] |= 1 << prev

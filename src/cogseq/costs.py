@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CostModelError, OrderingError
@@ -243,11 +243,6 @@ class CostModel:
         """
         return (self.recent_practice_scope is Scope.FULL_HISTORY
                 and self.rule_cost(Rule.RECENT_PRACTICE) is not None)
-
-    def without_rule(self, rule: Rule) -> CostModel:
-        return replace(self, rules={present: cost
-                                    for present, cost in self.rules
-                                    if present is not rule})
 
     def active_rule_costs(self) -> dict[Rule, int]:
         """Present rules and costs, in canonical rule order."""

@@ -385,23 +385,31 @@ def export_dot(workflow: Workflow) -> str:
 
     Edges are emitted exactly as written (no transitive reduction).  Variant
     groups appear as dashed boxes whose label lists the members; prerequisite
-    edges may point at a group node.
+    edges may point at a group node.  Backslashes and double quotes in codes
+    and names are escaped, so every quoted ID and label ends where it should.
     """
     lines = ["digraph workflow {", "  rankdir=LR;"]
     for code in workflow.codes():
         task = workflow.tasks[code]
-        label = f"{code}\\n{task.name}" if task.name else code
-        lines.append(f'  "{code}" [label="{label}"];')
+        node = _dot_escape(code)
+        label = f"{node}\\n{_dot_escape(task.name)}" if task.name else node
+        lines.append(f'  "{node}" [label="{label}"];')
     for grp in workflow.variant_groups:
-        members = ", ".join(sorted(grp.members))
+        node = _dot_escape(grp.code)
+        members = _dot_escape(", ".join(sorted(grp.members)))
         lines.append(
-            f'  "{grp.code}" [shape=box, style=dashed, '
-            f'label="{grp.code}\\none of: {members}"];'
+            f'  "{node}" [shape=box, style=dashed, '
+            f'label="{node}\\none of: {members}"];'
         )
     for pre, dependent in workflow.precedence_edges():
-        lines.append(f'  "{pre}" -> "{dependent}";')
+        lines.append(f'  "{_dot_escape(pre)}" -> "{_dot_escape(dependent)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    """``text`` inside a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def render_cost_model(model: CostModel) -> str:

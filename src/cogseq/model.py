@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import BudgetExceededError, WorkflowError
 
 Ordering = tuple[str, ...]
+#: Precedence in index space: the task codes ascending, then per task its
+#: prerequisites as a bitmask over those indices and its dependents ascending.
+Graph = tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 class Resource(enum.Enum):
@@ -97,7 +100,12 @@ class Workflow:
             if task.code in table:
                 raise WorkflowError(f"duplicate task code {task.code!r}")
             table[task.code] = task
-        return cls(tasks=table, variant_groups=tuple(variant_groups))
+        groups: dict[str, VariantGroup] = {}
+        for grp in variant_groups:
+            if grp.code in groups:
+                raise WorkflowError(f"duplicate variant-group code {grp.code!r}")
+            groups[grp.code] = grp
+        return cls(tasks=table, variant_groups=tuple(groups.values()))
 
     @property
     def is_concrete(self) -> bool:
@@ -141,7 +149,12 @@ class Violation:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
+    """Findings of :func:`validate_workflow`; ``graph`` is the :data:`Graph`
+    it checked, or None when there are violations or variant groups.  The
+    graph takes no part in equality, hashing or ``repr``."""
+
     violations: tuple[Violation, ...] = ()
+    graph: Graph | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -166,7 +179,8 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     are not sorted; only the faulty prerequisites a task has are.
     Violations come group by group, then task by task in code order (each
     task's prerequisite findings by prerequisite code), then the one cycle
-    that :func:`_find_cycle` picks.
+    that :func:`_find_cycle` picks.  A clean report of a concrete workflow
+    returns the graph it checked, with prerequisite masks, as ``graph``.
     """
     found: list[Violation] = []
     tasks = workflow.tasks
@@ -197,6 +211,7 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     nodes = sorted(tasks.keys() | groups.keys())
     index = {code: i for i, code in enumerate(nodes)}
     succ: list[list[int]] = [[] for _ in nodes]
+    preds = [0] * len(nodes)
     faulty: list[str] = []  # the prerequisites of this task to report
     for i, code in enumerate(nodes):
         task = tasks.get(code)
@@ -213,6 +228,7 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
                     faulty.append(pre)
                 if j is not None:
                     succ[j].append(i)
+                    preds[i] |= 1 << j
             if faulty:
                 faulty.sort()
                 found.extend(_prerequisite_fault(code, pre, index, member_of)
@@ -231,7 +247,10 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
             "precedence cycle: " + " -> ".join(cycle + (cycle[0],)),
             cycle,
         ))
-    return ValidationReport(tuple(found))
+    if found or groups:
+        return ValidationReport(tuple(found))
+    return ValidationReport((), (tuple(nodes), tuple(preds),
+                                 tuple(map(tuple, succ))))
 
 
 def _out_of_range(code: str, prop: str, value: int) -> Violation:
@@ -385,31 +404,16 @@ def extension_violation(ordering: Sequence[str], workflow: Workflow) -> str | No
 MAX_COUNTED_IDEALS = 4_000_000
 
 
-def _require_valid(workflow: Workflow, operation: str) -> None:
+def _require_valid(workflow: Workflow, operation: str) -> Graph:
     workflow.require_concrete(operation)
     report = validate_workflow(workflow)
     if not report.ok:
         raise WorkflowError(f"invalid workflow:\n{report.summary()}")
+    return report.graph
 
 
-def _precedence(workflow: Workflow
-                ) -> tuple[tuple[str, ...], list[int], list[list[int]]]:
-    """Codes in ascending order; each task's prerequisites as a bitmask over
-    those indices; and each task's dependents as a list of indices."""
-    codes = workflow.codes()
-    index = {code: i for i, code in enumerate(codes)}
-    preds = [0] * len(codes)
-    succ: list[list[int]] = [[] for _ in codes]
-    for code, task in workflow.tasks.items():
-        i = index[code]
-        for pre in task.prerequisites:
-            preds[i] |= 1 << index[pre]
-            succ[index[pre]].append(i)
-    return codes, preds, succ
-
-
-def _freed(i: int, placed: int, preds: list[int],
-           succ: list[list[int]]) -> int:
+def _freed(i: int, placed: int, preds: Sequence[int],
+           succ: Sequence[Sequence[int]]) -> int:
     """Bitmask of i's dependents that ``placed``, which holds i, makes ready."""
     ready = 0
     for s in succ[i]:
@@ -427,9 +431,7 @@ def enumerate_linear_extensions(workflow: Workflow) -> Iterator[Ordering]:
     :func:`itertools.islice`.  Raises :class:`WorkflowError` on an invalid
     workflow.
     """
-    _require_valid(workflow, "enumeration")
-
-    codes, preds, succ = _precedence(workflow)
+    codes, preds, succ = _require_valid(workflow, "enumeration")
     n = len(codes)
     # Tasks not placed whose prerequisites all are: placing a task touches
     # only its dependents, and unplacing it makes them all unready again.
@@ -468,9 +470,7 @@ def count_linear_extensions(workflow: Workflow) -> int:
     workflow with more than ``MAX_COUNTED_IDEALS`` downsets short of the
     full set, and :class:`WorkflowError` on an invalid workflow.
     """
-    _require_valid(workflow, "counting")
-
-    codes, preds, succ = _precedence(workflow)
+    codes, preds, succ = _require_valid(workflow, "counting")
     n = len(codes)
     level = {0: (1, sum(1 << i for i in range(n) if not preds[i]))}
     seen = 0

@@ -27,11 +27,11 @@ from .costs import (
 )
 from .errors import BudgetExceededError, CogseqError, WorkflowError
 from .model import (
+    Graph,
     Ordering,
     Resource,
     Task,
     Workflow,
-    _precedence,
     count_linear_extensions,
     enumerate_linear_extensions,
     instantiate_variant,
@@ -91,11 +91,12 @@ class SolveRequest:
 
 
 # Not model._require_valid: traced runs wrap this module's validate_workflow.
-def _checked(workflow: Workflow, operation: str) -> None:
+def _checked(workflow: Workflow, operation: str) -> Graph:
     workflow.require_concrete(operation)
     report = validate_workflow(workflow)
     if not report.ok:
         raise WorkflowError(f"invalid workflow:\n{report.summary()}")
+    return report.graph
 
 
 class _PairRow(dict):
@@ -112,11 +113,11 @@ class _PairRow(dict):
         return cost
 
 
-def _kernel_inputs(workflow: Workflow, model: CostModel):
+def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph):
     """Index-space inputs for the search engine, with pair rows priced on
     first read.
 
-    Codes and prerequisite masks come from :func:`model._precedence`, in
+    Codes and prerequisite masks come from the validated ``graph``, in
     ascending code order, so index tuples compare exactly like code
     sequences.  Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the
     first time the search reads it.  The search reads only the b that can
@@ -126,13 +127,13 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
     into (shares, rp_cost); otherwise it stays folded into them.  ``twins``
     are the classes of interchangeable tasks (:func:`_twin_classes`).
     """
-    codes, preds, succ = _precedence(workflow)
+    codes, preds, succ = graph
     tasks = [workflow.tasks[code] for code in codes]
     n = len(codes)
 
+    practice = model.rule_cost(Rule.RECENT_PRACTICE) or 0
     if model.history_dependent:
-        rp_cost = model.rule_cost(Rule.RECENT_PRACTICE)
-        base_model = model.without_rule(Rule.RECENT_PRACTICE)
+        rp_cost, practice = practice, 0
         # shares[j]: the other tasks with j's modality or j's resource.
         by_modality: dict[str, int] = {}
         by_resource: dict[Resource, int] = {}
@@ -145,17 +146,17 @@ def _kernel_inputs(workflow: Workflow, model: CostModel):
                   & ~(1 << j) for j, task in enumerate(tasks)]
     else:
         rp_cost = 0
-        base_model = model
         shares = [0] * n
 
-    price = _pair_pricer(tasks, base_model)
+    price = _pair_pricer(tasks, model, practice)
     pair = [_PairRow(a, price) for a in range(n)]
     return codes, preds, pair, shares, rp_cost, _twin_classes(tasks, preds,
                                                              succ)
 
 
-def _twin_classes(tasks: list[Task], preds: list[int],
-                  succ: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def _twin_classes(tasks: list[Task], preds: tuple[int, ...],
+                  succ: tuple[tuple[int, ...], ...]
+                  ) -> tuple[tuple[int, ...], ...]:
     """Classes of two or more twins, each ascending, ordered by first index.
 
     Twins have equal resource, modality, voluntary flag, familiarity and
@@ -179,8 +180,8 @@ def _twin_classes(tasks: list[Task], preds: list[int],
             a = tasks[t]
             for cls in found:
                 b = tasks[cls[0]]
-                # Dependents lists are built in one order, so equal sets
-                # are equal lists.
+                # Dependents lists are ascending, so equal sets are equal
+                # lists.
                 if (a.resource is b.resource and a.modality == b.modality
                         and a.voluntary == b.voluntary
                         and a.familiarity == b.familiarity
@@ -195,12 +196,12 @@ def _twin_classes(tasks: list[Task], preds: list[int],
     return tuple(classes)
 
 
-def _pair_pricer(tasks: list[Task], model: CostModel):
+def _pair_pricer(tasks: list[Task], model: CostModel, practice: int):
     """``price(a, b)``: ``pair_cost(tasks[a], tasks[b], model)`` from
-    per-task integer arrays, without building a breakdown per pair."""
+    per-task integer arrays, without building a breakdown per pair, with
+    ``practice`` in place of the model's RecentPractice cost."""
     costs = dict(model.rules)
     modality = costs.get(Rule.MODALITY, 0)
-    practice = costs.get(Rule.RECENT_PRACTICE, 0)
     familiarity = costs.get(Rule.FAMILIARITY, 0)
     matrix = model.matrix
     modality_ids: dict[str, int] = {}
@@ -276,10 +277,10 @@ def solve(request: SolveRequest) -> list[Solution]:
     more than ``_search.MAX_IDEALS`` order ideals once twins are chained.
     """
     workflow, model = request.workflow, request.model
-    _checked(workflow, "solve")
+    graph = _checked(workflow, "solve")
     start = perf_counter()
-    codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(workflow,
-                                                                model)
+    codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
+        workflow, model, graph)
     solutions, nodes, prunes = _backend.search(
         len(codes), preds, pair, shares, rp_cost,
         request.objective is Objective.MAXIMIZE, request.k, twins)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from functools import reduce
 from operator import getitem
@@ -151,6 +152,15 @@ class TestWorkflowParsing:
         with pytest.raises(DocumentError, match="duplicate task code"):
             parse_workflow_document(
                 {"tasks": [dict(MINIMAL_TASK), dict(MINIMAL_TASK)]})
+
+    def test_duplicate_group_codes_rejected(self):
+        tasks = [dict(MINIMAL_TASK, code=code) for code in ("A", "B", "C")]
+        groups = [{"code": "G", "members": ["A"]},
+                  {"code": "G", "members": ["B"]}]
+        with pytest.raises(DocumentError,
+                           match="duplicate variant-group code 'G'"):
+            parse_workflow_document(
+                {"tasks": tasks, "variant_groups": groups})
 
     def test_known_ordering_with_unknown_code(self):
         doc = make_doc(known_orderings={"ref": ["A", "Z"]})
@@ -415,6 +425,41 @@ class TestDotExport:
         assert dot.startswith("digraph workflow {")
         assert dot.endswith("}\n")
         assert "rankdir=LR;" in dot
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        doc = parse_workflow_document({
+            "tasks": [
+                dict(MINIMAL_TASK, code='A"B', name="ends in \\"),
+                dict(MINIMAL_TASK, code="C", name='say "hi"',
+                     prerequisites=['A"B']),
+                dict(MINIMAL_TASK, code="D", name="", prerequisites=["G\\"]),
+            ],
+            "variant_groups": [{"code": "G\\", "members": ['A"B']}],
+        })
+        assert export_dot(doc.workflow) == (
+            'digraph workflow {\n'
+            '  rankdir=LR;\n'
+            '  "A\\"B" [label="A\\"B\\nends in \\\\"];\n'
+            '  "C" [label="C\\nsay \\"hi\\""];\n'
+            '  "D" [label="D"];\n'
+            '  "G\\\\" [shape=box, style=dashed, '
+            'label="G\\\\\\none of: A\\"B"];\n'
+            '  "A\\"B" -> "C";\n'
+            '  "G\\\\" -> "D";\n'
+            '}\n'
+        )
+
+    @pytest.mark.parametrize("fixture,digest", [
+        ("checkin-full",
+         "2952d8f4cf3f20ba13dbea4cc7eb04dd078e45fc52a9d5944f4514d678b41c1d"),
+        ("checkin-validation",
+         "cf7f504dc40636e178e04e12f55d9e9e63df531b7d5c03d10efcc0cda89e9c97"),
+    ])
+    def test_fixture_output_is_unchanged_by_escaping(self, fixture, digest):
+        # The SHA-256 of each fixture's DOT text before escaping existed:
+        # no fixture code or name holds a quote or a backslash.
+        dot = export_dot(resolve_workflow_path(fixture).workflow)
+        assert hashlib.sha256(dot.encode("utf-8")).hexdigest() == digest
 
     def test_parse_resource_aliases(self):
         assert parse_resource("Episodic") is Resource.ER

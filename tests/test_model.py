@@ -16,6 +16,7 @@ from cogseq import (
     CostModel,
     OrderingError,
     Task,
+    ValidationReport,
     VariantGroup,
     Workflow,
     WorkflowError,
@@ -106,12 +107,29 @@ class TestTask:
         with pytest.raises(WorkflowError, match="duplicate task code"):
             Workflow.from_tasks([simple_task("A"), simple_task("A")])
 
+    def test_duplicate_group_codes_rejected(self):
+        with pytest.raises(WorkflowError,
+                           match="duplicate variant-group code 'G'"):
+            Workflow.from_tasks(
+                [simple_task("A"), simple_task("B"), simple_task("C")],
+                [VariantGroup("G", frozenset({"A"})),
+                 VariantGroup("G", frozenset({"B"}))])
+
 
 class TestValidation:
     def test_clean_workflow_is_ok(self):
         report = validate_workflow(chain("A", "B", "C"))
         assert report.ok
         assert report.summary() == "valid"
+
+    def test_clean_report_carries_the_checked_graph(self):
+        report = validate_workflow(chain("B", "A", "C"))
+        assert report.graph == (("A", "B", "C"), (0b010, 0, 0b001),
+                                ((2,), (0,), ()))
+        # The graph is not part of the report's value.
+        assert report == ValidationReport()
+        assert hash(report) == hash(ValidationReport())
+        assert repr(report) == "ValidationReport(violations=())"
 
     def test_unknown_prerequisite(self):
         wf = Workflow.from_tasks([simple_task("A", prerequisites=("Z",))])
@@ -218,7 +236,7 @@ def checked_workflows(draw):
         code=st.sampled_from(GROUP_CODES),
         members=st.frozensets(st.sampled_from(codes + list(UNKNOWN_CODES)),
                               max_size=3),
-    ), max_size=2))
+    ), max_size=2, unique_by=lambda grp: grp.code))
     acyclic = draw(st.booleans())
     tasks = []
     for i, code in enumerate(codes):
@@ -247,6 +265,32 @@ class TestValidationOracle:
         expected = reference_validate_workflow(workflow)
         assert validate_workflow(workflow) == expected
         assert validate_workflow(shuffled) == expected
+
+
+class TestValidationGraph:
+    """The graph a clean report carries is the one the enumerators and the
+    search run on."""
+
+    @given(case=checked_workflows())
+    @settings(max_examples=300, deadline=None)
+    def test_graph_equals_a_rebuild_from_prerequisites(self, case):
+        workflow, shuffled = case
+        report = validate_workflow(workflow)
+        if report.violations or workflow.variant_groups:
+            expected = None
+        else:
+            codes = tuple(sorted(workflow.tasks))
+            index = {code: i for i, code in enumerate(codes)}
+            prereqs = [workflow.tasks[code].prerequisites for code in codes]
+            expected = (
+                codes,
+                tuple(sum(1 << index[pre] for pre in pres)
+                      for pres in prereqs),
+                tuple(tuple(j for j, pres in enumerate(prereqs)
+                            if code in pres) for code in codes),
+            )
+        assert report.graph == expected
+        assert validate_workflow(shuffled).graph == expected
 
 
 class TestVariants:

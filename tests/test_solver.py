@@ -33,9 +33,10 @@ from cogseq import (
     sequence_cost,
     solve,
     transition_cost,
+    validate_workflow,
 )
 from cogseq.costs import RULE_ORDER, Rule
-from cogseq.model import RESOURCE_ORDER, _precedence
+from cogseq.model import RESOURCE_ORDER
 
 from conftest import (
     MODALITIES,
@@ -360,13 +361,12 @@ class TestTwins:
     def test_checkin_seat_steps_are_twins(self, full_document):
         for member in sorted(full_document.workflow.variant_groups[0].members):
             wf = instantiate_variant(full_document.workflow, "AUTH", member)
-            codes, *_, twins = solver._kernel_inputs(wf, CostModel())
+            codes, *_, twins = _kernel_inputs(wf, CostModel())
             assert [tuple(codes[t] for t in c) for c in twins] == [
                 ("STSO", "STSR")]
 
     def test_chain_has_no_twins(self):
-        *_, twins = solver._kernel_inputs(_random_chain(70, seed=4),
-                                          CostModel())
+        *_, twins = _kernel_inputs(_random_chain(70, seed=4), CostModel())
         assert twins == ()
 
     @given(case=twin_workflows())
@@ -374,8 +374,8 @@ class TestTwins:
     def test_top_k_lists_match_oracle(self, case):
         wf, original, copies, near = case
         for model in self.FUZZ_MODELS:
-            codes, preds, pair, shares, rp_cost, twins = (
-                solver._kernel_inputs(wf, model))
+            codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
+                wf, model)
             named = [tuple(codes[t] for t in c) for c in twins]
             assert named == _expected_twins(wf)
             (mine,) = [c for c in named if original in c]
@@ -563,7 +563,7 @@ class TestSearchEngine:
             placed = {t for t in range(n) if mask >> t & 1}
             if all(prereqs[t] <= placed for t in placed):
                 closed[mask] = eligible(placed)
-        _, preds, _ = _precedence(wf)
+        _, preds, _ = validate_workflow(wf).graph
         elig = _search._ideals(n, preds)
         assert elig == closed
         sizes = [mask.bit_count() for mask in elig]
@@ -583,13 +583,23 @@ def _random_chain(n: int, seed: int) -> Workflow:
     ])
 
 
+def _without_practice(model: CostModel) -> CostModel:
+    return replace(model, rules={rule: cost for rule, cost in model.rules
+                                 if rule is not Rule.RECENT_PRACTICE})
+
+
 def _priced_pairs(pair) -> set[tuple[int, int]]:
     return {(a, b) for a, row in enumerate(pair) for b in row}
 
 
+def _kernel_inputs(wf, model):
+    """``solver._kernel_inputs`` on the graph that validation checked."""
+    return solver._kernel_inputs(wf, model, validate_workflow(wf).graph)
+
+
 def _searched_inputs(wf, model, maximize=False, k=1):
     """``_kernel_inputs`` after a search has read (and so priced) its rows."""
-    inputs = solver._kernel_inputs(wf, model)
+    inputs = _kernel_inputs(wf, model)
     codes, preds, pair, shares, rp_cost, twins = inputs
     _search.search(len(codes), preds, pair, shares, rp_cost, maximize, k,
                    twins)
@@ -628,29 +638,32 @@ class TestPairPricer:
     search fills with the adjacent pairs as it reads them."""
 
     @staticmethod
-    def _assert_prices_like_pair_cost(tasks, model):
-        price = solver._pair_pricer(tasks, model)
+    def _assert_prices_like_pair_cost(tasks, model, lifted):
+        # Lifted: RecentPractice is priced through shares, not the rows.
+        practice = 0 if lifted else model.rule_cost(Rule.RECENT_PRACTICE) or 0
+        price = solver._pair_pricer(tasks, model, practice)
+        base = _without_practice(model) if lifted else model
         for a, prev in enumerate(tasks):
             for b, cur in enumerate(tasks):
                 if a != b:
-                    assert price(a, b) == pair_cost(prev, cur, model)
+                    assert price(a, b) == pair_cost(prev, cur, base)
 
-    @pytest.mark.parametrize("model", [
-        CostModel.calibrated(),
-        CostModel(),
-        CostModel().without_rule(Rule.RECENT_PRACTICE),
-        CostModel(rules={}),
+    @pytest.mark.parametrize("model,lifted", [
+        (CostModel.calibrated(), False),
+        (CostModel(), False),
+        (CostModel(recent_practice_scope=Scope.FULL_HISTORY), True),
+        (CostModel(rules={}), False),
     ], ids=["calibrated", "literal", "full-history-lifted", "rules-off"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_named_models_match_pair_cost(self, model, seed):
+    def test_named_models_match_pair_cost(self, model, lifted, seed):
         wf = random_workflow(random.Random(7000 + seed), n_min=6, n_max=8)
         tasks = [wf.tasks[code] for code in wf.codes()]
-        self._assert_prices_like_pair_cost(tasks, model)
+        self._assert_prices_like_pair_cost(tasks, model, lifted)
 
-    @given(tasks=tasks_strategy, model=model_strategy)
+    @given(tasks=tasks_strategy, model=model_strategy, lifted=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_random_models_match_pair_cost(self, tasks, model):
-        self._assert_prices_like_pair_cost(tasks, model)
+    def test_random_models_match_pair_cost(self, tasks, model, lifted):
+        self._assert_prices_like_pair_cost(tasks, model, lifted)
 
     @pytest.mark.parametrize("model", MODELS,
                              ids=["calibrated", "literal", "full-history"])
@@ -661,7 +674,7 @@ class TestPairPricer:
         codes, _, pair, shares, rp_cost, _ = _searched_inputs(wf, model)
         assert _priced_pairs(pair)
         lifted = model.recent_practice_scope is Scope.FULL_HISTORY
-        base = model.without_rule(Rule.RECENT_PRACTICE) if lifted else model
+        base = _without_practice(model) if lifted else model
         for a, row in enumerate(pair):
             for b, cost in row.items():
                 assert cost == pair_cost(tasks[a], tasks[b], base)
@@ -716,8 +729,8 @@ class TestPairPricer:
         wf = random_workflow(random.Random(9000 + seed), n_max=7)
         calls = []
 
-        def counting(tasks, model):
-            price = pair_pricer(tasks, model)
+        def counting(tasks, model, practice):
+            price = pair_pricer(tasks, model, practice)
 
             def recorded(a, b):
                 calls.append((a, b))
@@ -730,8 +743,8 @@ class TestPairPricer:
         for model in MODELS:
             for maximize in (False, True):
                 calls.clear()
-                codes, preds, pair, shares, rp_cost, twins = (
-                    solver._kernel_inputs(wf, model))
+                codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
+                    wf, model)
                 assert not calls and not any(pair)
                 _search.search(len(codes), preds, pair, shares, rp_cost,
                                maximize, 4, twins)
@@ -744,8 +757,8 @@ class TestPairPricer:
         model = CostModel.calibrated()
         built = []
 
-        def recording(workflow, model):
-            inputs = kernel_inputs(workflow, model)
+        def recording(workflow, model, graph):
+            inputs = kernel_inputs(workflow, model, graph)
             built.append(inputs)
             return inputs
 
