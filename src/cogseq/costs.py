@@ -8,8 +8,7 @@ sequence totals are sums of nonnegative integers with no floating drift.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CostModelError, OrderingError
@@ -19,6 +18,7 @@ from .model import (
     Resource,
     Task,
     Workflow,
+    _checked_make,
     extension_violation,
 )
 
@@ -175,15 +175,26 @@ def _check_cost(what: str, cost) -> None:
         raise _above_max(what)
 
 
-@dataclass(frozen=True)
-class CostModel:
+#: The literal model's rule table as (rule, cost) pairs in :data:`RULE_ORDER`.
+_LITERAL_RULES = tuple(DEFAULT_RULE_COSTS.items())
+
+
+class _CostModelFields(NamedTuple):
+    matrix: tuple[tuple[int, ...], ...] = DEFAULT_MATRIX
+    rules: tuple[tuple[Rule, int], ...] = _LITERAL_RULES
+    recent_practice_scope: Scope = Scope.ADJACENT
+
+
+class CostModel(_CostModelFields):
     """Immutable cost configuration; all evaluation functions are pure.
 
     ``rules`` maps each participating rule to its flat cost in thousandths,
     so leaving a rule out withholds it entirely and ``rules={}`` withholds
     them all.  It is held as (rule, cost) pairs in :data:`RULE_ORDER`, and
-    those pairs are accepted back, so ``replace(model, rules=model.rules)``
-    round-trips.  The bare constructor is the literal published model.
+    those pairs are accepted back, so ``model._replace(rules=model.rules)``
+    round-trips.  The matrix and the rules are checked on every path that
+    builds a model: the constructor, ``_replace``, pickle and copy.  The
+    bare constructor is the literal published model.
     :meth:`calibrated` is the recommended configuration for the bundled
     check-in workflows: identical except that RecentPractice is withheld,
     which keeps the cost of swapping the two interchangeable seat-selection
@@ -191,13 +202,13 @@ class CostModel:
     closely (see README).
     """
 
-    matrix: tuple[tuple[int, ...], ...] = DEFAULT_MATRIX
-    rules: Mapping[Rule, int] | tuple[tuple[Rule, int], ...] = tuple(
-        DEFAULT_RULE_COSTS.items())
-    recent_practice_scope: Scope = Scope.ADJACENT
+    __slots__ = ()
 
-    def __post_init__(self):
-        matrix = tuple(tuple(row) for row in self.matrix)
+    def __new__(cls, matrix: Sequence[Sequence[int]] = DEFAULT_MATRIX,
+                rules: Mapping[Rule, int] | Iterable[tuple[Rule, int]] = (
+                    _LITERAL_RULES),
+                recent_practice_scope: Scope = Scope.ADJACENT) -> CostModel:
+        matrix = tuple(tuple(row) for row in matrix)
         n = len(RESOURCE_ORDER)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise CostModelError(f"matrix must be {n}x{n}")
@@ -209,15 +220,17 @@ class CostModel:
                     f"matrix diagonal must be zero, got {row[i]} at "
                     f"{RESOURCE_ORDER[i].value}"
                 )
-        object.__setattr__(self, "matrix", matrix)
-        table = dict(self.rules)
+        table = dict(rules)
         for rule, cost in table.items():
             if not isinstance(rule, Rule):
                 raise CostModelError(
                     f"rules must be keyed by Rule, got {rule!r}")
             _check_cost(f"rule {rule.value} cost", cost)
-        object.__setattr__(self, "rules", tuple(
-            (rule, table[rule]) for rule in RULE_ORDER if rule in table))
+        rules = tuple((rule, table[rule]) for rule in RULE_ORDER
+                      if rule in table)
+        return tuple.__new__(cls, (matrix, rules, recent_practice_scope))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def calibrated(cls) -> CostModel:
@@ -257,9 +270,9 @@ def resource_switch_cost(frm: Resource, to: Resource,
 class TransitionBreakdown(NamedTuple):
     """One priced transition: matrix term plus every rule that fired.
 
-    An immutable named tuple: ``sequence_cost`` builds one per transition of
-    every ordering ``solve`` returns, and a tuple is built several times
-    faster than a frozen dataclass.
+    An immutable named tuple, like every public record of the package:
+    ``sequence_cost`` builds one per transition of every ordering ``solve``
+    returns.
     """
 
     previous: str

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .costs import (
     CostModel,
@@ -114,8 +113,7 @@ def _check_keys(obj: Mapping, allowed: set[str], *,
             f"unknown keys in {where}: " + ", ".join(unknown), path=path)
 
 
-@dataclass(frozen=True)
-class WorkflowDocument:
+class WorkflowDocument(NamedTuple):
     """A parsed workflow file: the workflow plus any named reference orderings."""
 
     workflow: Workflow
@@ -336,6 +334,10 @@ FIXTURES = ("checkin-full.json", "checkin-validation.json")
 
 
 def fixture_text(name: str) -> str:
+    # Imported here: from Python 3.12 it loads inspect, which only the
+    # commands that read a bundled fixture need.
+    from importlib import resources
+
     base = resources.files("cogseq").joinpath("fixtures")
     candidate = base.joinpath(name)
     if not candidate.is_file():

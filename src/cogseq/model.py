@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, WorkflowError
 
@@ -41,15 +41,14 @@ def normalize_modality(label: str) -> str:
     return label.strip().lower()
 
 
-@dataclass(frozen=True, slots=True)
-class Task:
-    """One workflow step and its cognitive/physical properties.
+def _checked_make(cls, iterable):
+    """``_make`` for a named tuple whose ``__new__`` normalises and checks
+    its fields.  The generated ``_make``, which ``_replace`` calls, builds
+    the tuple directly; this one goes through ``__new__``."""
+    return cls(*iterable)
 
-    ``familiarity`` and ``complexity`` are 1 (low) to 5 (high).  Range and
-    reference problems are reported by :func:`validate_workflow` rather than
-    raised here, so that malformed inputs can be described as data.
-    """
 
+class _TaskFields(NamedTuple):
     code: str
     name: str
     resource: Resource
@@ -59,30 +58,55 @@ class Task:
     complexity: int
     prerequisites: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "code", self.code.strip())
-        object.__setattr__(self, "modality", normalize_modality(self.modality))
-        object.__setattr__(self, "prerequisites", frozenset(self.prerequisites))
-        if not self.code:
+
+class Task(_TaskFields):
+    """One workflow step and its cognitive/physical properties.
+
+    ``familiarity`` and ``complexity`` are 1 (low) to 5 (high).  Range and
+    reference problems are reported by :func:`validate_workflow` rather than
+    raised here, so that malformed inputs can be described as data.  The
+    code is stripped, the modality normalised and the prerequisites frozen
+    on every path that builds a task: the constructor, ``_replace``, pickle
+    and copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, code: str, name: str, resource: Resource, modality: str,
+                voluntary: bool, familiarity: int, complexity: int,
+                prerequisites: Iterable[str] = frozenset()) -> Task:
+        code = code.strip()
+        modality = normalize_modality(modality)
+        prerequisites = frozenset(prerequisites)
+        if not code:
             raise WorkflowError("task code must be non-empty")
+        return tuple.__new__(cls, (code, name, resource, modality, voluntary,
+                                   familiarity, complexity, prerequisites))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True, slots=True)
-class VariantGroup:
-    """A named slot with interchangeable member tasks (exactly one is kept)."""
-
+class _VariantGroupFields(NamedTuple):
     code: str
     members: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "code", self.code.strip())
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.code:
+
+class VariantGroup(_VariantGroupFields):
+    """A named slot with interchangeable member tasks (exactly one is kept)."""
+
+    __slots__ = ()
+
+    def __new__(cls, code: str, members: Iterable[str]) -> VariantGroup:
+        code = code.strip()
+        members = frozenset(members)
+        if not code:
             raise WorkflowError("variant-group code must be non-empty")
+        return tuple.__new__(cls, (code, members))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class Workflow:
+class Workflow(NamedTuple):
     """An immutable task set plus precedence constraints and variant groups.
 
     ``tasks`` maps task code to :class:`Task`.  Instances are safe to share
@@ -138,8 +162,7 @@ class Workflow:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation finding; ``codes`` names the offending tasks/groups."""
 
     kind: str
@@ -147,14 +170,41 @@ class Violation:
     codes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Findings of :func:`validate_workflow`; ``graph`` is the :data:`Graph`
-    it checked, or None when there are violations or variant groups.  The
-    graph takes no part in equality, hashing or ``repr``."""
+    it checked, or None when there are violations or variant groups.
 
-    violations: tuple[Violation, ...] = ()
-    graph: Graph | None = field(default=None, compare=False, repr=False)
+    Immutable.  Iterating a report iterates its violations, and the graph
+    takes no part in equality, hashing or ``repr``, so this is a slotted
+    class rather than a named tuple.
+    """
+
+    __slots__ = ("violations", "graph")
+
+    def __init__(self, violations: tuple[Violation, ...] = (),
+                 graph: Graph | None = None):
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "graph", graph)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.violations == other.violations
+
+    def __hash__(self) -> int:
+        return hash((self.violations,))
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(violations={self.violations!r})"
+
+    def __reduce__(self):
+        return type(self), (self.violations, self.graph)
 
     @property
     def ok(self) -> bool:
@@ -177,6 +227,7 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     to the successor lists of its prerequisites (and a group to those of its
     members), so every list is built already ascending.  Prerequisite sets
     are not sorted; only the faulty prerequisites a task has are.
+    A variant-group code used twice is reported once, at its second use.
     Violations come group by group, then task by task in code order (each
     task's prerequisite findings by prerequisite code), then the one cycle
     that :func:`_find_cycle` picks.  A clean report of a concrete workflow
@@ -188,7 +239,14 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     member_of: dict[str, str] = {}
 
     for grp in workflow.variant_groups:
-        groups.setdefault(grp.code, []).append(grp)
+        same_code = groups.setdefault(grp.code, [])
+        same_code.append(grp)
+        if len(same_code) == 2:
+            found.append(Violation(
+                "duplicate-group",
+                f"duplicate variant-group code {grp.code!r}",
+                (grp.code,),
+            ))
         if grp.code in tasks:
             found.append(Violation(
                 "group-code-collision",
@@ -358,7 +416,7 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
             for pre in task.prerequisites
             if pre not in dropped
         )
-        tasks[code] = replace(task, prerequisites=prereqs)
+        tasks[code] = task._replace(prerequisites=prereqs)
     remaining = tuple(g for g in workflow.variant_groups if g.code != group)
     return Workflow(tasks=tasks, variant_groups=remaining)
 
@@ -431,7 +489,12 @@ def enumerate_linear_extensions(workflow: Workflow) -> Iterator[Ordering]:
     :func:`itertools.islice`.  Raises :class:`WorkflowError` on an invalid
     workflow.
     """
-    codes, preds, succ = _require_valid(workflow, "enumeration")
+    yield from _linear_extensions(_require_valid(workflow, "enumeration"))
+
+
+def _linear_extensions(graph: Graph) -> Iterator[Ordering]:
+    """:func:`enumerate_linear_extensions` of the checked ``graph``."""
+    codes, preds, succ = graph
     n = len(codes)
     # Tasks not placed whose prerequisites all are: placing a task touches
     # only its dependents, and unplacing it makes them all unready again.
@@ -470,7 +533,12 @@ def count_linear_extensions(workflow: Workflow) -> int:
     workflow with more than ``MAX_COUNTED_IDEALS`` downsets short of the
     full set, and :class:`WorkflowError` on an invalid workflow.
     """
-    codes, preds, succ = _require_valid(workflow, "counting")
+    return _count_extensions(_require_valid(workflow, "counting"))
+
+
+def _count_extensions(graph: Graph) -> int:
+    """:func:`count_linear_extensions` of the checked ``graph``."""
+    codes, preds, succ = graph
     n = len(codes)
     level = {0: (1, sum(1 << i for i in range(n) if not preds[i]))}
     seen = 0

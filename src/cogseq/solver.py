@@ -12,9 +12,9 @@ Agreement between the two is part of the test contract.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import cache
 from time import perf_counter
+from typing import NamedTuple
 
 from . import _backend
 from .costs import (
@@ -32,8 +32,9 @@ from .model import (
     Resource,
     Task,
     Workflow,
-    count_linear_extensions,
-    enumerate_linear_extensions,
+    _checked_make,
+    _count_extensions,
+    _linear_extensions,
     instantiate_variant,
     validate_workflow,
 )
@@ -55,8 +56,7 @@ class Objective(enum.Enum):
         raise CogseqError(f"unknown objective {label!r} (expected min or max)")
 
 
-@dataclass(frozen=True, slots=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Informational counters, excluded from machine-readable output.
 
     For ``solve``, ``nodes`` and ``prunes`` count the depth-first steps
@@ -70,24 +70,38 @@ class SearchStats:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     ordering: Ordering
     total: int
     breakdowns: tuple[TransitionBreakdown, ...]
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class SolveRequest:
+#: The default model of a request, shared: a cost model is immutable.
+_CALIBRATED = CostModel.calibrated()
+
+
+class _SolveRequestFields(NamedTuple):
     workflow: Workflow
-    model: CostModel = field(default_factory=CostModel.calibrated)
+    model: CostModel = _CALIBRATED
     objective: Objective = Objective.MINIMIZE
     k: int = 1
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise CogseqError(f"k must be at least 1, got {self.k}")
+
+class SolveRequest(_SolveRequestFields):
+    """One ``solve`` call; ``k`` is checked on every path that builds a
+    request: the constructor, ``_replace``, pickle and copy."""
+
+    __slots__ = ()
+
+    def __new__(cls, workflow: Workflow, model: CostModel = _CALIBRATED,
+                objective: Objective = Objective.MINIMIZE,
+                k: int = 1) -> SolveRequest:
+        if k < 1:
+            raise CogseqError(f"k must be at least 1, got {k}")
+        return tuple.__new__(cls, (workflow, model, objective, k))
+
+    _make = classmethod(_checked_make)
 
 
 # Not model._require_valid: traced runs wrap this module's validate_workflow.
@@ -303,9 +317,9 @@ def brute_force(workflow: Workflow, model: CostModel,
     makes that the first one seen, and ``min`` keeps the first of equal
     keys).
     """
-    _checked(workflow, "brute_force")
+    graph = _checked(workflow, "brute_force")
     start = perf_counter()
-    count = count_linear_extensions(workflow)
+    count = _count_extensions(graph)
     if count > DEFAULT_BUDGET:
         raise BudgetExceededError(count, DEFAULT_BUDGET)
 
@@ -314,7 +328,7 @@ def brute_force(workflow: Workflow, model: CostModel,
     price = None if model.history_dependent else _pair_memo(workflow, model)
     sign = -1 if objective is Objective.MAXIMIZE else 1
     best = min(
-        enumerate_linear_extensions(workflow),
+        _linear_extensions(graph),
         key=lambda ordering: sign * _ordering_total(ordering, workflow,
                                                     model, price),
     )
@@ -324,14 +338,12 @@ def brute_force(workflow: Workflow, model: CostModel,
     return _finish(workflow, model, best, total, stats)
 
 
-@dataclass(frozen=True)
-class VariantRow:
+class VariantRow(NamedTuple):
     member: str
     solution: Solution
 
 
-@dataclass(frozen=True)
-class VariantComparison:
+class VariantComparison(NamedTuple):
     """Optimal solution per member of one variant group, cheapest first."""
 
     group: str

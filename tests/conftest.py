@@ -112,8 +112,16 @@ def reference_validate_workflow(workflow: Workflow) -> ValidationReport:
     tasks = workflow.tasks
     group_codes = {g.code for g in workflow.variant_groups}
     member_of: dict[str, str] = {}
+    seen: list[str] = []
 
     for grp in workflow.variant_groups:
+        if seen.count(grp.code) == 1:
+            found.append(Violation(
+                "duplicate-group",
+                f"duplicate variant-group code {grp.code!r}",
+                (grp.code,),
+            ))
+        seen.append(grp.code)
         if grp.code in tasks:
             found.append(Violation(
                 "group-code-collision",

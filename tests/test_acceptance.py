@@ -12,7 +12,6 @@ import math
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -144,8 +143,8 @@ def _with_extra_edge(workflow: Workflow, rng: random.Random) -> Workflow:
     j = rng.randrange(i + 1, len(codes))
     # Generated edges only ever point up the code order, so this stays acyclic.
     dependent = workflow.tasks[codes[j]]
-    widened = replace(
-        dependent, prerequisites=dependent.prerequisites | {codes[i]})
+    widened = dependent._replace(
+        prerequisites=dependent.prerequisites | {codes[i]})
     tasks = [widened if c == codes[j] else workflow.tasks[c] for c in codes]
     return Workflow.from_tasks(tasks)
 

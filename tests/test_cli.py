@@ -585,6 +585,26 @@ class TestImports:
         assert "cogseq.solver" in imported
         assert not imported & {"cogseq.wcsp", "cogseq.analysis", "decimal"}
 
+    @pytest.mark.parametrize("module,unwanted", [
+        ("cogseq", {"dataclasses", "inspect"}),
+        ("cogseq.cli", {"dataclasses"}),
+    ])
+    def test_import_generates_no_dataclass(self, module, unwanted):
+        # Every record is a named tuple; dataclasses costs milliseconds to
+        # import and more per class, in every CLI process.
+        src = Path(cogseq.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); import " + module
+             + "; print(*sorted(set(sys.modules) - before))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert module in added
+        assert not added & unwanted
+
     def test_every_exported_name_resolves(self):
         for name in cogseq.__all__:
             assert getattr(cogseq, name) is not None, name

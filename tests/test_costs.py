@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from dataclasses import replace
 from decimal import Decimal
 from itertools import islice
 
@@ -147,9 +146,9 @@ class TestCostModel:
         assert a == b and hash(a) == hash(b)
         assert a.rules == ((Rule.MODALITY, 2), (Rule.FAMILIARITY, 1))
         assert list(a.active_rule_costs()) == [Rule.MODALITY, Rule.FAMILIARITY]
-        for copied in (pickle.loads(pickle.dumps(a)), replace(a),
-                       replace(a, rules=a.rules),
-                       replace(a, rules=a.active_rule_costs())):
+        for copied in (pickle.loads(pickle.dumps(a)), a._replace(),
+                       a._replace(rules=a.rules),
+                       a._replace(rules=a.active_rule_costs())):
             assert copied == a and hash(copied) == hash(a)
             assert copied.rules == a.rules
 
@@ -162,8 +161,8 @@ class TestCostModel:
         (CostModel(), False),
         (CostModel(recent_practice_scope=Scope.FULL_HISTORY), True),
         (CostModel.calibrated(), False),
-        (replace(CostModel.calibrated(),
-                 recent_practice_scope=Scope.FULL_HISTORY), False),
+        (CostModel.calibrated()._replace(
+            recent_practice_scope=Scope.FULL_HISTORY), False),
         (CostModel(rules={},
                    recent_practice_scope=Scope.FULL_HISTORY), False),
     ], ids=["literal", "literal-full", "calibrated", "calibrated-full",
@@ -179,13 +178,13 @@ class TestCostModel:
         twin = CostModel(matrix=model.matrix, rules=model.rules,
                          recent_practice_scope=model.recent_practice_scope)
         assert twin == model and hash(twin) == hash(model)
-        for copied in (replace(model), copy.copy(model),
+        for copied in (model._replace(), copy.copy(model),
                        copy.deepcopy(model),
                        pickle.loads(pickle.dumps(model))):
             assert copied == model and hash(copied) == hash(model)
             assert copied.active_rule_costs() == model.active_rule_costs()
             assert copied.rules == model.rules
-        literal = replace(model, rules=DEFAULT_RULE_COSTS)
+        literal = model._replace(rules=DEFAULT_RULE_COSTS)
         assert literal.active_rule_costs() == DEFAULT_RULE_COSTS
         assert literal == CostModel(
             recent_practice_scope=model.recent_practice_scope)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -206,6 +205,25 @@ class TestValidation:
         kinds = {v.kind for v in validate_workflow(wf)}
         assert "direct-member-reference" in kinds
 
+    def test_repeated_group_code(self):
+        # The constructor, unlike Workflow.from_tasks, takes the groups as
+        # given, so validation must find the repeat.
+        tasks = {code: simple_task(code) for code in "ABC"}
+        wf = Workflow(tasks=tasks, variant_groups=(
+            VariantGroup("G", {"A"}), VariantGroup("G", {"B"})))
+        report = validate_workflow(wf)
+        assert [(v.kind, v.message, v.codes) for v in report] == [
+            ("duplicate-group", "duplicate variant-group code 'G'", ("G",))]
+        assert report == reference_validate_workflow(wf)
+        assert report.summary() == (
+            "[duplicate-group] duplicate variant-group code 'G'")
+
+    def test_group_code_used_three_times_is_reported_once(self):
+        tasks = {code: simple_task(code) for code in "ABC"}
+        wf = Workflow(tasks=tasks, variant_groups=tuple(
+            VariantGroup("G", {code}) for code in "ABC"))
+        assert [v.kind for v in validate_workflow(wf)] == ["duplicate-group"]
+
     def test_fixtures_validate(self, full_document, validation_document):
         assert validate_workflow(full_document.workflow).ok
         assert validate_workflow(validation_document.workflow).ok
@@ -266,6 +284,22 @@ class TestValidationOracle:
         assert validate_workflow(workflow) == expected
         assert validate_workflow(shuffled) == expected
 
+    @given(case=checked_workflows(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_group_codes_equal_reference(self, case, data):
+        workflow, _ = case
+        codes = [g.code for g in workflow.variant_groups] or ["G"]
+        repeat = data.draw(st.builds(
+            VariantGroup, code=st.sampled_from(codes),
+            members=st.frozensets(st.sampled_from(sorted(workflow.tasks)),
+                                  max_size=2)))
+        groups = data.draw(st.permutations(
+            workflow.variant_groups + (repeat, repeat)))
+        repeated = Workflow(tasks=workflow.tasks, variant_groups=groups)
+        report = validate_workflow(repeated)
+        assert report == reference_validate_workflow(repeated)
+        assert "duplicate-group" in {v.kind for v in report}
+
 
 class TestValidationGraph:
     """The graph a clean report carries is the one the enumerators and the
@@ -323,10 +357,10 @@ class TestVariants:
         out = instantiate_variant(wf, "G", "M1")
         assert out.tasks["S"] is wf.tasks["S"]
         assert out.tasks["M1"] is wf.tasks["M1"]
-        assert out.tasks["E"] == replace(wf.tasks["E"],
-                                         prerequisites=frozenset({"M1"}))
-        assert out.tasks["X"] == replace(wf.tasks["X"],
-                                         prerequisites=frozenset({"S"}))
+        assert out.tasks["E"] == wf.tasks["E"]._replace(
+            prerequisites=frozenset({"M1"}))
+        assert out.tasks["X"] == wf.tasks["X"]._replace(
+            prerequisites=frozenset({"S"}))
         assert list(out.tasks) == ["S", "M1", "E", "X"]
         assert out.variant_groups == ()
         # The input is unchanged, down to the identity of each task.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from itertools import islice, permutations
 
 import pytest
@@ -252,11 +251,11 @@ def _add_copies(wf: Workflow, original: str, codes) -> Workflow:
     on every copy."""
     tasks = dict(wf.tasks)
     for code in codes:
-        tasks[code] = replace(tasks[original], code=code, name=code)
+        tasks[code] = tasks[original]._replace(code=code, name=code)
     for code, task in tasks.items():
         if original in task.prerequisites:
-            tasks[code] = replace(task,
-                                  prerequisites=task.prerequisites | set(codes))
+            tasks[code] = task._replace(
+                prerequisites=task.prerequisites | set(codes))
     return Workflow.from_tasks(tasks.values())
 
 
@@ -317,24 +316,24 @@ def twin_workflows(draw):
                         - set(copies) - _ancestors(wf, original))
         if dependents and (not others or draw(st.booleans())):
             code = draw(st.sampled_from(dependents))
-            tasks[code] = replace(
-                tasks[code], prerequisites=tasks[code].prerequisites - {near})
+            tasks[code] = tasks[code]._replace(
+                prerequisites=tasks[code].prerequisites - {near})
         elif others:
             code = draw(st.sampled_from(others))
-            tasks[code] = replace(
-                tasks[code], prerequisites=tasks[code].prerequisites | {near})
+            tasks[code] = tasks[code]._replace(
+                prerequisites=tasks[code].prerequisites | {near})
         else:
             kind = "familiarity"
     if kind == "resource":
-        task = replace(task, resource=draw(st.sampled_from(
+        task = task._replace(resource=draw(st.sampled_from(
             [r for r in Resource if r is not task.resource])))
     elif kind == "modality":
-        task = replace(task, modality="speech")
+        task = task._replace(modality="speech")
     elif kind == "voluntary":
-        task = replace(task, voluntary=not task.voluntary)
+        task = task._replace(voluntary=not task.voluntary)
     elif kind in ("familiarity", "complexity"):
         value = getattr(task, kind)
-        task = replace(task, **{kind: draw(st.sampled_from(
+        task = task._replace(**{kind: draw(st.sampled_from(
             [v for v in range(1, 6) if v != value]))})
     tasks[near] = task
     return Workflow.from_tasks(tasks.values()), original, copies, near
@@ -403,10 +402,10 @@ class TestBudget:
         assert "39916800" in str(err.value) or "39,916,800" in str(err.value)
 
     def test_brute_force_budget(self, monkeypatch):
-        def no_enumeration(workflow):
+        def no_enumeration(graph):
             raise AssertionError("enumerated past the budget")
 
-        monkeypatch.setattr("cogseq.solver.enumerate_linear_extensions",
+        monkeypatch.setattr("cogseq.solver._linear_extensions",
                             no_enumeration)
         wf = Workflow.from_tasks([simple_task(f"T{i:02d}") for i in range(11)])
         with pytest.raises(BudgetExceededError) as err:
@@ -422,6 +421,23 @@ class TestBudget:
             brute_force(wf, CostModel())
         assert (err.value.count, err.value.budget, err.value.what) == (
             15, 14, "order ideals or more")
+
+    def test_brute_force_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(workflow):
+            calls.append(workflow)
+            return validate_workflow(workflow)
+
+        # The solver's name and the model's, which the public enumerator
+        # and counter call.
+        monkeypatch.setattr("cogseq.solver.validate_workflow", counting)
+        monkeypatch.setattr("cogseq.model.validate_workflow", counting)
+        wf = Workflow.from_tasks([simple_task("A"), simple_task("B"),
+                                  simple_task("C", prerequisites=("A",))])
+        best = brute_force(wf, CostModel())
+        assert best.stats.nodes == 3
+        assert calls == [wf]
 
     def test_bnb_solves_within_ideal_budget(self):
         # The same workflow has only 2**11 = 2048 order ideals.
@@ -584,8 +600,8 @@ def _random_chain(n: int, seed: int) -> Workflow:
 
 
 def _without_practice(model: CostModel) -> CostModel:
-    return replace(model, rules={rule: cost for rule, cost in model.rules
-                                 if rule is not Rule.RECENT_PRACTICE})
+    return model._replace(rules={rule: cost for rule, cost in model.rules
+                                if rule is not Rule.RECENT_PRACTICE})
 
 
 def _priced_pairs(pair) -> set[tuple[int, int]]:
@@ -884,7 +900,7 @@ class TestRuleOracle:
     @given(tasks=tasks_strategy, model=model_strategy, data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_breakdowns_follow_the_rule_table(self, tasks, model, data):
-        tasks = [replace(task, code=f"T{i}") for i, task in enumerate(tasks)]
+        tasks = [task._replace(code=f"T{i}") for i, task in enumerate(tasks)]
         wf = Workflow.from_tasks(tasks)
         ordering = data.draw(st.permutations(tasks))
 
