@@ -17,7 +17,7 @@ followed by one at the smallest bound it cut off.
 An ideal's only name is its bitmask of placed tasks, and the forward pass
 inserts ideals by size, so reverse insertion order puts children first.
 
-Twins (tasks with equal properties, prerequisites and dependents) are
+Twins (tasks with equal properties, ancestors and descendants) are
 interchangeable: swapping two of them changes no cost (Freuder 1991, value
 interchangeability).  So the dynamic program places the members of a twin
 class in index order only, by chaining each member to the one before it,
@@ -44,6 +44,11 @@ from .errors import BudgetExceededError
 #: of an 18-task antichain of distinct tasks, whose every subset is an ideal.
 #: Twin classes are chained first, so this counts canonical ideals.
 MAX_IDEALS = 2 ** 18
+
+#: Most depth-first steps the threshold passes may take before giving up.
+#: Each pass walks the orderings of every earlier pass again, so the steps
+#: grow with the square of the passes that a large k needs.
+MAX_STEPS = 10_000_000
 
 
 def search(n: int,
@@ -75,7 +80,9 @@ def search(n: int,
     one cut off, until k orderings are collected or none are left.
     ``nodes`` and ``prunes`` count depth-first steps tried and cut off over
     all passes, not order ideals.  Raises :class:`BudgetExceededError`
-    when the order has more than ``MAX_IDEALS`` canonical ideals.
+    when the order has more than ``MAX_IDEALS`` canonical ideals, or when
+    the passes take more than ``MAX_STEPS`` steps, a bound checked as each
+    ordering is collected and as each pass ends.
     """
     if n == 0:
         return [(0, ())], 0, 0
@@ -271,6 +278,8 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
                         solutions.append((sign * key, tuple(seq)))
                         if len(solutions) == k:
                             return solutions, nodes, prunes
+                        if nodes > MAX_STEPS:
+                            raise _steps_exceeded(nodes)
                     continue
                 if rp_cost and placed & shares[t]:
                     base += rp_cost
@@ -286,4 +295,10 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
         if above == inf:
             # Nothing was cut off: every extension has been collected.
             return solutions, nodes, prunes
+        if nodes > MAX_STEPS:
+            raise _steps_exceeded(nodes)
         threshold = above
+
+
+def _steps_exceeded(nodes: int) -> BudgetExceededError:
+    return BudgetExceededError(nodes, MAX_STEPS, "search steps or more")

@@ -29,7 +29,6 @@ from .errors import BudgetExceededError, CogseqError, WorkflowError
 from .model import (
     Graph,
     Ordering,
-    Resource,
     Task,
     Workflow,
     _checked_make,
@@ -88,17 +87,25 @@ class _SolveRequestFields(NamedTuple):
     k: int = 1
 
 
+def _require_objective(objective: Objective) -> None:
+    if not isinstance(objective, Objective):
+        raise CogseqError(
+            f"objective must be an Objective, got {objective!r}")
+
+
 class SolveRequest(_SolveRequestFields):
-    """One ``solve`` call; ``k`` is checked on every path that builds a
-    request: the constructor, ``_replace``, pickle and copy."""
+    """One ``solve`` call; ``objective`` and ``k`` are checked on every path
+    that builds a request: the constructor, ``_replace``, pickle and copy."""
 
     __slots__ = ()
 
     def __new__(cls, workflow: Workflow, model: CostModel = _CALIBRATED,
                 objective: Objective = Objective.MINIMIZE,
                 k: int = 1) -> SolveRequest:
-        if k < 1:
-            raise CogseqError(f"k must be at least 1, got {k}")
+        _require_objective(objective)
+        # A bool is an int, but True is no count of orderings.
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise CogseqError(f"k must be at least 1 and an int, got {k!r}")
         return tuple.__new__(cls, (workflow, model, objective, k))
 
     _make = classmethod(_checked_make)
@@ -142,93 +149,92 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph):
     are the classes of interchangeable tasks (:func:`_twin_classes`).
     """
     codes, preds, succ = graph
-    tasks = [workflow.tasks[code] for code in codes]
     n = len(codes)
+    profile = _cost_profile([workflow.tasks[code] for code in codes])
 
     practice = model.rule_cost(Rule.RECENT_PRACTICE) or 0
     if model.history_dependent:
         rp_cost, practice = practice, 0
-        # shares[j]: the other tasks with j's modality or j's resource.
-        by_modality: dict[str, int] = {}
-        by_resource: dict[Resource, int] = {}
-        for i, task in enumerate(tasks):
-            by_modality[task.modality] = (by_modality.get(task.modality, 0)
-                                          | 1 << i)
-            by_resource[task.resource] = (by_resource.get(task.resource, 0)
-                                          | 1 << i)
-        shares = [(by_modality[task.modality] | by_resource[task.resource])
-                  & ~(1 << j) for j, task in enumerate(tasks)]
+        # shares[j]: the other tasks with j's resource or j's modality.
+        res, mod = profile[:2]
+        by_resource = [0] * len(RESOURCE_INDEX)
+        by_modality = [0] * n
+        for i in range(n):
+            by_resource[res[i]] |= 1 << i
+            by_modality[mod[i]] |= 1 << i
+        shares = [(by_resource[res[j]] | by_modality[mod[j]]) & ~(1 << j)
+                  for j in range(n)]
     else:
         rp_cost = 0
         shares = [0] * n
 
-    price = _pair_pricer(tasks, model, practice)
+    price = _pair_pricer(profile, model, practice)
     pair = [_PairRow(a, price) for a in range(n)]
-    return codes, preds, pair, shares, rp_cost, _twin_classes(tasks, preds,
+    return codes, preds, pair, shares, rp_cost, _twin_classes(profile, preds,
                                                              succ)
 
 
-def _twin_classes(tasks: list[Task], preds: tuple[int, ...],
+def _cost_profile(tasks: list[Task]) -> tuple[list[int], ...]:
+    """Every property a cost reads, as five integer columns: resource index,
+    modality id (by first use), voluntary, familiarity and complexity."""
+    modality_ids: dict[str, int] = {}
+    return ([RESOURCE_INDEX[task.resource] for task in tasks],
+            [modality_ids.setdefault(task.modality, len(modality_ids))
+             for task in tasks],
+            [task.voluntary for task in tasks],
+            [task.familiarity for task in tasks],
+            [task.complexity for task in tasks])
+
+
+def _twin_classes(profile: tuple[list[int], ...], preds: tuple[int, ...],
                   succ: tuple[tuple[int, ...], ...]
                   ) -> tuple[tuple[int, ...], ...]:
     """Classes of two or more twins, each ascending, ordered by first index.
 
-    Twins have equal resource, modality, voluntary flag, familiarity and
-    complexity, the same prerequisites and the same dependents, so every
-    cost is symmetric in them.  Only tasks with equal prerequisite masks
-    are compared, field by field, so no task's profile is hashed.
+    Twins have equal cost profiles, ancestors and descendants (not direct
+    edges, which a redundant one would tell apart), so swapping two of them
+    turns a linear extension into another of the same cost.
     """
-    # Two tasks with equal masks are two roots or share a prerequisite, so
-    # with one root and no task with two dependents (a chain) all differ.
+    # Twins are two roots or share their maximal ancestor as a direct
+    # prerequisite, so a chain (one root, one dependent at most) has none.
     if preds.count(0) < 2 and max(map(len, succ), default=0) < 2:
         return ()
-    by_preds: dict[int, list[int]] = {}
-    for t, mask in enumerate(preds):
-        by_preds.setdefault(mask, []).append(t)
-    classes = []
-    for members in by_preds.values():
-        if len(members) < 2:
-            continue
-        found: list[list[int]] = []
-        for t in members:
-            a = tasks[t]
-            for cls in found:
-                b = tasks[cls[0]]
-                # Dependents lists are ascending, so equal sets are equal
-                # lists.
-                if (a.resource is b.resource and a.modality == b.modality
-                        and a.voluntary == b.voluntary
-                        and a.familiarity == b.familiarity
-                        and a.complexity == b.complexity
-                        and succ[t] == succ[cls[0]]):
-                    cls.append(t)
-                    break
-            else:
-                found.append([t])
-        classes.extend(tuple(cls) for cls in found if len(cls) > 1)
-    classes.sort()
-    return tuple(classes)
+    # Ancestors in a topological order, descendants in its reverse.
+    ancestors = [0] * len(preds)
+    waiting = [mask.bit_count() for mask in preds]
+    order = [t for t, mask in enumerate(preds) if not mask]
+    for t in order:
+        below = ancestors[t] | 1 << t
+        for s in succ[t]:
+            ancestors[s] |= below
+            waiting[s] -= 1
+            if not waiting[s]:
+                order.append(s)
+    descendants = [0] * len(preds)
+    for t in reversed(order):
+        for s in succ[t]:
+            descendants[t] |= descendants[s] | 1 << s
+    groups: dict[tuple, list[int]] = {}
+    for t, key in enumerate(zip(*profile, ancestors, descendants)):
+        groups.setdefault(key, []).append(t)
+    return tuple(tuple(members) for members in groups.values()
+                 if len(members) > 1)
 
 
-def _pair_pricer(tasks: list[Task], model: CostModel, practice: int):
-    """``price(a, b)``: ``pair_cost(tasks[a], tasks[b], model)`` from
-    per-task integer arrays, without building a breakdown per pair, with
-    ``practice`` in place of the model's RecentPractice cost."""
+def _pair_pricer(profile: tuple[list[int], ...], model: CostModel,
+                 practice: int):
+    """``price(a, b)``: ``pair_cost`` of tasks a and b, from their
+    :func:`_cost_profile` columns, without building a breakdown per pair,
+    with ``practice`` in place of the model's RecentPractice cost."""
+    res, mod, vol, fam, cx = profile
     costs = dict(model.rules)
     modality = costs.get(Rule.MODALITY, 0)
     familiarity = costs.get(Rule.FAMILIARITY, 0)
     matrix = model.matrix
-    modality_ids: dict[str, int] = {}
-    res = [RESOURCE_INDEX[task.resource] for task in tasks]
-    mod = [modality_ids.setdefault(task.modality, len(modality_ids))
-           for task in tasks]
-    fam = [task.familiarity for task in tasks]
-    cx = [task.complexity for task in tasks]
     # The complexity-drop rule that fires on entering each task.
     voluntary_drop = costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP, 0)
     involuntary_drop = costs.get(Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
-    drop = [voluntary_drop if task.voluntary else involuntary_drop
-            for task in tasks]
+    drop = [voluntary_drop if v else involuntary_drop for v in vol]
 
     def price(a: int, b: int) -> int:
         cost = matrix[res[a]][res[b]]
@@ -317,6 +323,7 @@ def brute_force(workflow: Workflow, model: CostModel,
     makes that the first one seen, and ``min`` keeps the first of equal
     keys).
     """
+    _require_objective(objective)
     graph = _checked(workflow, "brute_force")
     start = perf_counter()
     count = _count_extensions(graph)

@@ -69,6 +69,25 @@ class TestRequestValidation:
         with pytest.raises(CogseqError, match="k must be"):
             SolveRequest(workflow=wf, k=0)
 
+    @pytest.mark.parametrize("k", [1.5, "3", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_k_must_be_an_int(self, k):
+        wf = Workflow.from_tasks([simple_task("A")])
+        with pytest.raises(CogseqError, match="k must be"):
+            SolveRequest(workflow=wf, k=k)
+
+    def test_objective_must_be_an_objective(self):
+        wf = Workflow.from_tasks([simple_task("A")])
+        with pytest.raises(CogseqError, match="objective must be"):
+            SolveRequest(workflow=wf, objective="max")
+        with pytest.raises(CogseqError, match="objective must be"):
+            SolveRequest(workflow=wf)._replace(objective="max")
+
+    def test_brute_force_objective_must_be_an_objective(self):
+        wf = Workflow.from_tasks([simple_task("A")])
+        with pytest.raises(CogseqError, match="objective must be"):
+            brute_force(wf, CostModel(), "max")
+
     def test_grouped_workflow_rejected(self, full_document):
         with pytest.raises(WorkflowError, match="concrete"):
             solve(SolveRequest(workflow=full_document.workflow))
@@ -276,7 +295,11 @@ def _ancestors(wf: Workflow, code: str) -> set[str]:
     return found
 
 
-#: What tells a near-twin from its original: one property, or one dependent.
+def _descendants(wf: Workflow, code: str) -> set[str]:
+    return {c for c in wf.tasks if code in _ancestors(wf, c)}
+
+
+#: What tells a near-twin from its original: one property, or one descendant.
 NEAR_KINDS = ("resource", "modality", "voluntary", "familiarity",
               "complexity", "dependent")
 
@@ -284,9 +307,11 @@ NEAR_KINDS = ("resource", "modality", "voluntary", "familiarity",
 @st.composite
 def twin_workflows(draw):
     """(workflow, original, copies, near): a random workflow of 1-4 tasks
-    plus 1-2 exact copies of its task ``original``, and with ``near`` not
-    None a copy that differs from it in one property or one dependent.
-    Codes are shuffled, so twins sit anywhere in index order."""
+    plus 1-2 exact copies of its task ``original``, one of which may have a
+    redundant edge (to an ancestor or descendant that is not a neighbour),
+    and with ``near`` not None a copy that differs from it in one property
+    or one descendant.  Codes are shuffled, so twins sit anywhere in index
+    order."""
     n = draw(st.integers(1, 4))
     kind = draw(st.sampled_from((None,) + NEAR_KINDS))
     n_copies = draw(st.integers(1, min(2, 6 - n - (kind is not None))))
@@ -301,6 +326,16 @@ def twin_workflows(draw):
     original = labels[draw(st.integers(0, n - 1))]
     copies = labels[n:n + n_copies]
     wf = _add_copies(Workflow.from_tasks(tasks), original, copies)
+    redundant = (
+        [(a, copies[0]) for a in sorted(_ancestors(wf, original)
+                                        - wf.tasks[original].prerequisites)]
+        + [(copies[0], d) for d in sorted(_descendants(wf, original))
+           if original not in wf.tasks[d].prerequisites])
+    if redundant and draw(st.booleans()):
+        pre, code = draw(st.sampled_from(redundant))
+        task = wf.tasks[code]
+        wf = Workflow.from_tasks({**wf.tasks, code: task._replace(
+            prerequisites=task.prerequisites | {pre})}.values())
     if kind is None:
         return wf, original, copies, None
     near = labels[n + n_copies]
@@ -308,12 +343,17 @@ def twin_workflows(draw):
     tasks = dict(wf.tasks)
     task = tasks[near]
     if kind == "dependent":
-        dependents = sorted(c for c, t in tasks.items()
-                            if near in t.prerequisites)
-        # A new dependent must not lead back to the near-twin's
-        # prerequisites.
-        others = sorted(set(tasks) - set(dependents) - {original, near}
-                        - set(copies) - _ancestors(wf, original))
+        # A dependent no other dependent leads to, so dropping its edge
+        # drops it from the descendants.
+        dependents = sorted(
+            d for d, t in tasks.items() if near in t.prerequisites
+            and not any(near in u.prerequisites and d in _descendants(wf, c)
+                        for c, u in tasks.items()))
+        # A new dependent must be no descendant yet and must not lead back
+        # to the near-twin's ancestors.
+        others = sorted(set(tasks) - _descendants(wf, original)
+                        - {original, near} - set(copies)
+                        - _ancestors(wf, original))
         if dependents and (not others or draw(st.booleans())):
             code = draw(st.sampled_from(dependents))
             tasks[code] = tasks[code]._replace(
@@ -340,15 +380,15 @@ def twin_workflows(draw):
 
 
 def _expected_twins(wf: Workflow) -> list[tuple[str, ...]]:
-    """Oracle: codes grouped by properties, prerequisites and dependents."""
+    """Oracle: codes grouped by properties, ancestors and descendants."""
     groups: dict[tuple, list[str]] = {}
     for code in sorted(wf.tasks):
         task = wf.tasks[code]
-        dependents = frozenset(c for c, t in wf.tasks.items()
-                               if code in t.prerequisites)
         groups.setdefault((task.resource, task.modality, task.voluntary,
                            task.familiarity, task.complexity,
-                           task.prerequisites, dependents), []).append(code)
+                           frozenset(_ancestors(wf, code)),
+                           frozenset(_descendants(wf, code))),
+                          []).append(code)
     return sorted(tuple(g) for g in groups.values() if len(g) > 1)
 
 
@@ -363,6 +403,23 @@ class TestTwins:
             codes, *_, twins = _kernel_inputs(wf, CostModel())
             assert [tuple(codes[t] for t in c) for c in twins] == [
                 ("STSO", "STSR")]
+
+    def test_redundant_edge_hides_no_twins(self, full_document):
+        # LANG precedes BKRF, so STSO's own LANG prerequisite is redundant:
+        # without it the seat steps are still twins, and nothing changes.
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        stso = wf.tasks["STSO"]
+        trimmed = Workflow.from_tasks({**wf.tasks, "STSO": stso._replace(
+            prerequisites=stso.prerequisites - {"LANG"})}.values())
+        codes, *_, twins = _kernel_inputs(trimmed, CostModel())
+        assert [tuple(codes[t] for t in c) for c in twins] == [
+            ("STSO", "STSR")]
+        for objective in Objective:
+            request = SolveRequest(workflow=wf, objective=objective, k=10)
+            before = solve(request)
+            after = solve(request._replace(workflow=trimmed))
+            assert _totals(after) == _totals(before)
+            assert after[0].stats[:2] == before[0].stats[:2]
 
     def test_chain_has_no_twins(self):
         *_, twins = _kernel_inputs(_random_chain(70, seed=4), CostModel())
@@ -454,6 +511,28 @@ class TestBudget:
             solve(SolveRequest(workflow=wf))
         assert (err.value.count, err.value.budget) == (101, 100)
         assert "101 order ideals" in str(err.value)
+
+    def test_step_budget_ends_many_passes(self, monkeypatch, full_document):
+        # Each pass collects the orderings of one total, so a huge k on
+        # check-in runs pass after pass.
+        monkeypatch.setattr("cogseq._search.MAX_STEPS", 5000)
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        with pytest.raises(BudgetExceededError) as err:
+            solve(SolveRequest(workflow=wf, k=10 ** 20))
+        assert (err.value.budget, err.value.what) == (
+            5000, "search steps or more")
+        assert err.value.count > 5000
+        assert "search steps" in str(err.value)
+
+    def test_step_budget_ends_one_pass(self, monkeypatch):
+        # Eight identical tasks: all 40,320 orderings tie, so the first pass
+        # would collect every one of them; the budget stops it midway.
+        monkeypatch.setattr("cogseq._search.MAX_STEPS", 1000)
+        wf = Workflow.from_tasks([simple_task(f"T{i}") for i in range(8)])
+        with pytest.raises(BudgetExceededError) as err:
+            solve(SolveRequest(workflow=wf, k=10 ** 6))
+        assert err.value.what == "search steps or more"
+        assert 1000 < err.value.count < 2000
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_identical_tasks_solve_past_eighteen(self, objective):
@@ -657,7 +736,8 @@ class TestPairPricer:
     def _assert_prices_like_pair_cost(tasks, model, lifted):
         # Lifted: RecentPractice is priced through shares, not the rows.
         practice = 0 if lifted else model.rule_cost(Rule.RECENT_PRACTICE) or 0
-        price = solver._pair_pricer(tasks, model, practice)
+        price = solver._pair_pricer(solver._cost_profile(tasks), model,
+                                    practice)
         base = _without_practice(model) if lifted else model
         for a, prev in enumerate(tasks):
             for b, cur in enumerate(tasks):
@@ -745,8 +825,8 @@ class TestPairPricer:
         wf = random_workflow(random.Random(9000 + seed), n_max=7)
         calls = []
 
-        def counting(tasks, model, practice):
-            price = pair_pricer(tasks, model, practice)
+        def counting(profile, model, practice):
+            price = pair_pricer(profile, model, practice)
 
             def recorded(a, b):
                 calls.append((a, b))
