@@ -14,6 +14,9 @@ costs no more than it, in lexicographic order, so ties keep breaking toward
 the smaller index sequence.  A pass that ends with fewer than k orderings is
 followed by one at the smallest bound it cut off.
 
+The search only minimizes: minimizing negated prices, with the same
+lexicographic tie-break, is how a caller maximizes.
+
 An ideal's only name is its bitmask of placed tasks, and the forward pass
 inserts ideals by size, so reverse insertion order puts children first.
 
@@ -51,17 +54,17 @@ MAX_IDEALS = 2 ** 18
 MAX_STEPS = 10_000_000
 
 
-def search(n: int,
-           preds: Sequence[int],
+def search(preds: Sequence[int],
+           succ: Sequence[Sequence[int]],
            pair: list,
            shares: list[int],
            rp_cost: int,
-           maximize: bool,
            k: int,
            twins: tuple[tuple[int, ...], ...]):
-    """Find the k extremal linear extensions; returns (solutions, nodes, prunes).
+    """Find the k cheapest extensions; returns (solutions, nodes, prunes).
 
-    ``preds[t]``: bitmask of direct predecessors.  ``pair[a][b]``: cost of a
+    ``preds[t]``: bitmask of direct predecessors; ``succ[t]``: the direct
+    successors of t, the same edges, in any order.  ``pair[a][b]``: cost of a
     immediately before b, excluding any history-dependent RecentPractice term;
     that term is ``rp_cost`` added whenever an already-placed task is in
     ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
@@ -73,50 +76,47 @@ def search(n: int,
     search starts; with twins it reads those of the canonical orderings
     only, and the depth-first search may read a twin's pair first.  So a row
     may price on first read: a dict per row whose ``__missing__`` prices b
-    and stores it will do.  Solutions are (total, index-tuple), best-first,
-    ties lexicographic.  The depth-first search runs in passes with a rising
-    threshold: a pass expands only steps whose exact best completion is
-    within it, and the next pass starts from the smallest bound the last
-    one cut off, until k orderings are collected or none are left.
+    and stores it will do.  Costs may be negative.  Solutions are (total,
+    index-tuple), cheapest first, ties lexicographic.  The depth-first search
+    runs in passes with a rising threshold: a pass expands only steps whose
+    exact least completion is within it, and the next pass starts from the
+    smallest bound the last one cut off, until k orderings are collected or
+    none are left.
     ``nodes`` and ``prunes`` count depth-first steps tried and cut off over
     all passes, not order ideals.  Raises :class:`BudgetExceededError`
     when the order has more than ``MAX_IDEALS`` canonical ideals, or when
     the passes take more than ``MAX_STEPS`` steps, a bound checked as each
     ordering is collected and as each pass ends.
     """
+    n = len(preds)
     if n == 0:
         return [(0, ())], 0, 0
     if twins:
         # Each member after the first waits for the one before it, in the
-        # tables only.
+        # tables only: the chained graph is a copy.
         preds = list(preds)
+        succ = list(succ)
         for members in twins:
             for prev, t in zip(members, members[1:]):
                 preds[t] |= 1 << prev
-    elig = _ideals(n, preds)
-    go = _cost_to_go(pair, shares, rp_cost, maximize, elig)
+                succ[prev] = (*succ[prev], t)
+    elig = _ideals(preds, succ)
+    go = _cost_to_go(pair, shares, rp_cost, elig)
     if twins:
         elig = _RealRows(n, twins, elig, go)
         go = elig.go
-    return _top_k(n, pair, shares, rp_cost, maximize, k, elig, go)
+    return _top_k(n, pair, shares, rp_cost, k, elig, go)
 
 
-def _ideals(n: int, preds: list[int]) -> dict[int, list[int]]:
+def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
+            ) -> dict[int, list[int]]:
     """Order ideals reachable from the empty set, keyed by bitmask.
 
     Maps each ideal to its eligible tasks in ascending index.  Keys are
     inserted level by level (every ideal of s tasks precedes every ideal of
     s + 1), each level expanded from a list because the dict keeps growing.
     """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        mask = preds[s]
-        while mask:
-            low = mask & -mask
-            succ[low.bit_length() - 1].append(s)
-            mask ^= low
-
-    elig = {0: [t for t in range(n) if not preds[t]]}
+    elig = {0: [t for t, mask in enumerate(preds) if not mask]}
     level = [0]
     while level:
         nxt: list[int] = []
@@ -144,11 +144,10 @@ def _ideals(n: int, preds: list[int]) -> dict[int, list[int]]:
     return elig
 
 
-def _cost_to_go(pair, shares, rp_cost, maximize, elig):
-    """``go[placed][i]``: the exact best cost of finishing after placing
+def _cost_to_go(pair, shares, rp_cost, elig):
+    """``go[placed][i]``: the exact least cost of finishing after placing
     ``elig[placed][i]`` on ideal ``placed``, including that step's lifted
     RecentPractice term but not its pair cost."""
-    best = max if maximize else min
     # One bound method per row, not one per (ideal, task) cell; a dict's
     # __getitem__ still falls back to the row's __missing__.
     gets = [row.__getitem__ for row in pair]
@@ -161,8 +160,7 @@ def _cost_to_go(pair, shares, rp_cost, maximize, elig):
             if child == full:
                 rest = 0
             else:
-                rest = best(map(add, map(gets[t], elig[child]),
-                                go[child]))
+                rest = min(map(add, map(gets[t], elig[child]), go[child]))
             if rp_cost and placed & shares[t]:
                 rest += rp_cost
             row.append(rest)
@@ -227,7 +225,7 @@ class _RealRows(dict):
         return tasks
 
 
-def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
+def _top_k(n, pair, shares, rp_cost, k, elig, go):
     """Depth-first threshold passes on an explicit stack (IDA*).
 
     A pass expands, in lexicographic order, only the steps whose exact best
@@ -239,7 +237,6 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
     k-th ordering collected ends the search: every later one is
     lexicographically larger and costs no less.
     """
-    sign = -1 if maximize else 1
     solutions: list[tuple[int, tuple[int, ...]]] = []
     seq = [0] * n
     nodes = 0
@@ -251,7 +248,7 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
     total_at = [0] * n
     steps_at: list = [None] * n
     no_pair = [0] * n
-    threshold = min(sign * g for g in go[0])
+    threshold = min(go[0])
     while True:
         # Smallest key cut off for exceeding the threshold.
         above = inf
@@ -264,7 +261,7 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
             for t, rest in steps_at[depth]:
                 nodes += 1
                 base = total + prow[t]
-                key = sign * (base + rest)
+                key = base + rest
                 if key > threshold:
                     prunes += 1
                     if key < above:
@@ -275,7 +272,7 @@ def _top_k(n, pair, shares, rp_cost, maximize, k, elig, go):
                     # is the ordering's cost.
                     if key == threshold:
                         seq[depth] = t
-                        solutions.append((sign * key, tuple(seq)))
+                        solutions.append((key, tuple(seq)))
                         if len(solutions) == k:
                             return solutions, nodes, prunes
                         if nodes > MAX_STEPS:

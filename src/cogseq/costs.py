@@ -192,9 +192,9 @@ class CostModel(_CostModelFields):
     so leaving a rule out withholds it entirely and ``rules={}`` withholds
     them all.  It is held as (rule, cost) pairs in :data:`RULE_ORDER`, and
     those pairs are accepted back, so ``model._replace(rules=model.rules)``
-    round-trips.  The matrix and the rules are checked on every path that
-    builds a model: the constructor, ``_replace``, pickle and copy.  The
-    bare constructor is the literal published model.
+    round-trips.  The matrix, the rules and the scope are checked on every
+    path that builds a model: the constructor, ``_replace``, pickle and
+    copy.  The bare constructor is the literal published model.
     :meth:`calibrated` is the recommended configuration for the bundled
     check-in workflows: identical except that RecentPractice is withheld,
     which keeps the cost of swapping the two interchangeable seat-selection
@@ -228,6 +228,9 @@ class CostModel(_CostModelFields):
             _check_cost(f"rule {rule.value} cost", cost)
         rules = tuple((rule, table[rule]) for rule in RULE_ORDER
                       if rule in table)
+        if not isinstance(recent_practice_scope, Scope):
+            raise CostModelError(f"recent_practice_scope must be a Scope, "
+                                 f"got {recent_practice_scope!r}")
         return tuple.__new__(cls, (matrix, rules, recent_practice_scope))
 
     _make = classmethod(_checked_make)

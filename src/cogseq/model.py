@@ -41,6 +41,29 @@ def normalize_modality(label: str) -> str:
     return label.strip().lower()
 
 
+def _wrong_type(record: str, code: str, field: str, kind: str,
+                value) -> WorkflowError:
+    return WorkflowError(
+        f"{record} {code!r} {field} must be {kind}, got {value!r}")
+
+
+def _codes(record: str, code: str, field: str,
+           codes: Iterable[str]) -> frozenset[str]:
+    """``codes`` frozen; a lone string, which would split into characters,
+    and anything but strings are refused."""
+    kind = "a collection of str codes"
+    if isinstance(codes, str):
+        raise _wrong_type(record, code, field, kind, codes)
+    try:
+        frozen = frozenset(codes)
+    except TypeError:  # not iterable, or holding something unhashable
+        raise _wrong_type(record, code, field, kind, codes) from None
+    for item in frozen:
+        if not isinstance(item, str):
+            raise _wrong_type(record, code, field, kind, codes)
+    return frozen
+
+
 def _checked_make(cls, iterable):
     """``_make`` for a named tuple whose ``__new__`` normalises and checks
     its fields.  The generated ``_make``, which ``_replace`` calls, builds
@@ -67,7 +90,8 @@ class Task(_TaskFields):
     raised here, so that malformed inputs can be described as data.  The
     code is stripped, the modality normalised and the prerequisites frozen
     on every path that builds a task: the constructor, ``_replace``, pickle
-    and copy.
+    and copy.  Each of those paths raises :class:`WorkflowError`, naming the
+    field, for a field of the wrong type.
     """
 
     __slots__ = ()
@@ -75,11 +99,28 @@ class Task(_TaskFields):
     def __new__(cls, code: str, name: str, resource: Resource, modality: str,
                 voluntary: bool, familiarity: int, complexity: int,
                 prerequisites: Iterable[str] = frozenset()) -> Task:
+        if not isinstance(code, str):
+            raise WorkflowError(f"task code must be a str, got {code!r}")
         code = code.strip()
-        modality = normalize_modality(modality)
-        prerequisites = frozenset(prerequisites)
         if not code:
             raise WorkflowError("task code must be non-empty")
+        if not isinstance(name, str):
+            raise _wrong_type("task", code, "name", "a str", name)
+        if not isinstance(resource, Resource):
+            raise _wrong_type("task", code, "resource", "a Resource", resource)
+        if not isinstance(modality, str):
+            raise _wrong_type("task", code, "modality", "a str", modality)
+        if not isinstance(voluntary, bool):
+            raise _wrong_type("task", code, "voluntary", "a bool", voluntary)
+        # A bool is an int, but True is no familiarity.
+        if isinstance(familiarity, bool) or not isinstance(familiarity, int):
+            raise _wrong_type("task", code, "familiarity", "an int",
+                              familiarity)
+        if isinstance(complexity, bool) or not isinstance(complexity, int):
+            raise _wrong_type("task", code, "complexity", "an int",
+                              complexity)
+        modality = normalize_modality(modality)
+        prerequisites = _codes("task", code, "prerequisites", prerequisites)
         return tuple.__new__(cls, (code, name, resource, modality, voluntary,
                                    familiarity, complexity, prerequisites))
 
@@ -92,15 +133,23 @@ class _VariantGroupFields(NamedTuple):
 
 
 class VariantGroup(_VariantGroupFields):
-    """A named slot with interchangeable member tasks (exactly one is kept)."""
+    """A named slot with interchangeable member tasks (exactly one is kept).
+
+    The code is stripped and the members frozen on every path that builds a
+    group, and each raises :class:`WorkflowError` for a field of the wrong
+    type.
+    """
 
     __slots__ = ()
 
     def __new__(cls, code: str, members: Iterable[str]) -> VariantGroup:
+        if not isinstance(code, str):
+            raise WorkflowError(
+                f"variant-group code must be a str, got {code!r}")
         code = code.strip()
-        members = frozenset(members)
         if not code:
             raise WorkflowError("variant-group code must be non-empty")
+        members = _codes("variant group", code, "members", members)
         return tuple.__new__(cls, (code, members))
 
     _make = classmethod(_checked_make)

@@ -93,15 +93,24 @@ def _require_objective(objective: Objective) -> None:
             f"objective must be an Objective, got {objective!r}")
 
 
+def _require_inputs(workflow: Workflow, model: CostModel) -> None:
+    if not isinstance(workflow, Workflow):
+        raise CogseqError(f"workflow must be a Workflow, got {workflow!r}")
+    if not isinstance(model, CostModel):
+        raise CogseqError(f"model must be a CostModel, got {model!r}")
+
+
 class SolveRequest(_SolveRequestFields):
-    """One ``solve`` call; ``objective`` and ``k`` are checked on every path
-    that builds a request: the constructor, ``_replace``, pickle and copy."""
+    """One ``solve`` call; the field types and ``k`` are checked on every
+    path that builds a request: the constructor, ``_replace``, pickle and
+    copy."""
 
     __slots__ = ()
 
     def __new__(cls, workflow: Workflow, model: CostModel = _CALIBRATED,
                 objective: Objective = Objective.MINIMIZE,
                 k: int = 1) -> SolveRequest:
+        _require_inputs(workflow, model)
         _require_objective(objective)
         # A bool is an int, but True is no count of orderings.
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -121,32 +130,32 @@ def _checked(workflow: Workflow, operation: str) -> Graph:
 
 
 class _PairRow(dict):
-    """``pair[a]``: b -> cost of a immediately before b, priced on first read."""
+    """``pair[a]``: b -> sign * cost of a immediately before b, priced once."""
 
-    __slots__ = ("_a", "_price")
+    __slots__ = ("_a", "_price", "_sign")
 
-    def __init__(self, a: int, price):
+    def __init__(self, a: int, price, sign: int):
         self._a = a
         self._price = price
+        self._sign = sign
 
     def __missing__(self, b: int) -> int:
-        cost = self[b] = self._price(self._a, b)
+        cost = self[b] = self._sign * self._price(self._a, b)
         return cost
 
 
-def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph):
-    """Index-space inputs for the search engine, with pair rows priced on
-    first read.
+def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph,
+                   sign: int):
+    """Index-space prices of the validated ``graph``'s tasks for the search
+    engine, each times ``sign``: 1, or -1 to maximize with a minimizing search.
 
-    Codes and prerequisite masks come from the validated ``graph``, in
-    ascending code order, so index tuples compare exactly like code
-    sequences.  Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the
-    first time the search reads it.  The search reads only the b that can
-    follow a immediately in some linear extension, so only those
-    transitions are priced, each once.  Under full-history scope the
-    history-dependent RecentPractice term is lifted out of the pair rows
-    into (shares, rp_cost); otherwise it stays folded into them.  ``twins``
-    are the classes of interchangeable tasks (:func:`_twin_classes`).
+    Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the first time
+    the search reads it.  The search reads only the b that can follow a
+    immediately in some linear extension, so only those transitions are
+    priced, each once.  Under full-history scope the history-dependent
+    RecentPractice term is lifted out of the pair rows into (shares,
+    rp_cost); otherwise it stays folded into them.  ``twins`` are the
+    classes of interchangeable tasks (:func:`_twin_classes`).
     """
     codes, preds, succ = graph
     n = len(codes)
@@ -169,9 +178,8 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph):
         shares = [0] * n
 
     price = _pair_pricer(profile, model, practice)
-    pair = [_PairRow(a, price) for a in range(n)]
-    return codes, preds, pair, shares, rp_cost, _twin_classes(profile, preds,
-                                                             succ)
+    pair = [_PairRow(a, price, sign) for a in range(n)]
+    return pair, shares, sign * rp_cost, _twin_classes(profile, preds, succ)
 
 
 def _cost_profile(tasks: list[Task]) -> tuple[list[int], ...]:
@@ -299,16 +307,18 @@ def solve(request: SolveRequest) -> list[Solution]:
     workflow, model = request.workflow, request.model
     graph = _checked(workflow, "solve")
     start = perf_counter()
-    codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
-        workflow, model, graph)
+    codes, preds, succ = graph
+    # The search minimizes, so a maximizing request searches negated prices.
+    sign = -1 if request.objective is Objective.MAXIMIZE else 1
+    pair, shares, rp_cost, twins = _kernel_inputs(workflow, model, graph,
+                                                  sign)
     solutions, nodes, prunes = _backend.search(
-        len(codes), preds, pair, shares, rp_cost,
-        request.objective is Objective.MAXIMIZE, request.k, twins)
+        preds, succ, pair, shares, rp_cost, request.k, twins)
     stats = SearchStats(nodes=nodes, prunes=prunes,
                         elapsed=perf_counter() - start)
     return [
-        _finish(workflow, model, tuple(map(codes.__getitem__, seq)), total,
-                stats)
+        _finish(workflow, model, tuple(map(codes.__getitem__, seq)),
+                sign * total, stats)
         for total, seq in solutions
     ]
 
@@ -323,6 +333,7 @@ def brute_force(workflow: Workflow, model: CostModel,
     makes that the first one seen, and ``min`` keeps the first of equal
     keys).
     """
+    _require_inputs(workflow, model)
     _require_objective(objective)
     graph = _checked(workflow, "brute_force")
     start = perf_counter()
@@ -366,6 +377,7 @@ def compare_variants(workflow: Workflow, model: CostModel
     A workflow with several unresolved groups is refused rather than
     resolved by a guess: resolve all but one first.
     """
+    _require_inputs(workflow, model)
     if workflow.is_concrete:
         raise WorkflowError(
             "workflow has no variant groups; use solve for a plain optimum"

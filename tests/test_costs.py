@@ -30,7 +30,7 @@ from cogseq import (
     transition_cost,
 )
 from cogseq import enumerate_linear_extensions, instantiate_variant
-from cogseq.costs import DEFAULT_RULE_COSTS, MAX_EFFECT
+from cogseq.costs import DEFAULT_MATRIX, DEFAULT_RULE_COSTS, MAX_EFFECT
 
 from conftest import random_model, random_workflow, simple_task
 
@@ -188,6 +188,21 @@ class TestCostModel:
         assert literal.active_rule_costs() == DEFAULT_RULE_COSTS
         assert literal == CostModel(
             recent_practice_scope=model.recent_practice_scope)
+
+    @pytest.mark.parametrize("build", [
+        lambda bad: CostModel(recent_practice_scope=bad.recent_practice_scope),
+        lambda bad: CostModel()._replace(
+            recent_practice_scope=bad.recent_practice_scope),
+        lambda bad: pickle.loads(pickle.dumps(bad)),
+        copy.copy,
+    ], ids=["constructor", "replace", "pickle", "copy"])
+    def test_scope_must_be_a_scope(self, build):
+        # A label is no scope: history_dependent read it as adjacent-only,
+        # and fired_rules, which tests for adjacent-only, as full history.
+        bad = tuple.__new__(CostModel, (DEFAULT_MATRIX, (), "full-history"))
+        with pytest.raises(CostModelError,
+                           match="recent_practice_scope must be a Scope"):
+            build(bad)
 
     def test_rule_parse_aliases(self):
         assert Rule.parse("RecentPractice") is Rule.RECENT_PRACTICE

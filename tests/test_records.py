@@ -212,6 +212,45 @@ class TestReplaceChecks:
         }
 
 
+class TestFieldTypes:
+    """A field of the wrong type is refused where the record is built,
+    naming the field, not read wrongly later: ``"BC"`` is no pair of
+    prerequisites, ``"no"`` is no voluntary flag and ``True`` no
+    familiarity.  Ranges stay with ``validate_workflow``."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("code", 3),
+        ("name", None),
+        ("resource", "VWM"),
+        ("modality", 3),
+        ("voluntary", "no"),
+        ("voluntary", 1),
+        ("familiarity", True),
+        ("familiarity", "3"),
+        ("complexity", 2.0),
+        ("complexity", False),
+        ("prerequisites", "BC"),
+        ("prerequisites", ["B", 3]),
+        ("prerequisites", [["B"]]),
+        ("prerequisites", 3),
+    ], ids=lambda value: repr(value))
+    def test_task(self, field, value):
+        with pytest.raises(WorkflowError, match=f"{field} must be"):
+            task()._replace(**{field: value})
+        with pytest.raises(WorkflowError, match=f"{field} must be"):
+            Task(**{**task()._asdict(), field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("code", 3), ("members", "AB"), ("members", ["A", None]),
+    ], ids=lambda value: repr(value))
+    def test_variant_group(self, field, value):
+        group = VariantGroup("G", {"A"})
+        with pytest.raises(WorkflowError, match=f"{field} must be"):
+            group._replace(**{field: value})
+        with pytest.raises(WorkflowError, match=f"{field} must be"):
+            VariantGroup(**{**group._asdict(), field: value})
+
+
 def test_default_model_is_one_shared_calibrated_model():
     a, b = SolveRequest(workflow()), SolveRequest(workflow())
     assert a.model is b.model

@@ -88,6 +88,23 @@ class TestRequestValidation:
         with pytest.raises(CogseqError, match="objective must be"):
             brute_force(wf, CostModel(), "max")
 
+    @pytest.mark.parametrize("call", [
+        lambda wf: SolveRequest(workflow=wf, model="literal"),
+        lambda wf: SolveRequest(workflow=None),
+        lambda wf: SolveRequest(workflow=wf)._replace(model="literal"),
+        lambda wf: brute_force(wf, "literal"),
+        lambda wf: brute_force(None, CostModel()),
+        lambda wf: compare_variants(wf, "x"),
+        lambda wf: compare_variants(None, CostModel()),
+    ], ids=["request-model", "request-workflow", "replace-model",
+            "brute-force-model", "brute-force-workflow", "compare-model",
+            "compare-workflow"])
+    def test_inputs_must_be_a_workflow_and_a_cost_model(self, call):
+        wf = Workflow.from_tasks([simple_task("A")])
+        with pytest.raises(CogseqError,
+                           match="must be a (Workflow|CostModel)"):
+            call(wf)
+
     def test_grouped_workflow_rejected(self, full_document):
         with pytest.raises(WorkflowError, match="concrete"):
             solve(SolveRequest(workflow=full_document.workflow))
@@ -430,22 +447,22 @@ class TestTwins:
     def test_top_k_lists_match_oracle(self, case):
         wf, original, copies, near = case
         for model in self.FUZZ_MODELS:
-            codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
-                wf, model)
+            codes, *_, twins = _kernel_inputs(wf, model)
             named = [tuple(codes[t] for t in c) for c in twins]
             assert named == _expected_twins(wf)
             (mine,) = [c for c in named if original in c]
             assert set(copies) <= set(mine) and near not in mine
             for maximize in (False, True):
                 oracle = reference_top_k(wf, model, maximize, 7)
+                _, *graph, pair, shares, rp_cost, twins = _kernel_inputs(
+                    wf, model, -1 if maximize else 1)
                 for k in (1, 3, 7):
                     found = solve(SolveRequest(
                         workflow=wf, model=model, k=k,
                         objective=(Objective.MAXIMIZE if maximize
                                    else Objective.MINIMIZE)))
                     assert _totals(found) == oracle[:k]
-                    args = (len(codes), preds, pair, shares, rp_cost,
-                            maximize, k)
+                    args = (*graph, pair, shares, rp_cost, k)
                     assert (_search.search(*args, twins)
                             == _search.search(*args, ()))
 
@@ -633,11 +650,37 @@ class TestSearchEngine:
         # Deeper than the default recursion limit.
         n = 1500
         preds = [0] + [1 << (i - 1) for i in range(1, n)]
+        succ = [(i + 1,) for i in range(n - 1)] + [()]
         pair = [[0] * n for _ in range(n)]
         solutions, nodes, prunes = _search.search(
-            n, preds, pair, [0] * n, 0, False, 1, ())
+            preds, succ, pair, [0] * n, 0, 1, ())
         assert solutions == [(0, tuple(range(n)))]
         assert (nodes, prunes) == (n, 0)
+
+    @pytest.mark.parametrize("model", MODELS,
+                             ids=["calibrated", "literal", "full-history"])
+    def test_maximize_negates_every_price(self, model):
+        # A maximizing solve is the same minimizing search on negated prices.
+        wf = random_workflow(random.Random(72), n_min=7, n_max=7)
+        *_, pair, shares, rp_cost, _ = _searched_inputs(wf, model)
+        *_, negated, negated_shares, negated_rp, _ = _searched_inputs(
+            wf, model, maximize=True)
+        assert _priced_pairs(negated)
+        for a, row in enumerate(negated):
+            for b, cost in row.items():
+                assert cost == -pair[a][b]
+        assert (negated_shares, negated_rp) == (shares, -rp_cost)
+
+    def test_twin_chaining_leaves_the_graph_alone(self):
+        wf = Workflow.from_tasks([simple_task(code) for code in "ABCD"])
+        _, preds, succ, pair, shares, rp_cost, twins = _kernel_inputs(
+            wf, CostModel())
+        assert twins == ((0, 1, 2, 3),)
+        preds, succ = list(preds), [list(row) for row in succ]
+        solutions, _, _ = _search.search(preds, succ, pair, shares, rp_cost,
+                                         30, twins)
+        assert len(solutions) == 24
+        assert (preds, succ) == ([0] * 4, [[]] * 4)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_ideals_are_the_prerequisite_closed_subsets(self, seed):
@@ -658,8 +701,8 @@ class TestSearchEngine:
             placed = {t for t in range(n) if mask >> t & 1}
             if all(prereqs[t] <= placed for t in placed):
                 closed[mask] = eligible(placed)
-        _, preds, _ = validate_workflow(wf).graph
-        elig = _search._ideals(n, preds)
+        _, preds, succ = validate_workflow(wf).graph
+        elig = _search._ideals(preds, succ)
         assert elig == closed
         sizes = [mask.bit_count() for mask in elig]
         assert sizes == sorted(sizes)
@@ -687,17 +730,18 @@ def _priced_pairs(pair) -> set[tuple[int, int]]:
     return {(a, b) for a, row in enumerate(pair) for b in row}
 
 
-def _kernel_inputs(wf, model):
-    """``solver._kernel_inputs`` on the graph that validation checked."""
-    return solver._kernel_inputs(wf, model, validate_workflow(wf).graph)
+def _kernel_inputs(wf, model, sign=1):
+    """The graph that validation checked, then ``solver._kernel_inputs`` on
+    it: ``(codes, preds, succ, pair, shares, rp_cost, twins)``."""
+    graph = validate_workflow(wf).graph
+    return (*graph, *solver._kernel_inputs(wf, model, graph, sign))
 
 
 def _searched_inputs(wf, model, maximize=False, k=1):
     """``_kernel_inputs`` after a search has read (and so priced) its rows."""
-    inputs = _kernel_inputs(wf, model)
-    codes, preds, pair, shares, rp_cost, twins = inputs
-    _search.search(len(codes), preds, pair, shares, rp_cost, maximize, k,
-                   twins)
+    inputs = _kernel_inputs(wf, model, -1 if maximize else 1)
+    _, preds, succ, pair, shares, rp_cost, twins = inputs
+    _search.search(preds, succ, pair, shares, rp_cost, k, twins)
     return inputs
 
 
@@ -767,7 +811,7 @@ class TestPairPricer:
         # Full history lifts RecentPractice out of the rows into shares.
         wf = random_workflow(random.Random(71), n_min=7, n_max=7)
         tasks = [wf.tasks[code] for code in wf.codes()]
-        codes, _, pair, shares, rp_cost, _ = _searched_inputs(wf, model)
+        *_, pair, shares, rp_cost, _ = _searched_inputs(wf, model)
         assert _priced_pairs(pair)
         lifted = model.recent_practice_scope is Scope.FULL_HISTORY
         base = _without_practice(model) if lifted else model
@@ -839,11 +883,10 @@ class TestPairPricer:
         for model in MODELS:
             for maximize in (False, True):
                 calls.clear()
-                codes, preds, pair, shares, rp_cost, twins = _kernel_inputs(
-                    wf, model)
+                _, preds, succ, pair, shares, rp_cost, twins = _kernel_inputs(
+                    wf, model, -1 if maximize else 1)
                 assert not calls and not any(pair)
-                _search.search(len(codes), preds, pair, shares, rp_cost,
-                               maximize, 4, twins)
+                _search.search(preds, succ, pair, shares, rp_cost, 4, twins)
                 assert len(calls) == len(set(calls))
                 assert set(calls) == _priced_pairs(pair)
 
@@ -853,8 +896,8 @@ class TestPairPricer:
         model = CostModel.calibrated()
         built = []
 
-        def recording(workflow, model, graph):
-            inputs = kernel_inputs(workflow, model, graph)
+        def recording(workflow, model, graph, sign):
+            inputs = kernel_inputs(workflow, model, graph, sign)
             built.append(inputs)
             return inputs
 
@@ -865,7 +908,7 @@ class TestPairPricer:
         monkeypatch.setattr("cogseq.solver._kernel_inputs", recording)
         monkeypatch.setattr("cogseq.solver.pair_cost", refuse)
         (sol,) = solve(SolveRequest(workflow=wf, model=model))
-        [(_, _, pair, _, _, _)] = built
+        [(pair, _, _, _)] = built
         assert _priced_pairs(pair) == {(i, i + 1) for i in range(n - 1)}
         monkeypatch.undo()
         oracle = brute_force(wf, model)
@@ -907,8 +950,7 @@ class TestInternalConsistency:
             simple_task("B", prerequisites=("A",)),
         ])
 
-        def lying_kernel(n, preds, pair, shares, rp_cost, maximize, k,
-                         twins):
+        def lying_kernel(preds, succ, pair, shares, rp_cost, k, twins):
             return [(999_999, (0, 1))], 1, 0
 
         monkeypatch.setattr("cogseq._backend.search", lying_kernel)
