@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (bad workflow, infeasible ordering,
-malformed document), 2 usage error.  Machine-readable output reports totals
-both as integer thousandths and as rendered decimals, and carries no timing
-or search counters, so identical requests produce byte-identical output.
+``main(argv)`` is the entry point: it writes to ``sys.stdout`` and
+``sys.stderr`` and returns the exit status, 0 success, 1 domain error (bad
+workflow, infeasible ordering, malformed document; an ``error:`` line on
+stderr), 2 usage error.  Machine-readable output reports totals both as
+integer thousandths and as rendered decimals, and carries no timing or search
+counters, so identical requests produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -26,17 +27,6 @@ from .io import (
 )
 from .model import instantiate_variant, validate_workflow
 from .solver import Objective, Solution, SolveRequest, compare_variants, solve
-
-
-def _domain_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except CogseqError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-    return wrapper
 
 
 def _workflow_argument(f):
@@ -159,7 +149,6 @@ def cli() -> None:
 
 @cli.command()
 @_workflow_argument
-@_domain_errors
 def validate(workflow_file: str) -> None:
     """Check a workflow document's structural invariants."""
     document = resolve_workflow_path(workflow_file)
@@ -185,7 +174,6 @@ def validate(workflow_file: str) -> None:
               help="Number of best solutions to report.")
 @_cost_model_option
 @_format_option
-@_domain_errors
 def solve_cmd(workflow_file: str, variants, objective: str, k: int,
               cost_model_spec, fmt: str) -> None:
     """Find the k extremal task orderings of a workflow."""
@@ -219,7 +207,6 @@ def solve_cmd(workflow_file: str, variants, objective: str, k: int,
 @_variant_option
 @_cost_model_option
 @_format_option
-@_domain_errors
 def compare_variants_cmd(workflow_file: str, variants, cost_model_spec,
                          fmt: str) -> None:
     """Solve per variant-group member and rank the members by optimal cost."""
@@ -264,7 +251,6 @@ def compare_variants_cmd(workflow_file: str, variants, cost_model_spec,
 @_variant_option
 @_cost_model_option
 @_format_option
-@_domain_errors
 def explain(workflow_file: str, ordering: str, variants, cost_model_spec,
             fmt: str) -> None:
     """Price one ordering and show every transition's cost terms."""
@@ -294,7 +280,6 @@ def explain(workflow_file: str, ordering: str, variants, cost_model_spec,
 @cli.command()
 @click.option("--a", "a_text", required=True, metavar="CODES")
 @click.option("--b", "b_text", required=True, metavar="CODES")
-@_domain_errors
 def distance(a_text: str, b_text: str) -> None:
     """Euclidean distance between two orderings of the same tasks."""
     # Imported on use: only distance and consensus need analysis.
@@ -307,7 +292,6 @@ def distance(a_text: str, b_text: str) -> None:
 
 @cli.command()
 @click.argument("orderings_file", metavar="FILE")
-@_domain_errors
 def consensus(orderings_file: str) -> None:
     """Consensus ordering of a file of orderings (one per line, # comments)."""
     from .analysis import consensus_ordering
@@ -320,7 +304,6 @@ def consensus(orderings_file: str) -> None:
 @cli.command(name="export-dot")
 @_workflow_argument
 @_variant_option
-@_domain_errors
 def export_dot_cmd(workflow_file: str, variants) -> None:
     """Emit the precedence DAG as DOT text (one edge per prerequisite)."""
     document = resolve_workflow_path(workflow_file)
@@ -330,15 +313,23 @@ def export_dot_cmd(workflow_file: str, variants) -> None:
 
 @cli.command(name="show-model")
 @_cost_model_option
-@_domain_errors
 def show_model(cost_model_spec) -> None:
     """Print the active cost-model configuration."""
     click.echo(render_cost_model(_load_model(cost_model_spec)))
 
 
-def main() -> None:
-    cli(prog_name="cogseq")
+def main(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit status; output goes to ``sys.stdout`` and ``sys.stderr``."""
+    try:
+        cli.main(argv, prog_name="cogseq")
+    except CogseqError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
+    except SystemExit as exc:  # click's standalone mode always ends here
+        return exc.code or 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -155,15 +155,54 @@ class VariantGroup(_VariantGroupFields):
     _make = classmethod(_checked_make)
 
 
-class Workflow(NamedTuple):
+class _WorkflowFields(NamedTuple):
+    tasks: Mapping[str, Task]
+    variant_groups: tuple[VariantGroup, ...] = ()
+
+
+class Workflow(_WorkflowFields):
     """An immutable task set plus precedence constraints and variant groups.
 
     ``tasks`` maps task code to :class:`Task`.  Instances are safe to share
-    across concurrent solver runs.
+    across concurrent solver runs.  Every path that builds a workflow (the
+    constructor, ``_replace``, pickle and copy) raises :class:`WorkflowError`
+    unless ``tasks`` is a mapping that holds each :class:`Task` under its own
+    code and ``variant_groups`` holds :class:`VariantGroup` records, which
+    are stored as a tuple.  A repeated group code is left to
+    :func:`validate_workflow`, which reports it as data.
     """
 
-    tasks: Mapping[str, Task]
-    variant_groups: tuple[VariantGroup, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, tasks: Mapping[str, Task],
+                variant_groups: Iterable[VariantGroup] = ()) -> Workflow:
+        if not isinstance(tasks, Mapping):
+            raise WorkflowError(
+                f"workflow tasks must be a mapping of codes to Task records, "
+                f"got {type(tasks).__name__}")
+        for code, task in tasks.items():
+            if not isinstance(task, Task):
+                raise WorkflowError(
+                    f"workflow tasks[{code!r}] must be a Task, got {task!r}")
+            if task.code != code:
+                raise WorkflowError(
+                    f"workflow tasks[{code!r}] must be the task of that "
+                    f"code, got task {task.code!r}")
+        try:
+            groups = tuple(variant_groups)
+        except TypeError:
+            raise WorkflowError(
+                f"workflow variant_groups must be a collection of "
+                f"VariantGroup records, got {type(variant_groups).__name__}"
+            ) from None
+        for grp in groups:
+            if not isinstance(grp, VariantGroup):
+                raise WorkflowError(
+                    f"workflow variant_groups must hold VariantGroup "
+                    f"records, got {grp!r}")
+        return tuple.__new__(cls, (tasks, groups))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_tasks(cls, tasks: Iterable[Task],

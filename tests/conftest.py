@@ -1,4 +1,5 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, independent oracles and the in-process CLI runner
+for the test suite.
 
 The oracles here deliberately avoid the library's own enumeration, pair
 tables and search: extensions are found by filtering raw permutations and
@@ -8,8 +9,11 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from typing import NamedTuple
 
 import pytest
 
@@ -22,10 +26,26 @@ from cogseq import (
     load_fixture,
     sequence_cost,
 )
+from cogseq.cli import main
 from cogseq.costs import RULE_ORDER
 from cogseq.model import ValidationReport, Violation
 
 MODALITIES = ("touch", "keys", "scan", "card reader")
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run(args: list[str]) -> CliResult:
+    """``cogseq ARGS`` in this process: ``cogseq.cli.main`` with both streams
+    captured.  An exception that escapes ``main`` fails the calling test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        exit_code = main(args)
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue())
 
 
 def random_workflow(rng: random.Random, n_max: int = 8, n_min: int = 1,

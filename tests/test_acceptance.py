@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from time import perf_counter
 
 import pytest
-from click.testing import CliRunner
 
 from cogseq import (
     CostModel,
@@ -38,9 +37,8 @@ from cogseq import (
     sequence_cost,
     solve,
 )
-from cogseq.cli import cli
 
-from conftest import random_model, random_workflow
+from conftest import random_model, random_workflow, run
 
 AUTH_MEMBERS = ("AUPS", "AUPI", "AUCC", "AUPW")
 
@@ -196,15 +194,14 @@ def test_criterion_06_pessimal_dominance(capsys, validation_document):
 
 def test_criterion_07_determinism(capsys):
     with criterion(capsys, 7, "byte-identical output across runs"):
-        runner = CliRunner()
         outputs = set()
         for _ in range(20):
-            result = runner.invoke(cli, [
+            result = run([
                 "solve", "checkin-full", "--variant", "AUTH=AUPS",
                 "--k", "5", "--format", "json",
             ])
             assert result.exit_code == 0
-            outputs.add(result.output)
+            outputs.add(result.stdout)
         assert len(outputs) == 1, f"{len(outputs)} distinct outputs"
         payload = json.loads(next(iter(outputs)))
         assert len(payload["solutions"]) == 5

@@ -12,25 +12,12 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_io import FUZZ_WORKFLOW, json_paths, json_values, substituted
 
 import cogseq
-from cogseq.cli import cli
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def err_text(result) -> str:
-    try:
-        return result.stderr + result.output
-    except ValueError:  # older click merges the streams
-        return result.output
+from conftest import run
 
 
 CYCLIC_DOC = json.dumps({
@@ -45,27 +32,57 @@ CYCLIC_DOC = json.dumps({
 })
 
 
+class TestEntryPoint:
+    """The in-process runner gives what the shipped entry point gives, so it
+    stands in for a ``cogseq`` process in every other test."""
+
+    @pytest.mark.parametrize("status,args", [
+        (0, ["validate", "checkin-full"]),
+        (1, ["validate", "{cyclic}"]),
+        (0, ["solve", "checkin-full", "--variant", "AUTH=AUPS", "--k", "3"]),
+        (0, ["compare-variants", "checkin-full", "--format", "json"]),
+        (1, ["solve", "checkin-full"]),
+        (1, ["explain", "checkin-validation", "--ordering", "BKRF,AIRL"]),
+        (2, ["solve", "checkin-full", "--k", "0"]),
+        (2, ["transmogrify"]),
+        (0, ["--help"]),
+    ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None)
+    def test_main_matches_the_process(self, tmp_path, status, args):
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(CYCLIC_DOC, encoding="utf-8")
+        args = [arg.format(cyclic=cyclic) for arg in args]
+        src = Path(cogseq.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cogseq.cli", *args],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert run(args) == (proc.returncode, proc.stdout, proc.stderr)
+
+
 class TestValidate:
-    def test_fixture_is_ok(self, runner):
-        result = runner.invoke(cli, ["validate", "checkin-full"])
+    def test_fixture_is_ok(self):
+        result = run(["validate", "checkin-full"])
         assert result.exit_code == 0
         assert "OK: 16 tasks, 1 variant groups, 28 precedence edges" \
-            in result.output
+            in result.stdout
 
-    def test_cycle_fails_with_kinds(self, runner, tmp_path):
+    def test_cycle_fails_with_kinds(self, tmp_path):
         doc = tmp_path / "cyclic.json"
         doc.write_text(CYCLIC_DOC, encoding="utf-8")
-        result = runner.invoke(cli, ["validate", str(doc)])
+        result = run(["validate", str(doc)])
         assert result.exit_code == 1
-        assert "[cycle]" in result.output
+        assert "[cycle]" in result.stdout
 
-    def test_missing_file(self, runner):
-        result = runner.invoke(cli, ["validate", "ghost.json"])
+    def test_missing_file(self):
+        result = run(["validate", "ghost.json"])
         assert result.exit_code == 1
-        assert "error:" in err_text(result)
+        assert "error:" in result.stderr
 
     @pytest.mark.parametrize("value", [5, None])
-    def test_variant_groups_not_array(self, runner, tmp_path, value):
+    def test_variant_groups_not_array(self, tmp_path, value):
         doc = {
             "tasks": [{"code": "A", "name": "A", "resource": "VWM",
                        "modality": "t", "voluntary": False,
@@ -74,41 +91,39 @@ class TestValidate:
         }
         path = tmp_path / "groups.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(cli, ["validate", str(path)])
+        result = run(["validate", str(path)])
         # An uncaught exception would also exit 1 under CliRunner; a clean
         # domain error is a SystemExit with the message on stderr.
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "variant_groups" in err_text(result)
+        assert "error:" in result.stderr
+        assert "variant_groups" in result.stderr
 
-    def test_blank_task_code_names_file_and_field(self, runner, tmp_path):
+    def test_blank_task_code_names_file_and_field(self, tmp_path):
         doc = json.loads(CYCLIC_DOC)
         doc["tasks"][1]["code"] = " "
         path = tmp_path / "blank.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(cli, ["validate", str(path)])
+        result = run(["validate", str(path)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert f"error: {path}: tasks[1].code: " in err_text(result)
+        assert f"error: {path}: tasks[1].code: " in result.stderr
 
 
 class TestSolve:
-    def test_table_output(self, runner):
-        result = runner.invoke(cli, [
+    def test_table_output(self):
+        result = run([
             "solve", "checkin-full", "--variant", "AUTH=AUPS",
         ])
         assert result.exit_code == 0
-        assert "objective: minimize" in result.output
-        assert "5.34" in result.output
+        assert "objective: minimize" in result.stdout
+        assert "5.34" in result.stdout
 
-    def test_json_output(self, runner):
-        result = runner.invoke(cli, [
+    def test_json_output(self):
+        result = run([
             "solve", "checkin-full", "--variant", "AUTH=AUPS",
             "--format", "json",
         ])
         assert result.exit_code == 0
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         assert payload["objective"] == "minimize"
         sol = payload["solutions"][0]
         assert sol["rank"] == 1
@@ -116,67 +131,66 @@ class TestSolve:
         assert sol["total"] == "5.34"
         assert len(sol["ordering"]) == 13
         assert len(sol["transitions"]) == 12
-        assert "stats" not in payload and "elapsed" not in result.output
+        assert "stats" not in payload and "elapsed" not in result.stdout
 
-    def test_unresolved_group_mentions_compare(self, runner):
-        result = runner.invoke(cli, ["solve", "checkin-full"])
+    def test_unresolved_group_mentions_compare(self):
+        result = run(["solve", "checkin-full"])
         assert result.exit_code == 1
-        assert "compare-variants" in err_text(result)
+        assert "compare-variants" in result.stderr
 
-    def test_unknown_member(self, runner):
-        result = runner.invoke(cli, [
+    def test_unknown_member(self):
+        result = run([
             "solve", "checkin-full", "--variant", "AUTH=NOPE",
         ])
         assert result.exit_code == 1
-        assert "error:" in err_text(result)
+        assert "error:" in result.stderr
 
-    def test_malformed_variant_is_usage_error(self, runner):
-        result = runner.invoke(cli, [
+    def test_malformed_variant_is_usage_error(self):
+        result = run([
             "solve", "checkin-full", "--variant", "AUTH",
         ])
         assert result.exit_code == 2
-        assert "GROUP=MEMBER" in err_text(result)
+        assert "GROUP=MEMBER" in result.stderr
 
-    def test_repeated_variant_group_is_usage_error(self, runner):
-        result = runner.invoke(cli, [
+    def test_repeated_variant_group_is_usage_error(self):
+        result = run([
             "solve", "checkin-full", "--variant", "AUTH=AUPS",
             "--variant", " AUTH =AUPW",
         ])
         assert result.exit_code == 2
-        assert "variant group 'AUTH' given twice" in err_text(result)
+        assert "variant group 'AUTH' given twice" in result.stderr
 
-    def test_unknown_option(self, runner):
-        result = runner.invoke(cli, ["solve", "checkin-full", "--frobnicate"])
+    def test_unknown_option(self):
+        result = run(["solve", "checkin-full", "--frobnicate"])
         assert result.exit_code == 2
 
-    def test_unknown_subcommand(self, runner):
-        result = runner.invoke(cli, ["transmogrify"])
+    def test_unknown_subcommand(self):
+        result = run(["transmogrify"])
         assert result.exit_code == 2
 
-    def test_objective_max_dominates_min(self, runner):
+    def test_objective_max_dominates_min(self):
         args = ["solve", "checkin-validation", "--format", "json"]
-        low = json.loads(runner.invoke(cli, args).output)
-        high = json.loads(runner.invoke(
-            cli, args + ["--objective", "max"]).output)
+        low = json.loads(run(args).stdout)
+        high = json.loads(run(args + ["--objective", "max"]).stdout)
         assert high["solutions"][0]["total_thousandths"] > \
             low["solutions"][0]["total_thousandths"]
 
-    def test_backend_flag_rejected(self, runner):
-        result = runner.invoke(cli, ["solve", "checkin-validation",
-                                     "--backend", "exhaustive"])
+    def test_backend_flag_rejected(self):
+        result = run(["solve", "checkin-validation",
+                      "--backend", "exhaustive"])
         assert result.exit_code == 2
 
-    def test_k_returns_ranked_solutions(self, runner):
-        result = runner.invoke(cli, [
+    def test_k_returns_ranked_solutions(self):
+        result = run([
             "solve", "checkin-validation", "--k", "3", "--format", "json",
         ])
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         totals = [s["total_thousandths"] for s in payload["solutions"]]
         assert len(totals) == 3
         assert totals == sorted(totals)
         assert [s["rank"] for s in payload["solutions"]] == [1, 2, 3]
 
-    def test_search_budget_is_domain_error(self, runner, tmp_path,
+    def test_search_budget_is_domain_error(self, tmp_path,
                                            monkeypatch):
         monkeypatch.setattr("cogseq._search.MAX_IDEALS", 100)
         # Distinct modalities: identical tasks would be twins, 11 ideals.
@@ -188,67 +202,63 @@ class TestSolve:
         ]}
         path = tmp_path / "antichain.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(cli, ["solve", str(path)])
+        result = run(["solve", str(path)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "order ideals" in err_text(result)
+        assert "error:" in result.stderr
+        assert "order ideals" in result.stderr
 
     @pytest.mark.parametrize("command", [
         ["solve", "checkin-validation"],
         ["compare-variants", "checkin-full"],
     ], ids=["solve", "compare-variants"])
-    def test_workers_flag_rejected(self, runner, command):
-        result = runner.invoke(cli, command + ["--workers", "4"])
+    def test_workers_flag_rejected(self, command):
+        result = run(command + ["--workers", "4"])
         assert result.exit_code == 2
-        assert "--workers" in err_text(result)
+        assert "--workers" in result.stderr
 
 
 class TestCostModelSelection:
-    def test_literal_differs_from_calibrated(self, runner):
+    def test_literal_differs_from_calibrated(self):
         base = ["solve", "checkin-full", "--variant", "AUTH=AUPI",
                 "--format", "json"]
-        calibrated = json.loads(runner.invoke(cli, base).output)
-        literal = json.loads(runner.invoke(
-            cli, base + ["--cost-model", "literal"]).output)
+        calibrated = json.loads(run(base).stdout)
+        literal = json.loads(run(base + ["--cost-model", "literal"]).stdout)
         assert calibrated["solutions"][0]["total_thousandths"] != \
             literal["solutions"][0]["total_thousandths"]
 
-    def test_cost_model_file(self, runner, tmp_path):
+    def test_cost_model_file(self, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({"rules_enabled": False}),
                               encoding="utf-8")
-        result = runner.invoke(cli, ["show-model", "--cost-model",
-                                     str(model_file)])
+        result = run(["show-model", "--cost-model", str(model_file)])
         assert result.exit_code == 0
-        assert "rules: disabled" in result.output
+        assert "rules: disabled" in result.stdout
 
-    def test_environment_variable_is_ignored(self, runner):
+    def test_environment_variable_is_ignored(self, monkeypatch):
         # --cost-model is the only way to choose a model.
-        result = runner.invoke(cli, ["show-model"],
-                               env={"COGSEQ_COST_MODEL": "literal"})
+        monkeypatch.setenv("COGSEQ_COST_MODEL", "literal")
+        result = run(["show-model"])
         assert result.exit_code == 0
-        assert "RecentPractice" not in result.output
-        assert "Familiarity: 0.42" in result.output
+        assert "RecentPractice" not in result.stdout
+        assert "Familiarity: 0.42" in result.stdout
 
-    def test_default_is_calibrated(self, runner):
-        result = runner.invoke(cli, ["show-model"])
+    def test_default_is_calibrated(self):
+        result = run(["show-model"])
         assert result.exit_code == 0
-        assert "RecentPractice" not in result.output
-        assert "Familiarity: 0.42" in result.output
-        assert "recent-practice scope: adjacent-only" in result.output
+        assert "RecentPractice" not in result.stdout
+        assert "Familiarity: 0.42" in result.stdout
+        assert "recent-practice scope: adjacent-only" in result.stdout
 
-    def test_every_rule_withheld_prints_disabled(self, runner, tmp_path):
+    def test_every_rule_withheld_prints_disabled(self, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({"rules": {
             "Modality": None, "RecentPractice": None, "Familiarity": None,
             "VoluntaryComplexityDrop": None,
             "InvoluntaryComplexityDrop": None,
         }}), encoding="utf-8")
-        result = runner.invoke(cli, ["show-model", "--cost-model",
-                                     str(model_file)])
+        result = run(["show-model", "--cost-model", str(model_file)])
         assert result.exit_code == 0
-        assert result.output.splitlines()[-2:] == [
+        assert result.stdout.splitlines()[-2:] == [
             "rules: disabled", "recent-practice scope: adjacent-only"]
 
     @pytest.mark.parametrize("doc", [
@@ -258,16 +268,14 @@ class TestCostModelSelection:
     @pytest.mark.parametrize("command", [
         ["show-model"], ["solve", "checkin-validation"],
     ], ids=["show-model", "solve"])
-    def test_non_numeric_effect_size(self, runner, tmp_path, doc, command):
+    def test_non_numeric_effect_size(self, tmp_path, doc, command):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(cli, command + ["--cost-model",
-                                               str(model_file)])
+        result = run(command + ["--cost-model", str(model_file)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "effect size must be numeric, got list" in err_text(result)
-        assert "Traceback" not in err_text(result)
+        assert "error:" in result.stderr
+        assert "effect size must be numeric, got list" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("doc", [
         {"rules": {"Familiarity": "1e5000"}},
@@ -276,34 +284,30 @@ class TestCostModelSelection:
     @pytest.mark.parametrize("command", [
         ["show-model"], ["solve", "checkin-validation"],
     ], ids=["show-model", "solve"])
-    def test_effect_size_above_maximum(self, runner, tmp_path, doc, command):
+    def test_effect_size_above_maximum(self, tmp_path, doc, command):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(cli, command + ["--cost-model",
-                                               str(model_file)])
+        result = run(command + ["--cost-model", str(model_file)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "exceeds the maximum effect size" in err_text(result)
-        assert "Traceback" not in err_text(result)
+        assert "error:" in result.stderr
+        assert "exceeds the maximum effect size" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("value", ["\u0661\u0662", "\uff11.\uff15"],
                              ids=["arabic-indic", "full-width"])
     @pytest.mark.parametrize("command", [
         ["show-model"], ["solve", "checkin-validation"],
     ], ids=["show-model", "solve"])
-    def test_non_ascii_digits_rejected(self, runner, tmp_path, value, command):
+    def test_non_ascii_digits_rejected(self, tmp_path, value, command):
         # Decimal reads both as numbers (12 and 1.5).
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps({"rules": {"Familiarity": value}}),
                               encoding="utf-8")
-        result = runner.invoke(cli, command + ["--cost-model",
-                                               str(model_file)])
+        result = run(command + ["--cost-model", str(model_file)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "invalid effect size" in err_text(result)
-        assert "Traceback" not in err_text(result)
+        assert "error:" in result.stderr
+        assert "invalid effect size" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestUnreadableInput:
@@ -317,30 +321,28 @@ class TestUnreadableInput:
         "export-dot": ["export-dot", "{path}"],
     }
 
-    def run(self, runner, command, path):
-        result = runner.invoke(cli, [arg.format(path=path)
-                                     for arg in self.COMMANDS[command]])
+    def error_output(self, command, path):
+        result = run([arg.format(path=path) for arg in self.COMMANDS[command]])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "Traceback" not in err_text(result)
-        return err_text(result)
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+        return result.stderr
 
     @pytest.mark.parametrize("command", ["validate", "cost-model",
                                          "consensus"])
-    def test_non_utf8_file(self, runner, tmp_path, command):
+    def test_non_utf8_file(self, tmp_path, command):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe\x00bad")
-        assert "not UTF-8 text" in self.run(runner, command, path)
+        assert "not UTF-8 text" in self.error_output(command, path)
 
     @pytest.mark.parametrize("command", ["validate", "cost-model"])
-    def test_deeply_nested_json(self, runner, tmp_path, command):
+    def test_deeply_nested_json(self, tmp_path, command):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000, encoding="utf-8")
-        assert "nested too deeply" in self.run(runner, command, path)
+        assert "nested too deeply" in self.error_output(command, path)
 
     @pytest.mark.parametrize("command", ["validate", "solve", "export-dot"])
-    def test_lone_surrogate_in_code(self, runner, tmp_path, command):
+    def test_lone_surrogate_in_code(self, tmp_path, command):
         # json.loads accepts the escape "\ud800"; no output can encode it.
         path = tmp_path / "surrogate.json"
         path.write_text(json.dumps({"tasks": [
@@ -348,7 +350,7 @@ class TestUnreadableInput:
              "modality": "t", "voluntary": False, "familiarity": 3,
              "complexity": 3},
         ]}), encoding="utf-8")
-        message = self.run(runner, command, path)
+        message = self.error_output(command, path)
         assert "tasks[0].code: not encodable as UTF-8: 'A\\ud800'" in message
 
 
@@ -370,11 +372,11 @@ class TestReadme:
             "cogseq compare-variants checkin-full",
         ]
 
-    def test_output_matches_byte_for_byte(self, runner):
+    def test_output_matches_byte_for_byte(self):
         for command, output in self.examples():
-            result = runner.invoke(cli, shlex.split(command)[1:])
+            result = run(shlex.split(command)[1:])
             assert result.exit_code == 0, command
-            assert result.output == output, command
+            assert result.stdout == output, command
 
     def test_python_api_example_runs(self, capsys):
         text = (Path(__file__).parents[1] / "README.md").read_text(
@@ -385,20 +387,20 @@ class TestReadme:
 
 
 class TestCompareVariants:
-    def test_table(self, runner):
-        result = runner.invoke(cli, ["compare-variants", "checkin-full"])
+    def test_table(self):
+        result = run(["compare-variants", "checkin-full"])
         assert result.exit_code == 0
-        assert "group AUTH:" in result.output
-        assert "delta (dearest - cheapest): 1.503" in result.output
-        lines = [l for l in result.output.splitlines()
+        assert "group AUTH:" in result.stdout
+        assert "delta (dearest - cheapest): 1.503" in result.stdout
+        lines = [l for l in result.stdout.splitlines()
                  if l.startswith("  ") and "delta" not in l]
         assert len(lines) == 4
 
-    def test_json_ranks_members(self, runner):
-        result = runner.invoke(cli, [
+    def test_json_ranks_members(self):
+        result = run([
             "compare-variants", "checkin-full", "--format", "json",
         ])
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         (comp,) = payload["comparisons"]
         assert comp["group"] == "AUTH"
         members = [row["member"] for row in comp["rows"]]
@@ -407,13 +409,12 @@ class TestCompareVariants:
         assert totals == sorted(totals)
         assert comp["delta_thousandths"] == totals[-1] - totals[0]
 
-    def test_concrete_workflow_is_domain_error(self, runner):
-        result = runner.invoke(cli, ["compare-variants", "checkin-validation"])
+    def test_concrete_workflow_is_domain_error(self):
+        result = run(["compare-variants", "checkin-validation"])
         assert result.exit_code == 1
-        assert "use solve" in err_text(result)
+        assert "use solve" in result.stderr
 
-    def test_several_groups_need_all_but_one_resolved(self, runner,
-                                                      tmp_path):
+    def test_several_groups_need_all_but_one_resolved(self, tmp_path):
         task = {"name": "T", "resource": "VWM", "modality": "t",
                 "voluntary": False, "familiarity": 3, "complexity": 3}
         path = tmp_path / "two-groups.json"
@@ -423,48 +424,46 @@ class TestCompareVariants:
             "variant_groups": [{"code": "GA", "members": ["A1", "A2"]},
                                {"code": "GB", "members": ["B1", "B2"]}],
         }), encoding="utf-8")
-        result = runner.invoke(cli, ["compare-variants", str(path)])
+        result = run(["compare-variants", str(path)])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
         assert ("error: several variant groups are unresolved (GA, GB); "
                 "compare_variants sweeps one: resolve the others with "
                 "instantiate_variant or --variant GROUP=MEMBER"
-                in err_text(result))
-        result = runner.invoke(cli, ["compare-variants", str(path),
-                                     "--variant", "GB=B2"])
+                in result.stderr)
+        result = run(["compare-variants", str(path), "--variant", "GB=B2"])
         assert result.exit_code == 0
-        assert result.output.startswith("group GA:\n")
+        assert result.stdout.startswith("group GA:\n")
 
 
 class TestExplain:
-    def test_known_ordering_by_name(self, runner):
-        result = runner.invoke(cli, [
+    def test_known_ordering_by_name(self):
+        result = run([
             "explain", "checkin-validation", "--ordering", "paper_pessimal",
         ])
         assert result.exit_code == 0
-        assert "total:" in result.output
+        assert "total:" in result.stdout
 
-    def test_explicit_codes(self, runner):
-        result = runner.invoke(cli, [
+    def test_explicit_codes(self):
+        result = run([
             "explain", "checkin-validation",
             "--ordering", "AIRL,LIQH,BKRF,FRBN,STSO,DIMH,EXBG,CFRM,PRBP,PRLT",
             "--format", "json",
         ])
         assert result.exit_code == 0
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         assert payload["ordering"][0] == "AIRL"
         assert payload["total_thousandths"] == sum(
             t["total_thousandths"] for t in payload["transitions"])
 
-    def test_infeasible_ordering(self, runner):
-        result = runner.invoke(cli, [
+    def test_infeasible_ordering(self):
+        result = run([
             "explain", "checkin-validation",
             "--ordering", "BKRF,AIRL,FRBN,LIQH,DIMH,STSO,EXBG,CFRM,PRLT,PRBP",
         ])
         assert result.exit_code == 1
-        assert "must precede" in err_text(result)
+        assert "must precede" in result.stderr
 
-    def test_unknown_prerequisite_is_domain_error(self, runner, tmp_path):
+    def test_unknown_prerequisite_is_domain_error(self, tmp_path):
         doc = tmp_path / "unknown.json"
         doc.write_text(json.dumps({"tasks": [
             {"code": "A", "name": "A", "resource": "VWM", "modality": "t",
@@ -473,22 +472,21 @@ class TestExplain:
             {"code": "B", "name": "B", "resource": "PM", "modality": "t",
              "voluntary": False, "familiarity": 3, "complexity": 3},
         ]}), encoding="utf-8")
-        result = runner.invoke(cli, ["explain", str(doc), "--ordering", "A,B"])
+        result = run(["explain", str(doc), "--ordering", "A,B"])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert "error:" in err_text(result)
-        assert "requires unknown code 'Z'" in err_text(result)
-        assert "Traceback" not in err_text(result)
+        assert "error:" in result.stderr
+        assert "requires unknown code 'Z'" in result.stderr
+        assert "Traceback" not in result.stderr
 
-    def test_explain_agrees_with_solve(self, runner):
-        solved = json.loads(runner.invoke(cli, [
+    def test_explain_agrees_with_solve(self):
+        solved = json.loads(run([
             "solve", "checkin-validation", "--format", "json",
-        ]).output)
+        ]).stdout)
         ordering = ",".join(solved["solutions"][0]["ordering"])
-        explained = json.loads(runner.invoke(cli, [
+        explained = json.loads(run([
             "explain", "checkin-validation", "--ordering", ordering,
             "--format", "json",
-        ]).output)
+        ]).stdout)
         assert explained["total_thousandths"] == \
             solved["solutions"][0]["total_thousandths"]
 
@@ -500,10 +498,10 @@ class TestExplain:
         ["checkin-full", "--variant", "AUTH=AUPS",
          "--ordering", "paper_optimal_aups"],
     ], ids=lambda args: args[-1])
-    def test_table_running_column_sums_the_steps(self, runner, args):
-        result = runner.invoke(cli, ["explain", *args])
+    def test_table_running_column_sums_the_steps(self, args):
+        result = run(["explain", *args])
         assert result.exit_code == 0
-        lines = result.output.splitlines()
+        lines = result.stdout.splitlines()
         codes = lines[0].split()[1:]
         assert lines[1].split() == ["from", "to", "resource", "step",
                                     "running", "rules"]
@@ -518,52 +516,50 @@ class TestExplain:
 
 
 class TestDistance:
-    def test_zero(self, runner):
-        result = runner.invoke(cli, ["distance", "--a", "A,B,C",
-                                     "--b", "A,B,C"])
-        assert result.output.strip() == "0.0000"
+    def test_zero(self):
+        result = run(["distance", "--a", "A,B,C", "--b", "A,B,C"])
+        assert result.stdout.strip() == "0.0000"
 
-    def test_adjacent_swap(self, runner):
-        result = runner.invoke(cli, ["distance", "--a", "A,B,C",
-                                     "--b", "A,C,B"])
-        assert result.output.strip() == "1.4142"
+    def test_adjacent_swap(self):
+        result = run(["distance", "--a", "A,B,C", "--b", "A,C,B"])
+        assert result.stdout.strip() == "1.4142"
 
-    def test_mismatched_sets(self, runner):
-        result = runner.invoke(cli, ["distance", "--a", "A,B", "--b", "A,C"])
+    def test_mismatched_sets(self):
+        result = run(["distance", "--a", "A,B", "--b", "A,C"])
         assert result.exit_code == 1
-        assert "different task sets" in err_text(result)
+        assert "different task sets" in result.stderr
 
 
 class TestConsensus:
-    def test_file(self, runner, tmp_path):
+    def test_file(self, tmp_path):
         votes = tmp_path / "votes.txt"
         votes.write_text("A,B,C\nA,B,C\nB,A,C\n", encoding="utf-8")
-        result = runner.invoke(cli, ["consensus", str(votes)])
+        result = run(["consensus", str(votes)])
         assert result.exit_code == 0
-        assert result.output.strip() == "A, B, C"
+        assert result.stdout.strip() == "A, B, C"
 
-    def test_empty_file(self, runner, tmp_path):
+    def test_empty_file(self, tmp_path):
         votes = tmp_path / "votes.txt"
         votes.write_text("# nothing here\n", encoding="utf-8")
-        result = runner.invoke(cli, ["consensus", str(votes)])
+        result = run(["consensus", str(votes)])
         assert result.exit_code == 1
 
 
 class TestExportDot:
-    def test_full_fixture(self, runner):
-        result = runner.invoke(cli, ["export-dot", "checkin-full"])
+    def test_full_fixture(self):
+        result = run(["export-dot", "checkin-full"])
         assert result.exit_code == 0
-        assert result.output.startswith("digraph workflow {")
-        assert result.output.count("->") == 28
-        assert result.output.endswith("}\n")
+        assert result.stdout.startswith("digraph workflow {")
+        assert result.stdout.count("->") == 28
+        assert result.stdout.endswith("}\n")
 
-    def test_variant_resolution_drops_group_node(self, runner):
-        result = runner.invoke(cli, [
+    def test_variant_resolution_drops_group_node(self):
+        result = run([
             "export-dot", "checkin-full", "--variant", "AUTH=AUCC",
         ])
         assert result.exit_code == 0
-        assert "AUTH" not in result.output
-        assert '"AUCC"' in result.output
+        assert "AUTH" not in result.stdout
+        assert '"AUCC"' in result.stdout
 
 
 class TestImports:
@@ -623,7 +619,7 @@ class TestCliFuzz:
            by_name=st.booleans())
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_no_traceback(self, runner, tmp_path, path, value, variant,
+    def test_no_traceback(self, tmp_path, path, value, variant,
                           by_name):
         document = substituted(FUZZ_WORKFLOW, path, value)
         doc = tmp_path / "fuzzed.json"
@@ -637,7 +633,5 @@ class TestCliFuzz:
         for args in (["validate", str(doc)],
                      ["solve", str(doc), *variant, "--format", "json"],
                      ["explain", str(doc), *variant, "--ordering", ordering]):
-            result = runner.invoke(cli, args)
-            assert result.exit_code in (0, 1, 2), (args, result.output)
-            assert result.exception is None or isinstance(
-                result.exception, SystemExit), (args, result.exc_info)
+            result = run(args)
+            assert result.exit_code in (0, 1, 2), (args, result.stdout)

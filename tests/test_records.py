@@ -188,6 +188,12 @@ class TestReplaceChecks:
         assert VariantGroup("G", {"A"})._replace(members=["B"]).members == (
             frozenset({"B"}))
 
+    def test_workflow(self):
+        group = VariantGroup("G", {"A"})
+        widened = workflow()._replace(variant_groups=[group])
+        assert type(widened) is Workflow
+        assert widened.variant_groups == (group,)
+
     def test_cost_model(self):
         literal = CostModel.calibrated()._replace(rules=DEFAULT_RULE_COSTS)
         assert literal == CostModel()
@@ -249,6 +255,27 @@ class TestFieldTypes:
             group._replace(**{field: value})
         with pytest.raises(WorkflowError, match=f"{field} must be"):
             VariantGroup(**{**group._asdict(), field: value})
+
+    @pytest.mark.parametrize("fields,message", [
+        (({"B": task()}, ()), r"tasks\['B'\] must be the task of that code"),
+        (({"A": 3}, ()), r"tasks\['A'\] must be a Task, got 3"),
+        (([task()], ()), "tasks must be a mapping of codes to Task records"),
+        (({"A": task()}, ["AB"]), "variant_groups must hold VariantGroup"),
+        (({"A": task()}, 3), "variant_groups must be a collection"),
+    ], ids=["task-under-another-code", "not-a-task", "task-list",
+            "group-string", "groups-not-iterable"])
+    @pytest.mark.parametrize("build", [
+        lambda bad: Workflow(*bad),
+        lambda bad: workflow()._replace(**bad._asdict()),
+        lambda bad: pickle.loads(pickle.dumps(bad)),
+        copy.copy,
+    ], ids=["constructor", "replace", "pickle", "copy"])
+    def test_workflow(self, fields, message, build):
+        # solve would order a task under another code, or end in an
+        # AttributeError, as validate_workflow would.
+        bad = tuple.__new__(Workflow, fields)
+        with pytest.raises(WorkflowError, match=message):
+            build(bad)
 
 
 def test_default_model_is_one_shared_calibrated_model():
