@@ -3,9 +3,9 @@
 Workflows are task sets with prerequisite edges and optional variant groups;
 costs come from an empirically grounded task-switching model (a 5x5
 cognitive-resource matrix plus five property-transition rules).  The solver
-finds exact optima with a dynamic program over order ideals and depth-first
-passes with a rising threshold on its exact cost-to-go; a brute-force oracle
-and a WCSP encoding provide independent evaluation routes.
+finds exact optima with a dynamic program over order ideals and one
+best-first pass keyed by its exact cost-to-go; a brute-force oracle and a
+WCSP encoding provide independent evaluation routes.
 """
 
 from ._backend import KERNEL_NAME

@@ -6,13 +6,12 @@ and the lifted full-history RecentPractice term depends only on the placed
 set.  Those sets are the order ideals (prerequisite-closed subsets) of the
 precedence order, so one forward pass enumerates the ideals reachable from
 the empty set and one backward pass computes the exact cost-to-go of every
-(ideal, next task) step (Held & Karp 1962; Lawler 1978).  Depth-first
-threshold passes then collect the top k (iterative deepening, IDA*, Korf
-1985, with that exact cost-to-go as its heuristic).  The first threshold is
-the root optimum, and each pass expands only the steps on some ordering that
-costs no more than it, in lexicographic order, so ties keep breaking toward
-the smaller index sequence.  A pass that ends with fewer than k orderings is
-followed by one at the smallest bound it cut off.
+(ideal, next task) step (Held & Karp 1962; Lawler 1978).  One best-first
+pass then collects the top k (A*, Hart, Nilsson & Raphael 1968, with that
+exact cost-to-go as its heuristic).  A prefix's key is the least total of
+the orderings that extend it, and deferred prefixes leave a heap in (key,
+index sequence) order, so the orderings come out cheapest first and ties
+keep breaking toward the smaller index sequence.  No step is tried twice.
 
 The search only minimizes: minimizing negated prices, with the same
 lexicographic tie-break, is how a caller maximizes.
@@ -24,8 +23,8 @@ Twins (tasks with equal properties, ancestors and descendants) are
 interchangeable: swapping two of them changes no cost (Freuder 1991, value
 interchangeability).  So the dynamic program places the members of a twin
 class in index order only, by chaining each member to the one before it,
-and a class of c twins takes c + 1 states instead of 2^c.  The depth-first
-passes still place real tasks in any order: each real prefix reads the row
+and a class of c twins takes c + 1 states instead of 2^c.  The best-first
+pass still places real tasks in any order: each real prefix reads the row
 of its canonical ideal, the one that places as many members of every class,
 lowest indices first, with the class's next member standing for every
 unplaced one.
@@ -38,7 +37,7 @@ so no workflow size can reach the interpreter's recursion limit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import inf
+from heapq import heappop, heappush
 from operator import add
 
 from .errors import BudgetExceededError
@@ -48,10 +47,9 @@ from .errors import BudgetExceededError
 #: Twin classes are chained first, so this counts canonical ideals.
 MAX_IDEALS = 2 ** 18
 
-#: Most depth-first steps the threshold passes may take before giving up.
-#: Each pass walks the orderings of every earlier pass again, so the steps
-#: grow with the square of the passes that a large k needs.
-MAX_STEPS = 10_000_000
+#: Most steps the best-first pass may try before giving up.  Every step
+#: it defers stays on its heap, so this bounds the search's memory as well.
+MAX_STEPS = 1_000_000
 
 
 def search(preds: Sequence[int],
@@ -72,21 +70,19 @@ def search(preds: Sequence[int],
     tasks, each in ascending index; every cost must be symmetric in the
     members of a class, and ``()`` is always correct.  ``pair[a][b]`` is read
     only for b that can follow a immediately in some linear extension.  With
-    no twins the backward pass reads every such pair before the depth-first
-    search starts; with twins it reads those of the canonical orderings
-    only, and the depth-first search may read a twin's pair first.  So a row
+    no twins the backward pass reads every such pair before the best-first
+    pass starts; with twins it reads those of the canonical orderings
+    only, and the best-first pass may read a twin's pair first.  So a row
     may price on first read: a dict per row whose ``__missing__`` prices b
     and stores it will do.  Costs may be negative.  Solutions are (total,
-    index-tuple), cheapest first, ties lexicographic.  The depth-first search
-    runs in passes with a rising threshold: a pass expands only steps whose
-    exact least completion is within it, and the next pass starts from the
-    smallest bound the last one cut off, until k orderings are collected or
-    none are left.
-    ``nodes`` and ``prunes`` count depth-first steps tried and cut off over
-    all passes, not order ideals.  Raises :class:`BudgetExceededError`
-    when the order has more than ``MAX_IDEALS`` canonical ideals, or when
-    the passes take more than ``MAX_STEPS`` steps, a bound checked as each
-    ordering is collected and as each pass ends.
+    index-tuple), cheapest first, ties lexicographic.  The best-first pass
+    follows each prefix's cheapest step and defers the others, until k
+    orderings are collected or none are left.
+    ``nodes`` counts the steps it tries, followed or deferred, and
+    ``prunes`` the deferred ones; neither counts order ideals.  Raises
+    :class:`BudgetExceededError` when the order has more than
+    ``MAX_IDEALS`` canonical ideals, or when the pass tries more than
+    ``MAX_STEPS`` steps, a bound checked as each ordering is collected.
     """
     n = len(preds)
     if n == 0:
@@ -175,8 +171,9 @@ class _RealRows(dict):
     A real prefix's canonical ideal places as many members of each class,
     the lowest first.  Its row names one member of each eligible class, and
     every unplaced member of that class is eligible in the real prefix and
-    finishes at the same cost.  The depth-first search reads a prefix's
-    ``elig`` row before its ``go`` row, and rows are kept for later passes.
+    finishes at the same cost.  The search reads a prefix's ``elig`` row
+    before its ``go`` row, and prefixes that place the same tasks in other
+    orders share the rows.
     """
 
     __slots__ = ("go", "_elig", "_go", "_classmask", "_twinned", "_firsts")
@@ -203,7 +200,7 @@ class _RealRows(dict):
         self._classmask = classmask
         self._twinned = twinned
         self._firsts = firsts
-        # The search reads the root's go row first, for its first threshold.
+        # The search reads the root's go row first, for the root's key.
         self[0]
 
     def __missing__(self, placed: int) -> tuple[int, ...]:
@@ -226,76 +223,52 @@ class _RealRows(dict):
 
 
 def _top_k(n, pair, shares, rp_cost, k, elig, go):
-    """Depth-first threshold passes on an explicit stack (IDA*).
+    """One best-first pass (A*) keyed by each prefix's exact least total.
 
-    A pass expands, in lexicographic order, only the steps whose exact best
-    completion is within the threshold.  The first threshold is the root
-    optimum; a pass that ends short of k orderings is followed by one at the
-    smallest bound it cut off.  No ordering costs strictly between two
-    consecutive thresholds, so every ordering a pass collects costs exactly
-    its threshold, cheaper ones were collected by earlier passes, and the
-    k-th ordering collected ends the search: every later one is
-    lexicographically larger and costs no less.
+    From the current prefix the search dives: it follows the first step, in
+    ascending index, whose key equals the prefix's own, and defers every
+    other step to a heap of ``(key, prefix, placed, total)``.  A dive always
+    ends at a leaf of its key, and then the smallest deferred ``(key,
+    prefix)`` is popped and dived from.  No deferred prefix extends another,
+    and a prefix's key is the least total of its orderings, so the leaves
+    come out in (total, index sequence) order: ties still break toward the
+    lexicographically smaller ordering.
     """
     solutions: list[tuple[int, tuple[int, ...]]] = []
-    seq = [0] * n
+    heap: list = []
     nodes = 0
     prunes = 0
-    leaf_depth = n - 1
-    # Per depth: placed mask, running total, and an iterator over the
-    # remaining (task, cost-to-go) steps.
-    placed_at = [0] * n
-    total_at = [0] * n
-    steps_at: list = [None] * n
-    no_pair = [0] * n
-    threshold = min(go[0])
+    key = min(go[0])
+    prefix: tuple[int, ...] = ()
+    placed = 0
+    total = 0
+    prow = [0] * n
     while True:
-        # Smallest key cut off for exceeding the threshold.
-        above = inf
-        steps_at[0] = zip(elig[0], go[0])
-        depth = 0
-        while depth >= 0:
-            placed = placed_at[depth]
-            total = total_at[depth]
-            prow = pair[seq[depth - 1]] if depth else no_pair
-            for t, rest in steps_at[depth]:
+        seq = list(prefix)
+        for _ in range(n - len(seq)):
+            follow = -1
+            for t, rest in zip(elig[placed], go[placed]):
                 nodes += 1
                 base = total + prow[t]
-                key = base + rest
-                if key > threshold:
-                    prunes += 1
-                    if key < above:
-                        above = key
-                    continue
-                if depth == leaf_depth:
-                    # rest is this step's RecentPractice term alone, so key
-                    # is the ordering's cost.
-                    if key == threshold:
-                        seq[depth] = t
-                        solutions.append((key, tuple(seq)))
-                        if len(solutions) == k:
-                            return solutions, nodes, prunes
-                        if nodes > MAX_STEPS:
-                            raise _steps_exceeded(nodes)
-                    continue
+                step = base + rest
                 if rp_cost and placed & shares[t]:
                     base += rp_cost
-                seq[depth] = t
-                depth += 1
-                child = placed | 1 << t
-                placed_at[depth] = child
-                total_at[depth] = base
-                steps_at[depth] = zip(elig[child], go[child])
-                break
-            else:
-                depth -= 1
-        if above == inf:
-            # Nothing was cut off: every extension has been collected.
+                if step == key and follow < 0:
+                    follow = t
+                    follow_total = base
+                else:
+                    prunes += 1
+                    heappush(heap, (step, (*seq, t), placed | 1 << t, base))
+            seq.append(follow)
+            placed |= 1 << follow
+            total = follow_total
+            prow = pair[follow]
+        # The key of a whole ordering is its cost.
+        solutions.append((key, tuple(seq)))
+        if len(solutions) == k or not heap:
             return solutions, nodes, prunes
         if nodes > MAX_STEPS:
-            raise _steps_exceeded(nodes)
-        threshold = above
-
-
-def _steps_exceeded(nodes: int) -> BudgetExceededError:
-    return BudgetExceededError(nodes, MAX_STEPS, "search steps or more")
+            raise BudgetExceededError(nodes, MAX_STEPS,
+                                      "search steps or more")
+        key, prefix, placed, total = heappop(heap)
+        prow = pair[prefix[-1]]

@@ -209,11 +209,18 @@ class Workflow(_WorkflowFields):
                    variant_groups: Iterable[VariantGroup] = ()) -> Workflow:
         table: dict[str, Task] = {}
         for task in tasks:
+            if not isinstance(task, Task):
+                raise WorkflowError(
+                    f"workflow tasks must hold Task records, got {task!r}")
             if task.code in table:
                 raise WorkflowError(f"duplicate task code {task.code!r}")
             table[task.code] = task
         groups: dict[str, VariantGroup] = {}
         for grp in variant_groups:
+            if not isinstance(grp, VariantGroup):
+                raise WorkflowError(
+                    f"workflow variant_groups must hold VariantGroup "
+                    f"records, got {grp!r}")
             if grp.code in groups:
                 raise WorkflowError(f"duplicate variant-group code {grp.code!r}")
             groups[grp.code] = grp

@@ -2,8 +2,8 @@
 
 Two routes are provided on purpose.  ``solve`` runs the exact search in
 ``_search``: a dynamic program over the order ideals of the precedence
-order gives the exact cost of finishing from every prefix, and depth-first
-passes with a rising threshold on that cost collect the top k.
+order gives the exact cost of finishing from every prefix, and one
+best-first pass keyed by that cost collects the top k.
 ``brute_force`` is the reference: it enumerates every extension in
 lexicographic order and prices each one, sharing no code with the search.
 Agreement between the two is part of the test contract.
@@ -58,9 +58,9 @@ class Objective(enum.Enum):
 class SearchStats(NamedTuple):
     """Informational counters, excluded from machine-readable output.
 
-    For ``solve``, ``nodes`` and ``prunes`` count the depth-first steps
-    tried and cut off over all of the search's threshold passes, not the
-    order ideals of its dynamic program.
+    For ``solve``, ``nodes`` counts the steps the search's best-first pass
+    tries, followed or deferred, and ``prunes`` the steps it defers to its
+    heap; neither counts the order ideals of its dynamic program.
     ``brute_force`` counts each priced extension as a node and never prunes.
     """
 

@@ -277,6 +277,15 @@ class TestFieldTypes:
         with pytest.raises(WorkflowError, match=message):
             build(bad)
 
+    @pytest.mark.parametrize("args,message", [
+        (([3],), "tasks must hold Task records, got 3"),
+        (([], [3]), "variant_groups must hold VariantGroup records, got 3"),
+    ], ids=["task", "group"])
+    def test_workflow_from_tasks(self, args, message):
+        # Checked before a code is read, so no AttributeError.
+        with pytest.raises(WorkflowError, match=message):
+            Workflow.from_tasks(*args)
+
 
 def test_default_model_is_one_shared_calibrated_model():
     a, b = SolveRequest(workflow()), SolveRequest(workflow())

@@ -530,8 +530,8 @@ class TestBudget:
         assert "101 order ideals" in str(err.value)
 
     def test_step_budget_ends_many_passes(self, monkeypatch, full_document):
-        # Each pass collects the orderings of one total, so a huge k on
-        # check-in runs pass after pass.
+        # A huge k on check-in asks for all 114,624 orderings, whose
+        # search takes 343,698 steps: far past this budget.
         monkeypatch.setattr("cogseq._search.MAX_STEPS", 5000)
         wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
         with pytest.raises(BudgetExceededError) as err:
@@ -542,7 +542,7 @@ class TestBudget:
         assert "search steps" in str(err.value)
 
     def test_step_budget_ends_one_pass(self, monkeypatch):
-        # Eight identical tasks: all 40,320 orderings tie, so the first pass
+        # Eight identical tasks: all 40,320 orderings tie, so the search
         # would collect every one of them; the budget stops it midway.
         monkeypatch.setattr("cogseq._search.MAX_STEPS", 1000)
         wf = Workflow.from_tasks([simple_task(f"T{i}") for i in range(8)])
@@ -566,12 +566,13 @@ class TestBudget:
 
 
 class TestThresholdPasses:
-    """The search's depth-first passes with a rising cost threshold."""
+    """The top-k lists of the search's best-first pass: ties, k past the
+    extension count, several totals, and the steps it tries."""
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_zero_effect_ties_keep_extension_order(self, objective):
-        # Every effect size 0: one threshold admits every ordering, and the
-        # first k leaves reached must be the first k extensions.
+        # Every effect size 0: every prefix has key 0, and the first k
+        # leaves reached must be the first k extensions.
         zero = CostModel(
             matrix=((0,) * 5,) * 5,
             rules=dict.fromkeys(RULE_ORDER, 0),
@@ -592,7 +593,7 @@ class TestThresholdPasses:
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_k_beyond_extension_count_returns_every_extension(self, objective):
-        # Passes run until no step is cut off by the threshold.
+        # The search runs until no deferred step is left.
         wf = Workflow.from_tasks([
             simple_task("A", resource=Resource.SR),
             simple_task("B", resource=Resource.ER, voluntary=True),
@@ -614,8 +615,8 @@ class TestThresholdPasses:
         for objective in Objective:
             oracle = reference_top_k(
                 wf, model, objective is Objective.MAXIMIZE, 12)
-            # Each pass adds orderings of one total at most, so two totals
-            # take at least two passes.
+            # Two totals or more: the list goes on past the first total
+            # only through steps the search deferred to its heap.
             assert len({total for total, _ in oracle}) > 1
             for k in (2, 5, 12):
                 solutions = solve(SolveRequest(workflow=wf, model=model,
@@ -623,17 +624,17 @@ class TestThresholdPasses:
                 assert _totals(solutions) == oracle[:k]
 
     def test_checkin_optimum_takes_few_nodes(self, full_document):
-        # The first pass extends only prefixes of optimal orderings; a
-        # branch and bound that prunes nothing until it holds k leaves
-        # tried 295 steps here.
+        # The search follows only steps on optimal orderings and defers
+        # the others unexplored; a branch and bound that prunes nothing
+        # until it holds k leaves tried 295 steps here.
         wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
         (sol,) = solve(SolveRequest(workflow=wf, model=CostModel.calibrated()))
         assert sol.stats.nodes <= 42
 
     @pytest.mark.parametrize("objective,k,counts", [
-        (Objective.MINIMIZE, 1, (26, 13)),
-        (Objective.MINIMIZE, 10, (221, 127)),
-        (Objective.MAXIMIZE, 10, (503, 281)),
+        (Objective.MINIMIZE, 1, (42, 29)),
+        (Objective.MINIMIZE, 10, (195, 124)),
+        (Objective.MAXIMIZE, 10, (176, 106)),
     ])
     def test_checkin_search_counts(self, full_document, objective, k, counts):
         # Pinned so that a change to the search's loops that alters which
@@ -643,6 +644,19 @@ class TestThresholdPasses:
                                        objective=objective, k=k))
         assert len(solutions) == k
         assert (solutions[0].stats.nodes, solutions[0].stats.prunes) == counts
+
+    def test_every_validation_ordering_without_rewalks(self,
+                                                       validation_document):
+        # 1,860 orderings over many totals: threshold passes that walked
+        # every earlier pass's orderings again took 2,233,638 steps here.
+        wf = validation_document.workflow
+        model = CostModel.calibrated()
+        solutions = solve(SolveRequest(workflow=wf, model=model, k=2000))
+        expected = sorted((sequence_cost(ordering, wf, model)[0], ordering)
+                          for ordering in enumerate_linear_extensions(wf))
+        assert len(expected) == 1860
+        assert _totals(solutions) == expected
+        assert solutions[0].stats.nodes <= 10_000
 
 
 class TestSearchEngine:
