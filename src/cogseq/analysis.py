@@ -47,13 +47,16 @@ def ordering_distance(a: Sequence[str], b: Sequence[str]) -> float:
 
 
 def consensus_ordering(orderings: Sequence[Sequence[str]]) -> Ordering:
-    """Greedy positional-mode consensus over orderings of one task set.
+    """Least-squares consensus over orderings of one task set.
 
-    Positions are filled in ascending order with the unused task appearing
-    most often at that position (ties: ascending code).  A position where no
-    unused task ever appeared is deferred; the leftover tasks fill deferred
-    positions by ascending mean index, then code.  The tie policy is this
-    implementation's choice; it exists to make the result deterministic.
+    Returns the ordering with the least sum, over the inputs, of squared
+    :func:`ordering_distance`; ties break toward the lexicographically
+    smaller ordering.  Every permutation has the same sum of squared
+    positions, so the sum is least where sum(p(t) * S(t)) is greatest, S(t)
+    being the sum of t's positions over the inputs.  By the rearrangement
+    inequality that is the tasks sorted by S, then by code.  If every input
+    puts E before F then S(E) < S(F), so the result keeps every precedence
+    that all inputs keep: valid orderings of a workflow give a valid one.
     """
     if not orderings:
         raise OrderingError("consensus requires at least one ordering")
@@ -63,34 +66,8 @@ def consensus_ordering(orderings: Sequence[Sequence[str]]) -> Ordering:
         _position_vector(other)
         _require_same_tasks(first, other)
 
-    n = len(first)
-    codes = sorted(first)
-    counts = {code: [0] * n for code in codes}
-    index_sums = dict.fromkeys(codes, 0)
+    sums = dict.fromkeys(first, 0)
     for ordering in orderings:
         for i, code in enumerate(ordering):
-            counts[code][i] += 1
-            index_sums[code] += i
-
-    result: list[str | None] = [None] * n
-    unused = set(codes)
-    deferred: list[int] = []
-    for position in range(n):
-        best_code: str | None = None
-        best_count = 0
-        for code in sorted(unused):
-            count = counts[code][position]
-            if count > best_count:
-                best_count = count
-                best_code = code
-        if best_code is None:
-            deferred.append(position)
-        else:
-            result[position] = best_code
-            unused.remove(best_code)
-
-    leftovers = sorted(unused, key=lambda c: (index_sums[c] / len(orderings), c))
-    for position, code in zip(deferred, leftovers):
-        result[position] = code
-    return tuple(result)  # type: ignore[arg-type]
-
+            sums[code] += i
+    return tuple(sorted(first, key=lambda code: (sums[code], code)))

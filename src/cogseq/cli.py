@@ -293,7 +293,11 @@ def distance(a_text: str, b_text: str) -> None:
 @cli.command()
 @click.argument("orderings_file", metavar="FILE")
 def consensus(orderings_file: str) -> None:
-    """Consensus ordering of a file of orderings (one per line, # comments)."""
+    """Least-squares consensus of a file of orderings.
+
+    FILE holds one ordering per line, # comments allowed.  The consensus is
+    the tasks sorted by summed position, then by code.
+    """
     from .analysis import consensus_ordering
 
     orderings = read_orderings_file(orderings_file)

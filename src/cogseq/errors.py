@@ -40,7 +40,10 @@ class BudgetExceededError(CogseqError):
     """A search would exceed its budget.
 
     ``what`` names what was counted: the linear extensions that
-    ``brute_force`` would price, or the order ideals that the search builds.
+    ``brute_force`` would price, the order ideals that the search builds, or
+    the search steps that a request takes.  Steps belong to the request,
+    since its k sets how many the search tries; the other counts belong to
+    the workflow.
     """
 
     def __init__(self, count: int, budget: int,
@@ -48,6 +51,8 @@ class BudgetExceededError(CogseqError):
         self.count = count
         self.budget = budget
         self.what = what
+        owner = ("request takes" if what == "search steps or more"
+                 else "workflow has")
         super().__init__(
-            f"workflow has {count} {what}, exceeding the budget of {budget}"
+            f"{owner} {count} {what}, exceeding the budget of {budget}"
         )

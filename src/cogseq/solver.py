@@ -302,7 +302,8 @@ def solve(request: SolveRequest) -> list[Solution]:
 
     Deterministic: ties are broken by lexicographically smallest code
     sequence.  Raises :class:`BudgetExceededError` when the workflow has
-    more than ``_search.MAX_IDEALS`` order ideals once twins are chained.
+    more than ``_search.MAX_IDEALS`` order ideals once twins are chained,
+    or when the request takes more than ``_search.MAX_STEPS`` search steps.
     """
     workflow, model = request.workflow, request.model
     graph = _checked(workflow, "solve")

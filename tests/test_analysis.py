@@ -3,14 +3,31 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogseq import OrderingError, consensus_ordering, ordering_distance
+from cogseq import (
+    OrderingError,
+    Workflow,
+    consensus_ordering,
+    enumerate_linear_extensions,
+    is_linear_extension,
+    ordering_distance,
+)
+
+from conftest import simple_task
 
 ABC = ("A", "B", "C")
+
+
+def _squared_sum(ordering, votes) -> int:
+    """Exact sum of squared distances from ``ordering`` to every vote."""
+    position = {code: i for i, code in enumerate(ordering)}
+    return sum((position[code] - i) ** 2
+               for vote in votes for i, code in enumerate(vote))
 
 
 def _perm_strategy(n: int):
@@ -81,18 +98,19 @@ class TestConsensus:
 
     def test_majority_wins_per_position(self):
         votes = [("A", "B", "C"), ("A", "B", "C"), ("B", "A", "C")]
+        # Summed positions: A 1, B 2, C 6.
         assert consensus_ordering(votes) == ("A", "B", "C")
 
     def test_ties_break_by_code(self):
         votes = [("A", "B"), ("B", "A")]
         assert consensus_ordering(votes) == ("A", "B")
 
-    def test_deferred_position_fills_by_mean_index(self):
+    def test_sorts_by_summed_position(self):
         votes = [("D", "C", "B", "A"), ("D", "A", "C", "B")]
-        # Position 0 is unanimously D.  Position 1: C and A tie, A wins by
-        # code.  Position 2: B and C tie, B wins by code.  Position 3 never
-        # saw the only unused task (C), so C back-fills the deferred slot.
-        assert consensus_ordering(votes) == ("D", "A", "B", "C")
+        # Summed positions: D 0, C 3, A 4, B 5.
+        result = consensus_ordering(votes)
+        assert result == ("D", "C", "A", "B")
+        assert _squared_sum(result, votes) == 4
 
     def test_idempotent(self):
         votes = [("B", "A", "C"), ("A", "C", "B"), ("B", "C", "A")]
@@ -117,12 +135,40 @@ class TestConsensus:
         result = consensus_ordering(votes)
         assert sorted(result) == sorted(votes[0])
 
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(_perm_strategy(n), min_size=1, max_size=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_least_squares_oracle(self, votes):
+        # Every permutation, priced by the exact integer sum of squared
+        # distances; the least (sum, ordering) is the one expected.
+        _, expected = min((_squared_sum(candidate, votes), candidate)
+                          for candidate in permutations(votes[0]))
+        assert consensus_ordering(votes) == expected
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_inputs_give_a_valid_consensus(self, data):
+        # Codes are shuffled against the precedence, so the tie-break by
+        # code alone would not keep it.
+        n = data.draw(st.integers(3, 6))
+        codes = data.draw(st.permutations([f"T{i}" for i in range(n)]))
+        tasks = [
+            simple_task(code, prerequisites=[
+                earlier for earlier in codes[:i]
+                if data.draw(st.booleans())])
+            for i, code in enumerate(codes)]
+        wf = Workflow.from_tasks(tasks)
+        extensions = list(enumerate_linear_extensions(wf))
+        votes = data.draw(st.lists(st.sampled_from(extensions),
+                                   min_size=1, max_size=4))
+        assert is_linear_extension(consensus_ordering(votes), wf)
+
     def test_expert_consensus_fixture(self, validation_document):
-        # Feeding the recorded orderings back through consensus stays within
-        # the common task set and yields a permutation with no repeats.
         known = validation_document.known_orderings
         votes = [known["paper_optimal"], known["paper_pessimal"],
                  known["paper_expert_consensus"]]
         result = consensus_ordering(votes)
-        assert sorted(result) == sorted(votes[0])
-
+        assert result == ("AIRL", "BKRF", "FRBN", "LIQH", "DIMH", "STSO",
+                          "EXBG", "CFRM", "PRLT", "PRBP")
+        assert _squared_sum(result, votes) == 56
+        assert is_linear_extension(result, validation_document.workflow)

@@ -539,7 +539,9 @@ class TestBudget:
         assert (err.value.budget, err.value.what) == (
             5000, "search steps or more")
         assert err.value.count > 5000
-        assert "search steps" in str(err.value)
+        assert str(err.value) == (
+            f"request takes {err.value.count} search steps or more, "
+            "exceeding the budget of 5000")
 
     def test_step_budget_ends_one_pass(self, monkeypatch):
         # Eight identical tasks: all 40,320 orderings tie, so the search
@@ -647,8 +649,9 @@ class TestThresholdPasses:
 
     def test_every_validation_ordering_without_rewalks(self,
                                                        validation_document):
-        # 1,860 orderings over many totals: threshold passes that walked
-        # every earlier pass's orderings again took 2,233,638 steps here.
+        # 1,860 orderings over many totals: a search that walked every
+        # earlier ordering again before each new total took 2,233,638
+        # steps here.
         wf = validation_document.workflow
         model = CostModel.calibrated()
         solutions = solve(SolveRequest(workflow=wf, model=model, k=2000))
@@ -865,7 +868,7 @@ class TestPairPricer:
     @pytest.mark.parametrize("seed", range(30))
     def test_twins_price_only_adjacent_pairs(self, seed):
         # With twins the tables read the canonical orderings' pairs, and the
-        # depth-first passes price a twin's pair on first read: a subset.
+        # best-first pass prices a twin's pair on first read: a subset.
         rng = random.Random(8500 + seed)
         wf = _with_copies(random_workflow(rng, n_max=5), rng)
         adjacent = self._adjacent_pairs(wf)
