@@ -36,6 +36,7 @@ so no workflow size can reach the interpreter's recursion limit.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Sequence
 from heapq import heappop, heappush
 from operator import add
@@ -126,13 +127,13 @@ def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
                         raise BudgetExceededError(MAX_IDEALS + 1, MAX_IDEALS,
                                                   "order ideals or more")
                     # Concatenation sizes the list exactly; += would not.
+                    # Only an opened dependent grows it, in place.
                     rest = el[:i] + el[i + 1:]
                     dependents = succ[t]
                     if dependents:
-                        opened = [s for s in dependents
-                                  if not preds[s] & ~child]
-                        if opened:
-                            rest = sorted(rest + opened)
+                        for s in dependents:
+                            if not preds[s] & ~child:
+                                insort(rest, s)
                     elig[child] = rest
                     nxt.append(child)
                 i += 1
@@ -232,7 +233,9 @@ def _top_k(n, pair, shares, rp_cost, k, elig, go):
     prefix)`` is popped and dived from.  No deferred prefix extends another,
     and a prefix's key is the least total of its orderings, so the leaves
     come out in (total, index sequence) order: ties still break toward the
-    lexicographically smaller ordering.
+    lexicographically smaller ordering.  The dive that collects the k-th
+    ordering counts its deferred steps but pushes none, since nothing will
+    pop them: at k = 1 the heap stays empty.
     """
     solutions: list[tuple[int, tuple[int, ...]]] = []
     heap: list = []
@@ -244,6 +247,7 @@ def _top_k(n, pair, shares, rp_cost, k, elig, go):
     total = 0
     prow = [0] * n
     while True:
+        deferring = len(solutions) < k - 1
         seq = list(prefix)
         for _ in range(n - len(seq)):
             follow = -1
@@ -258,7 +262,9 @@ def _top_k(n, pair, shares, rp_cost, k, elig, go):
                     follow_total = base
                 else:
                     prunes += 1
-                    heappush(heap, (step, (*seq, t), placed | 1 << t, base))
+                    if deferring:
+                        heappush(heap,
+                                 (step, (*seq, t), placed | 1 << t, base))
             seq.append(follow)
             placed |= 1 << follow
             total = follow_total

@@ -104,6 +104,10 @@ class Rule(enum.Enum):
     VOLUNTARY_COMPLEXITY_DROP = "VoluntaryComplexityDrop"
     INVOLUNTARY_COMPLEXITY_DROP = "InvoluntaryComplexityDrop"
 
+    # Members are singletons compared by identity, so dicts keyed by them
+    # need no Python-level Enum.__hash__ per lookup.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, label: str) -> Rule:
         """Accept the canonical id, the enum name, or snake_case spelling."""

@@ -30,6 +30,10 @@ class Resource(enum.Enum):
     SR = "SR"    # semantic recognition
     ER = "ER"    # episodic recognition
 
+    # Members are singletons compared by identity, so dicts keyed by them
+    # need no Python-level Enum.__hash__ per lookup.
+    __hash__ = object.__hash__
+
 
 #: Canonical row/column order used everywhere a resource index is needed:
 #: declaration order.

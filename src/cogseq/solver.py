@@ -130,17 +130,38 @@ def _checked(workflow: Workflow, operation: str) -> Graph:
 
 
 class _PairRow(dict):
-    """``pair[a]``: b -> sign * cost of a immediately before b, priced once."""
+    """``pair[a]``: b -> sign * cost of a immediately before b, priced on
+    first read and stored.
 
-    __slots__ = ("_a", "_price", "_sign")
+    ``__missing__`` prices from ``_inputs``, the one tuple that
+    :func:`_kernel_inputs` builds per request for all rows: the
+    :func:`_cost_profile` columns a price reads, the model's rule costs,
+    ``practice`` in place of the model's RecentPractice cost, and ``sign``.
+    Its arithmetic is :func:`~cogseq.costs.pair_cost`'s, without building a
+    breakdown per pair.  Rows set their two slots after ``dict`` builds
+    them: the class has no ``__init__`` of its own.
+    """
 
-    def __init__(self, a: int, price, sign: int):
-        self._a = a
-        self._price = price
-        self._sign = sign
+    __slots__ = ("_a", "_inputs")
 
     def __missing__(self, b: int) -> int:
-        cost = self[b] = self._sign * self._price(self._a, b)
+        a = self._a
+        (res, mod, fam, cx, drop, matrix, practice, modality, familiarity,
+         sign) = self._inputs
+        cost = matrix[res[a]][res[b]]
+        if res[a] == res[b]:
+            # RecentPractice's window is a alone: same resource, or same
+            # modality, fires it.
+            cost += practice
+            if mod[a] != mod[b]:
+                cost += modality
+        elif mod[a] == mod[b]:
+            cost += practice
+        if fam[b] > fam[a]:
+            cost += familiarity
+        if cx[b] < cx[a]:
+            cost += drop[b]
+        cost = self[b] = sign * cost
         return cost
 
 
@@ -149,9 +170,11 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph,
     """Index-space prices of the validated ``graph``'s tasks for the search
     engine, each times ``sign``: 1, or -1 to maximize with a minimizing search.
 
-    Each ``pair[a]`` starts empty and prices ``pair[a][b]`` the first time
-    the search reads it.  The search reads only the b that can follow a
-    immediately in some linear extension, so only those transitions are
+    Each ``pair[a]`` is a :class:`_PairRow` that starts empty and prices
+    ``pair[a][b]`` the first time the search reads it, from one tuple of
+    profile columns, rule costs, ``practice`` and ``sign`` built here once
+    and shared by every row.  The search reads only the b that can follow
+    a immediately in some linear extension, so only those transitions are
     priced, each once.  Under full-history scope the history-dependent
     RecentPractice term is lifted out of the pair rows into (shares,
     rp_cost); otherwise it stays folded into them.  ``twins`` are the
@@ -160,12 +183,13 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph,
     codes, preds, succ = graph
     n = len(codes)
     profile = _cost_profile([workflow.tasks[code] for code in codes])
+    res, mod, vol, fam, cx = profile
+    costs = dict(model.rules)
 
-    practice = model.rule_cost(Rule.RECENT_PRACTICE) or 0
+    practice = costs.get(Rule.RECENT_PRACTICE, 0)
     if model.history_dependent:
         rp_cost, practice = practice, 0
         # shares[j]: the other tasks with j's resource or j's modality.
-        res, mod = profile[:2]
         by_resource = [0] * len(RESOURCE_INDEX)
         by_modality = [0] * n
         for i in range(n):
@@ -177,8 +201,19 @@ def _kernel_inputs(workflow: Workflow, model: CostModel, graph: Graph,
         rp_cost = 0
         shares = [0] * n
 
-    price = _pair_pricer(profile, model, practice)
-    pair = [_PairRow(a, price, sign) for a in range(n)]
+    # The complexity-drop rule that fires on entering each task.
+    voluntary_drop = costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP, 0)
+    involuntary_drop = costs.get(Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
+    inputs = (res, mod, fam, cx,
+              [voluntary_drop if v else involuntary_drop for v in vol],
+              model.matrix, practice, costs.get(Rule.MODALITY, 0),
+              costs.get(Rule.FAMILIARITY, 0), sign)
+    pair = []
+    for a in range(n):
+        row = _PairRow()
+        row._a = a
+        row._inputs = inputs
+        pair.append(row)
     return pair, shares, sign * rp_cost, _twin_classes(profile, preds, succ)
 
 
@@ -227,40 +262,6 @@ def _twin_classes(profile: tuple[list[int], ...], preds: tuple[int, ...],
         groups.setdefault(key, []).append(t)
     return tuple(tuple(members) for members in groups.values()
                  if len(members) > 1)
-
-
-def _pair_pricer(profile: tuple[list[int], ...], model: CostModel,
-                 practice: int):
-    """``price(a, b)``: ``pair_cost`` of tasks a and b, from their
-    :func:`_cost_profile` columns, without building a breakdown per pair,
-    with ``practice`` in place of the model's RecentPractice cost."""
-    res, mod, vol, fam, cx = profile
-    costs = dict(model.rules)
-    modality = costs.get(Rule.MODALITY, 0)
-    familiarity = costs.get(Rule.FAMILIARITY, 0)
-    matrix = model.matrix
-    # The complexity-drop rule that fires on entering each task.
-    voluntary_drop = costs.get(Rule.VOLUNTARY_COMPLEXITY_DROP, 0)
-    involuntary_drop = costs.get(Rule.INVOLUNTARY_COMPLEXITY_DROP, 0)
-    drop = [voluntary_drop if v else involuntary_drop for v in vol]
-
-    def price(a: int, b: int) -> int:
-        cost = matrix[res[a]][res[b]]
-        if res[a] == res[b]:
-            # RecentPractice's window is a alone: same resource, or same
-            # modality, fires it.
-            cost += practice
-            if mod[a] != mod[b]:
-                cost += modality
-        elif mod[a] == mod[b]:
-            cost += practice
-        if fam[b] > fam[a]:
-            cost += familiarity
-        if cx[b] < cx[a]:
-            cost += drop[b]
-        return cost
-
-    return price
 
 
 def _pair_memo(workflow: Workflow, model: CostModel):

@@ -28,7 +28,7 @@ from cogseq import (
     WorkflowDocument,
     WorkflowError,
 )
-from cogseq.costs import DEFAULT_MATRIX, DEFAULT_RULE_COSTS
+from cogseq.costs import DEFAULT_MATRIX, DEFAULT_RULE_COSTS, RESOURCE_INDEX
 
 
 def task() -> Task:
@@ -124,6 +124,11 @@ RECORDS = {
 }
 
 
+CLONES = pytest.mark.parametrize("clone", [
+    lambda a: pickle.loads(pickle.dumps(a)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+
+
 @pytest.fixture(params=sorted(RECORDS))
 def record(request):
     return RECORDS[request.param]
@@ -159,9 +164,7 @@ class TestRecordContract:
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
 
-    @pytest.mark.parametrize("clone", [
-        lambda a: pickle.loads(pickle.dumps(a)), copy.copy, copy.deepcopy,
-    ], ids=["pickle", "copy", "deepcopy"])
+    @CLONES
     def test_round_trips(self, record, clone):
         build, fields, _, _ = record
         a = build()
@@ -169,6 +172,28 @@ class TestRecordContract:
         assert type(b) is type(a) and b == a
         assert [getattr(b, name) for name in fields] == [
             getattr(a, name) for name in fields]
+
+
+class TestEnumKeys:
+    """``Resource`` and ``Rule`` members hash by identity: a copy is the
+    member itself, so it finds its table entries and hashes alike."""
+
+    @CLONES
+    @pytest.mark.parametrize("member", [*Resource, *Rule], ids=str)
+    def test_copied_member_finds_its_entries(self, member, clone):
+        copied = clone(member)
+        assert hash(copied) == hash(member)
+        if isinstance(member, Resource):
+            assert RESOURCE_INDEX[copied] == RESOURCE_INDEX[member]
+        else:
+            assert DEFAULT_RULE_COSTS[copied] == DEFAULT_RULE_COSTS[member]
+            assert CostModel().rule_cost(copied) == DEFAULT_RULE_COSTS[member]
+
+    @CLONES
+    @pytest.mark.parametrize("build", [task, CostModel.calibrated, CostModel],
+                             ids=["Task", "CostModel", "CostModel-literal"])
+    def test_copied_records_hash_equal(self, build, clone):
+        assert hash(clone(build())) == hash(build())
 
 
 class TestReplaceChecks:

@@ -647,6 +647,19 @@ class TestThresholdPasses:
         assert len(solutions) == k
         assert (solutions[0].stats.nodes, solutions[0].stats.prunes) == counts
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_last_dive_defers_nothing(self, full_document, monkeypatch,
+                                      objective):
+        # At k = 1 the only dive is the last, so no step reaches the heap;
+        # the deferred steps are still counted as prunes.
+        def refuse(heap, entry):
+            raise AssertionError("k = 1 pushed a deferred step")
+
+        monkeypatch.setattr(_search, "heappush", refuse)
+        wf = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        (solution,) = solve(SolveRequest(workflow=wf, objective=objective))
+        assert solution.stats.prunes > 0
+
     def test_every_validation_ordering_without_rewalks(self,
                                                        validation_document):
         # 1,860 orderings over many totals: a search that walked every
@@ -790,37 +803,41 @@ model_strategy = st.builds(
 
 
 class TestPairPricer:
-    """The integer pricer and the pair rows that solve() builds, which the
-    search fills with the adjacent pairs as it reads them."""
+    """The pair rows that solve() builds, which price themselves as the
+    search reads the adjacent pairs."""
 
     @staticmethod
-    def _assert_prices_like_pair_cost(tasks, model, lifted):
-        # Lifted: RecentPractice is priced through shares, not the rows.
-        practice = 0 if lifted else model.rule_cost(Rule.RECENT_PRACTICE) or 0
-        price = solver._pair_pricer(solver._cost_profile(tasks), model,
-                                    practice)
-        base = _without_practice(model) if lifted else model
-        for a, prev in enumerate(tasks):
-            for b, cur in enumerate(tasks):
-                if a != b:
-                    assert price(a, b) == pair_cost(prev, cur, base)
+    def _assert_prices_like_pair_cost(tasks, model):
+        # Full history lifts RecentPractice out of the rows into shares.
+        base = _without_practice(model) if model.history_dependent else model
+        # Codes T0, T1, ... keep the tasks' order as indices; prices read no
+        # edges.
+        wf = Workflow.from_tasks([
+            task._replace(code=f"T{i}", prerequisites=())
+            for i, task in enumerate(tasks)])
+        for sign in (1, -1):
+            *_, pair, _, _, _ = _kernel_inputs(wf, model, sign)
+            for a, prev in enumerate(tasks):
+                for b, cur in enumerate(tasks):
+                    if a != b:
+                        assert pair[a][b] == sign * pair_cost(prev, cur, base)
 
-    @pytest.mark.parametrize("model,lifted", [
-        (CostModel.calibrated(), False),
-        (CostModel(), False),
-        (CostModel(recent_practice_scope=Scope.FULL_HISTORY), True),
-        (CostModel(rules={}), False),
+    @pytest.mark.parametrize("model", [
+        CostModel.calibrated(),
+        CostModel(),
+        CostModel(recent_practice_scope=Scope.FULL_HISTORY),
+        CostModel(rules={}),
     ], ids=["calibrated", "literal", "full-history-lifted", "rules-off"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_named_models_match_pair_cost(self, model, lifted, seed):
+    def test_named_models_match_pair_cost(self, model, seed):
         wf = random_workflow(random.Random(7000 + seed), n_min=6, n_max=8)
         tasks = [wf.tasks[code] for code in wf.codes()]
-        self._assert_prices_like_pair_cost(tasks, model, lifted)
+        self._assert_prices_like_pair_cost(tasks, model)
 
-    @given(tasks=tasks_strategy, model=model_strategy, lifted=st.booleans())
+    @given(tasks=tasks_strategy, model=model_strategy)
     @settings(max_examples=200, deadline=None)
-    def test_random_models_match_pair_cost(self, tasks, model, lifted):
-        self._assert_prices_like_pair_cost(tasks, model, lifted)
+    def test_random_models_match_pair_cost(self, tasks, model):
+        self._assert_prices_like_pair_cost(tasks, model)
 
     @pytest.mark.parametrize("model", MODELS,
                              ids=["calibrated", "literal", "full-history"])
@@ -885,18 +902,13 @@ class TestPairPricer:
                                                        seed):
         wf = random_workflow(random.Random(9000 + seed), n_max=7)
         calls = []
+        missing = solver._PairRow.__missing__
 
-        def counting(profile, model, practice):
-            price = pair_pricer(profile, model, practice)
+        def counting(row, b):
+            calls.append((row._a, b))
+            return missing(row, b)
 
-            def recorded(a, b):
-                calls.append((a, b))
-                return price(a, b)
-
-            return recorded
-
-        pair_pricer = solver._pair_pricer
-        monkeypatch.setattr("cogseq.solver._pair_pricer", counting)
+        monkeypatch.setattr(solver._PairRow, "__missing__", counting)
         for model in MODELS:
             for maximize in (False, True):
                 calls.clear()
@@ -1074,7 +1086,8 @@ def _compare_request(workflow):
 
 
 def _brute_force_request(_):
-    # solve prices through _pair_pricer; only brute_force calls pair_cost.
+    # solve prices through its pair rows; only brute_force calls
+    # pair_cost.
     chain = Workflow.from_tasks([
         simple_task("A"), simple_task("B", prerequisites=("A",)),
     ])
