@@ -16,8 +16,10 @@ keep breaking toward the smaller index sequence.  No step is tried twice.
 The search only minimizes: minimizing negated prices, with the same
 lexicographic tie-break, is how a caller maximizes.
 
-An ideal's only name is its bitmask of placed tasks, and the forward pass
-inserts ideals by size, so reverse insertion order puts children first.
+One table maps each ideal's bitmask to its row ``(tasks, rests)``: the
+forward pass lists ``tasks`` eligible there, inserting ideals by size, so
+reverse insertion order puts children first, and the backward pass adds
+each step's cost-to-go, ``rests``.
 
 Twins (tasks with equal properties, ancestors and descendants) are
 interchangeable: swapping two of them changes no cost (Freuder 1991, value
@@ -78,7 +80,8 @@ def search(preds: Sequence[int],
     and stores it will do.  Costs may be negative.  Solutions are (total,
     index-tuple), cheapest first, ties lexicographic.  The best-first pass
     follows each prefix's cheapest step and defers the others, until k
-    orderings are collected or none are left.
+    orderings are collected or none are left, reading the rows through
+    :class:`_RealRows` when there are twins.
     ``nodes`` counts the steps it tries, followed or deferred, and
     ``prunes`` the deferred ones; neither counts order ideals.  Raises
     :class:`BudgetExceededError` when the order has more than
@@ -97,12 +100,11 @@ def search(preds: Sequence[int],
             for prev, t in zip(members, members[1:]):
                 preds[t] |= 1 << prev
                 succ[prev] = (*succ[prev], t)
-    elig = _ideals(preds, succ)
-    go = _cost_to_go(pair, shares, rp_cost, elig)
+    rows = _ideals(preds, succ)
+    _cost_to_go(pair, shares, rp_cost, rows)
     if twins:
-        elig = _RealRows(n, twins, elig, go)
-        go = elig.go
-    return _top_k(n, pair, shares, rp_cost, k, elig, go)
+        rows = _RealRows(n, twins, rows)
+    return _top_k(n, pair, shares, rp_cost, k, rows)
 
 
 def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
@@ -141,45 +143,46 @@ def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
     return elig
 
 
-def _cost_to_go(pair, shares, rp_cost, elig):
-    """``go[placed][i]``: the exact least cost of finishing after placing
-    ``elig[placed][i]`` on ideal ``placed``, including that step's lifted
-    RecentPractice term but not its pair cost."""
+def _cost_to_go(pair, shares, rp_cost, rows):
+    """Make each row ``(tasks, rests)`` in place, children first, keeping
+    :func:`_ideals`' list as ``tasks``: ``rests[i]`` is the exact least cost
+    of finishing after placing ``tasks[i]`` on that ideal, including that
+    step's lifted RecentPractice term but not its pair cost.  Only ``rests``
+    depends on the prices: pricing the lattice again rewrites them alone."""
     # One bound method per row, not one per (ideal, task) cell; a dict's
     # __getitem__ still falls back to the row's __missing__.
     gets = [row.__getitem__ for row in pair]
-    full = next(reversed(elig))
-    go: dict[int, list[int]] = {}
-    for placed, el in reversed(elig.items()):
-        row: list[int] = []
+    full = next(reversed(rows))
+    for placed, el in reversed(rows.items()):
+        rests: list[int] = []
         for t in el:
             child = placed | 1 << t
             if child == full:
                 rest = 0
             else:
-                rest = min(map(add, map(gets[t], elig[child]), go[child]))
+                tasks, after = rows[child]
+                rest = min(map(add, map(gets[t], tasks), after))
             if rp_cost and placed & shares[t]:
                 rest += rp_cost
-            row.append(rest)
-        go[placed] = row
-    return go
+            rests.append(rest)
+        # A tuple is sized exactly; the appended list is not.
+        rows[placed] = el, tuple(rests)
 
 
 class _RealRows(dict):
-    """``elig`` of the real prefixes, built on first read from the
-    canonical tables; building one also fills its row of ``go``.
+    """The ``(tasks, rests)`` row of each real prefix, built on first read
+    from the canonical rows.
 
     A real prefix's canonical ideal places as many members of each class,
     the lowest first.  Its row names one member of each eligible class, and
     every unplaced member of that class is eligible in the real prefix and
-    finishes at the same cost.  The search reads a prefix's ``elig`` row
-    before its ``go`` row, and prefixes that place the same tasks in other
-    orders share the rows.
+    finishes at the same cost.  Prefixes that place the same tasks in other
+    orders share a row.
     """
 
-    __slots__ = ("go", "_elig", "_go", "_classmask", "_twinned", "_firsts")
+    __slots__ = ("_rows", "_classmask", "_twinned", "_firsts")
 
-    def __init__(self, n, twins, elig, go):
+    def __init__(self, n, twins, rows):
         classmask = [1 << t for t in range(n)]
         twinned = 0
         # (class mask, masks of its first 0, 1, ..., c members)
@@ -193,39 +196,34 @@ class _RealRows(dict):
                 classmask[t] = mask
             twinned |= mask
             firsts.append((mask, prefixes))
-        # A plain dict of tuples: a finished search leaves no reference
-        # cycle for the garbage collector.
-        self.go: dict[int, tuple[int, ...]] = {}
-        self._elig = elig
-        self._go = go
+        self._rows = rows
         self._classmask = classmask
         self._twinned = twinned
         self._firsts = firsts
-        # The search reads the root's go row first, for the root's key.
-        self[0]
 
-    def __missing__(self, placed: int) -> tuple[int, ...]:
+    def __missing__(self, placed: int):
         canonical = placed & ~self._twinned
         for mask, prefixes in self._firsts:
             canonical |= prefixes[(placed & mask).bit_count()]
         classmask = self._classmask
         steps = []
-        for u, rest in zip(self._elig[canonical], self._go[canonical]):
+        for u, rest in zip(*self._rows[canonical]):
             free = classmask[u] & ~placed
             while free:
                 low = free & -free
                 steps.append((low.bit_length() - 1, rest))
                 free ^= low
         steps.sort()
-        # The search reads only prefixes with a task left to place.
-        tasks, self.go[placed] = zip(*steps)
-        self[placed] = tasks
-        return tasks
+        # The search reads only prefixes with a task left to place.  Rows of
+        # tuples leave the garbage collector no reference cycle.
+        row = self[placed] = tuple(zip(*steps))
+        return row
 
 
-def _top_k(n, pair, shares, rp_cost, k, elig, go):
+def _top_k(n, pair, shares, rp_cost, k, rows):
     """One best-first pass (A*) keyed by each prefix's exact least total.
 
+    A prefix that places ``placed`` reads its steps from ``rows[placed]``.
     From the current prefix the search dives: it follows the first step, in
     ascending index, whose key equals the prefix's own, and defers every
     other step to a heap of ``(key, prefix, placed, total)``.  A dive always
@@ -241,7 +239,7 @@ def _top_k(n, pair, shares, rp_cost, k, elig, go):
     heap: list = []
     nodes = 0
     prunes = 0
-    key = min(go[0])
+    key = min(rows[0][1])
     prefix: tuple[int, ...] = ()
     placed = 0
     total = 0
@@ -251,7 +249,7 @@ def _top_k(n, pair, shares, rp_cost, k, elig, go):
         seq = list(prefix)
         for _ in range(n - len(seq)):
             follow = -1
-            for t, rest in zip(elig[placed], go[placed]):
+            for t, rest in zip(*rows[placed]):
                 nodes += 1
                 base = total + prow[t]
                 step = base + rest

@@ -111,10 +111,11 @@ class Rule(enum.Enum):
     @classmethod
     def parse(cls, label: str) -> Rule:
         """Accept the canonical id, the enum name, or snake_case spelling."""
-        folded = label.strip().replace("-", "_").replace(" ", "_").lower()
-        for rule in cls:
-            if folded in (rule.value.lower(), rule.name.lower()):
-                return rule
+        if isinstance(label, str):
+            folded = label.strip().replace("-", "_").replace(" ", "_").lower()
+            for rule in cls:
+                if folded in (rule.value.lower(), rule.name.lower()):
+                    return rule
         raise CostModelError(
             f"unknown rule {label!r} (expected one of: "
             + ", ".join(rule.value for rule in cls) + ")"
@@ -133,7 +134,6 @@ class Scope(enum.Enum):
 
     @classmethod
     def parse(cls, label: str) -> Scope:
-        folded = label.strip().replace("_", "-").lower()
         aliases = {
             "adjacent": cls.ADJACENT,
             "adjacent-only": cls.ADJACENT,
@@ -141,8 +141,8 @@ class Scope(enum.Enum):
             "full-history": cls.FULL_HISTORY,
         }
         try:
-            return aliases[folded]
-        except KeyError:
+            return aliases[label.strip().replace("_", "-").lower()]
+        except (KeyError, AttributeError):
             raise CostModelError(
                 f"unknown scope {label!r} (expected adjacent-only or full-history)"
             ) from None
@@ -212,8 +212,13 @@ class CostModel(_CostModelFields):
                 rules: Mapping[Rule, int] | Iterable[tuple[Rule, int]] = (
                     _LITERAL_RULES),
                 recent_practice_scope: Scope = Scope.ADJACENT) -> CostModel:
-        matrix = tuple(tuple(row) for row in matrix)
         n = len(RESOURCE_ORDER)
+        try:
+            matrix = tuple(tuple(row) for row in matrix)
+        except TypeError:
+            raise CostModelError(
+                f"matrix must be {n} rows of {n} costs, got {matrix!r}"
+            ) from None
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise CostModelError(f"matrix must be {n}x{n}")
         for i, row in enumerate(matrix):
@@ -224,7 +229,13 @@ class CostModel(_CostModelFields):
                     f"matrix diagonal must be zero, got {row[i]} at "
                     f"{RESOURCE_ORDER[i].value}"
                 )
-        table = dict(rules)
+        try:
+            table = dict(rules)
+        except (TypeError, ValueError):
+            raise CostModelError(
+                f"rules must be a mapping of Rule to cost or (Rule, cost) "
+                f"pairs, got {rules!r}"
+            ) from None
         for rule, cost in table.items():
             if not isinstance(rule, Rule):
                 raise CostModelError(

@@ -487,7 +487,8 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
     group code is rewritten to the chosen member's code.  Only the tasks
     whose prerequisites name the group or a removed member are rebuilt;
     every other :class:`Task` is immutable and is shared with the input,
-    which is left unchanged.
+    which is left unchanged.  The chosen member must be a task of the
+    workflow.
     """
     grp = workflow.group(group)
     if grp is None:
@@ -499,6 +500,11 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
         raise WorkflowError(
             f"{member!r} is not a member of group {group!r} "
             f"(members: {', '.join(sorted(grp.members))})"
+        )
+    if member not in workflow.tasks:
+        raise WorkflowError(
+            f"variant group {group!r} lists unknown member {member!r}: "
+            f"no task has that code"
         )
 
     dropped = grp.members - {member}

@@ -47,11 +47,12 @@ class Objective(enum.Enum):
 
     @classmethod
     def parse(cls, label: str) -> Objective:
-        folded = label.strip().lower()
-        if folded in ("min", "minimize", "minimise"):
-            return cls.MINIMIZE
-        if folded in ("max", "maximize", "maximise"):
-            return cls.MAXIMIZE
+        if isinstance(label, str):
+            folded = label.strip().lower()
+            if folded in ("min", "minimize", "minimise"):
+                return cls.MINIMIZE
+            if folded in ("max", "maximize", "maximise"):
+                return cls.MAXIMIZE
         raise CogseqError(f"unknown objective {label!r} (expected min or max)")
 
 
@@ -377,7 +378,8 @@ def compare_variants(workflow: Workflow, model: CostModel
     member.
 
     A workflow with several unresolved groups is refused rather than
-    resolved by a guess: resolve all but one first.
+    resolved by a guess: resolve all but one first.  A group with no
+    members, or with a member that is no task, raises :class:`WorkflowError`.
     """
     _require_inputs(workflow, model)
     if workflow.is_concrete:
@@ -392,6 +394,8 @@ def compare_variants(workflow: Workflow, model: CostModel
             f"instantiate_variant or --variant GROUP=MEMBER"
         )
     (grp,) = workflow.variant_groups
+    if not grp.members:
+        raise WorkflowError(f"variant group {grp.code!r} has no members")
     rows: list[VariantRow] = []
     for member in sorted(grp.members):
         candidate = instantiate_variant(workflow, grp.code, member)

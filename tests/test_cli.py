@@ -434,6 +434,25 @@ class TestCompareVariants:
         assert result.exit_code == 0
         assert result.stdout.startswith("group GA:\n")
 
+    @pytest.mark.parametrize("args", [
+        ["compare-variants"],
+        ["solve", "--variant", "G=Y"],
+    ])
+    def test_member_that_is_no_task_is_domain_error(self, tmp_path, args):
+        task = {"name": "T", "resource": "VWM", "modality": "t",
+                "voluntary": False, "familiarity": 3, "complexity": 3}
+        path = tmp_path / "unknown-member.json"
+        path.write_text(json.dumps({
+            "tasks": [dict(task, code="A"), dict(task, code="X")],
+            "variant_groups": [{"code": "G", "members": ["X", "Y"]}],
+        }), encoding="utf-8")
+        assert "[unknown-member]" in run(["validate", str(path)]).stdout
+        result = run([args[0], str(path), *args[1:]])
+        assert result.exit_code == 1
+        assert ("error: variant group 'G' lists unknown member 'Y'"
+                in result.stderr)
+        assert result.stdout == ""
+
 
 class TestExplain:
     def test_known_ordering_by_name(self):

@@ -210,6 +210,8 @@ class TestCostModel:
         assert Rule.parse("voluntary-complexity-drop") is Rule.VOLUNTARY_COMPLEXITY_DROP
         with pytest.raises(CostModelError, match="unknown rule"):
             Rule.parse("Bogus")
+        with pytest.raises(CostModelError, match="unknown rule 3"):
+            Rule.parse(3)
 
     def test_scope_parse(self):
         assert Scope.parse("adjacent") is Scope.ADJACENT
@@ -217,6 +219,8 @@ class TestCostModel:
         assert Scope.parse("full_history") is Scope.FULL_HISTORY
         with pytest.raises(CostModelError):
             Scope.parse("medium")
+        with pytest.raises(CostModelError, match="unknown scope 3"):
+            Scope.parse(3)
 
 
 @pytest.fixture(scope="module")

@@ -395,6 +395,17 @@ class TestVariants:
         with pytest.raises(WorkflowError, match="not a member"):
             instantiate_variant(self.build(), "G", "E")
 
+    def test_member_that_is_no_task_is_refused(self):
+        # validate_workflow reports Y as [unknown-member]; resolving the
+        # group to it would drop the slot and keep no task in its place.
+        wf = Workflow.from_tasks([simple_task("A"), simple_task("X")],
+                                 [VariantGroup("G", ["X", "Y"])])
+        assert [v.kind for v in validate_workflow(wf)] == ["unknown-member"]
+        with pytest.raises(WorkflowError,
+                           match="variant group 'G' lists unknown member 'Y'"):
+            instantiate_variant(wf, "G", "Y")
+        assert set(instantiate_variant(wf, "G", "X").tasks) == {"A", "X"}
+
     def test_concrete_required_for_sequencing(self):
         with pytest.raises(WorkflowError, match="unresolved variant groups"):
             is_linear_extension(("S",), self.build())

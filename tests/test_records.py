@@ -11,6 +11,7 @@ import pytest
 from cogseq import (
     CogseqError,
     CostModel,
+    CostModelError,
     Objective,
     Resource,
     Rule,
@@ -280,6 +281,16 @@ class TestFieldTypes:
             group._replace(**{field: value})
         with pytest.raises(WorkflowError, match=f"{field} must be"):
             VariantGroup(**{**group._asdict(), field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("matrix", None), ("matrix", [1, 2, 3, 4, 5]),
+        ("rules", None), ("rules", 5), ("rules", [1]),
+    ], ids=lambda value: repr(value))
+    def test_cost_model(self, field, value):
+        with pytest.raises(CostModelError, match=f"{field} must be"):
+            CostModel()._replace(**{field: value})
+        with pytest.raises(CostModelError, match=f"{field} must be"):
+            CostModel(**{field: value})
 
     @pytest.mark.parametrize("fields,message", [
         (({"B": task()}, ()), r"tasks\['B'\] must be the task of that code"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from itertools import islice, permutations
@@ -61,6 +62,8 @@ class TestParsing:
     def test_parse_failures(self):
         with pytest.raises(CogseqError, match="unknown objective"):
             Objective.parse("median")
+        with pytest.raises(CogseqError, match="unknown objective 3"):
+            Objective.parse(3)
 
 
 class TestRequestValidation:
@@ -737,6 +740,92 @@ class TestSearchEngine:
         sizes = [mask.bit_count() for mask in elig]
         assert sizes == sorted(sizes)
 
+    def test_a_finished_search_leaves_no_reference_cycle(self,
+                                                          full_document):
+        # Reference counting alone frees the search's tables, twin rows
+        # included: no collector pass is needed after a solve.
+        twinned = instantiate_variant(full_document.workflow, "AUTH", "AUPS")
+        plain = random_workflow(random.Random(74), n_min=7, n_max=7)
+        assert _kernel_inputs(twinned, CostModel.calibrated())[-1]
+        assert not _kernel_inputs(plain, CostModel.calibrated())[-1]
+        gc.collect()
+        gc.disable()
+        try:
+            for wf in (twinned, plain):
+                for objective in Objective:
+                    for k in (1, 10):
+                        solve(SolveRequest(workflow=wf, k=k,
+                                           objective=objective))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_hold_the_least_cost_to_go(self, monkeypatch, seed):
+        # After a search, every canonical row and every row _RealRows built
+        # pairs each eligible task with the least signed cost of finishing
+        # after placing it there, found by enumerating every extension.
+        rng = random.Random(9500 + seed)
+        if seed % 2:
+            wf = _with_copies(random_workflow(rng, n_max=5), rng)
+        else:
+            wf = random_workflow(rng, n_max=7)
+        seen = {}
+        cost_to_go, top_k = _search._cost_to_go, _search._top_k
+
+        def canonical(pair, shares, rp_cost, rows):
+            seen["canonical"] = rows
+            return cost_to_go(pair, shares, rp_cost, rows)
+
+        def real(*args):
+            seen["real"] = args[-1]
+            return top_k(*args)
+
+        monkeypatch.setattr(_search, "_cost_to_go", canonical)
+        monkeypatch.setattr(_search, "_top_k", real)
+        for model in MODELS:
+            for sign in (1, -1):
+                codes, preds, succ, pair, shares, rp_cost, twins = (
+                    _kernel_inputs(wf, model, sign))
+                assert bool(twins) == bool(seed % 2)
+                index = {code: i for i, code in enumerate(codes)}
+                best: dict[tuple[int, int], int] = {}
+                for ordering in enumerate_linear_extensions(wf):
+                    _, steps = sequence_cost(ordering, wf, model)
+                    rest = 0
+                    placed = (1 << len(codes)) - 1
+                    for j in range(len(ordering) - 1, -1, -1):
+                        t = index[ordering[j]]
+                        placed &= ~(1 << t)
+                        lifted = 0
+                        if j and model.history_dependent:
+                            lifted = dict(steps[j - 1].fired).get(
+                                Rule.RECENT_PRACTICE, 0)
+                        cell = (placed, t)
+                        best[cell] = min(best.get(cell, math.inf),
+                                         sign * (rest + lifted))
+                        if j:
+                            rest += steps[j - 1].total
+                seen.clear()
+                _search.search(preds, succ, pair, shares, rp_cost, 4, twins)
+                tables = [seen["canonical"]]
+                if twins:
+                    assert seen["real"] is not seen["canonical"]
+                    tables.append(seen["real"])
+                eligible: dict[int, list[int]] = {}
+                for placed, t in sorted(best):
+                    eligible.setdefault(placed, []).append(t)
+                for rows in tables:
+                    assert 0 in rows
+                    for placed, (tasks, rests) in rows.items():
+                        if rows is seen["canonical"] and twins:
+                            # One member stands for each eligible class.
+                            assert set(tasks) <= set(eligible.get(placed, ()))
+                        else:
+                            assert list(tasks) == eligible.get(placed, [])
+                        for t, rest in zip(tasks, rests, strict=True):
+                            assert rest == best[placed, t]
+
 
 def _random_chain(n: int, seed: int) -> Workflow:
     rng = random.Random(seed)
@@ -1133,6 +1222,18 @@ class TestCompareVariants:
     def test_concrete_workflow_rejected(self, validation_document):
         with pytest.raises(WorkflowError, match="use solve"):
             compare_variants(validation_document.workflow, CostModel())
+
+    def test_member_that_is_no_task_rejected(self):
+        wf = Workflow.from_tasks([simple_task("A"), simple_task("X")],
+                                 [VariantGroup("G", ["X", "Y"])])
+        with pytest.raises(WorkflowError, match="unknown member 'Y'"):
+            compare_variants(wf, CostModel())
+
+    def test_group_without_members_rejected(self):
+        wf = Workflow.from_tasks([simple_task("A")], [VariantGroup("G", [])])
+        with pytest.raises(WorkflowError,
+                           match="variant group 'G' has no members"):
+            compare_variants(wf, CostModel())
 
     def test_checkin_sweep_matches_plain_solves(self, full_document):
         model = CostModel.calibrated()
