@@ -483,12 +483,14 @@ def _find_cycle(nodes: list[str], succ: list[list[int]]
 def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow:
     """Resolve one variant group to a single member.
 
-    Non-chosen members are removed and every prerequisite reference to the
-    group code is rewritten to the chosen member's code.  Only the tasks
-    whose prerequisites name the group or a removed member are rebuilt;
-    every other :class:`Task` is immutable and is shared with the input,
-    which is left unchanged.  The chosen member must be a task of the
-    workflow.
+    Resolution only renames: the other members' tasks are removed and every
+    prerequisite naming the group code names the chosen member instead;
+    nothing else changes.  Only the tasks whose prerequisites name the group
+    are rebuilt; every other :class:`Task` is immutable and is shared with
+    the input, which is left unchanged.  The chosen member must be a task of
+    the workflow.  A group code that is also a task code, and a task that
+    requires a member of the group directly, raise :class:`WorkflowError`
+    in :func:`validate_workflow`'s words.
     """
     grp = workflow.group(group)
     if grp is None:
@@ -506,22 +508,28 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
             f"variant group {group!r} lists unknown member {member!r}: "
             f"no task has that code"
         )
+    if group in workflow.tasks:
+        raise WorkflowError(
+            f"variant group {group!r} collides with a task code")
+    members = grp.members
+    direct = [code for code, task in workflow.tasks.items()
+              if not members.isdisjoint(task.prerequisites)]
+    if direct:
+        code = min(direct)
+        pre = min(members.intersection(workflow.tasks[code].prerequisites))
+        raise WorkflowError(
+            f"task {code!r} requires {pre!r} directly; use its group "
+            f"{group!r} instead")
 
-    dropped = grp.members - {member}
-    stale = dropped | {group}
+    dropped = members - {member}
     tasks: dict[str, Task] = {}
     for code, task in workflow.tasks.items():
         if code in dropped:
             continue
-        if stale.isdisjoint(task.prerequisites):
-            tasks[code] = task
-            continue
-        prereqs = frozenset(
-            member if pre == group else pre
-            for pre in task.prerequisites
-            if pre not in dropped
-        )
-        tasks[code] = task._replace(prerequisites=prereqs)
+        if group in task.prerequisites:
+            task = task._replace(
+                prerequisites=task.prerequisites - {group} | {member})
+        tasks[code] = task
     remaining = tuple(g for g in workflow.variant_groups if g.code != group)
     return Workflow(tasks=tasks, variant_groups=remaining)
 

@@ -454,6 +454,78 @@ class TestCompareVariants:
         assert result.stdout == ""
 
 
+def variant_document(tasks, groups) -> str:
+    """A workflow document: ``tasks`` maps each code to its prerequisites
+    and ``groups`` each group code to its members."""
+    task = {"name": "T", "resource": "VWM", "modality": "t",
+            "voluntary": False, "familiarity": 3, "complexity": 3}
+    return json.dumps({
+        "tasks": [dict(task, code=code, prerequisites=list(pres))
+                  for code, pres in tasks.items()],
+        "variant_groups": [{"code": code, "members": list(members)}
+                           for code, members in groups.items()],
+    })
+
+
+# Documents that resolution must refuse rather than drop a precedence or
+# keep a task in the group's place.
+RESOLUTION_DOCS = {
+    # Z requires member X directly; resolving to Y would lose X -> Z.
+    "D1": variant_document(
+        {"A": (), "X": ("A",), "Y": ("A",), "Z": ("X",)}, {"G": ("X", "Y")}),
+    # One member requires another.
+    "D2": variant_document({"A": (), "X": ("Y",), "Y": ()},
+                           {"G": ("X", "Y")}),
+    # X is a member of two groups; resolving both would drop X and G's slot.
+    "D3": variant_document({"A": (), "X": (), "Y": (), "Z": ("G", "H")},
+                           {"G": ("X", "Y"), "H": ("X", "A")}),
+    # The group code is also a task code, so task G would stay.
+    "D4": variant_document({"A": (), "X": (), "Y": (), "G": ()},
+                           {"G": ("X", "Y")}),
+}
+Z_REQUIRES_X = "task 'Z' requires 'X' directly; use its group 'G' instead"
+X_REQUIRES_Y = "task 'X' requires 'Y' directly; use its group 'G' instead"
+G_IS_A_TASK = "variant group 'G' collides with a task code"
+
+
+class TestVariantResolution:
+    """Resolution refuses, with an error line and exit 1, what validate
+    reports, in validate's words."""
+
+    @pytest.mark.parametrize("doc,args,message", [
+        ("D1", ["solve", "--variant", "G=Y"], Z_REQUIRES_X),
+        ("D1", ["solve", "--variant", "G=X"], Z_REQUIRES_X),
+        ("D1", ["compare-variants"], Z_REQUIRES_X),
+        ("D2", ["solve", "--variant", "G=X"], X_REQUIRES_Y),
+        ("D2", ["solve", "--variant", "G=Y"], X_REQUIRES_Y),
+        ("D2", ["compare-variants"], X_REQUIRES_Y),
+        ("D3", ["solve", "--variant", "G=X", "--variant", "H=A"],
+         "task 'Z' requires 'X' directly; use its group 'H' instead"),
+        ("D3", ["solve", "--variant", "H=A", "--variant", "G=X"],
+         "variant group 'G' lists unknown member 'X': no task has that "
+         "code"),
+        ("D3", ["compare-variants", "--variant", "G=X"],
+         "task 'Z' requires 'X' directly; use its group 'H' instead"),
+        ("D4", ["solve", "--variant", "G=X"], G_IS_A_TASK),
+        ("D4", ["compare-variants"], G_IS_A_TASK),
+    ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None)
+    def test_refused(self, tmp_path, doc, args, message):
+        path = tmp_path / f"{doc}.json"
+        path.write_text(RESOLUTION_DOCS[doc], encoding="utf-8")
+        result = run([args[0], str(path), *args[1:]])
+        assert result == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("doc,line", [
+        ("D1", f"[direct-member-reference] {Z_REQUIRES_X}"),
+        ("D2", f"[direct-member-reference] {X_REQUIRES_Y}"),
+        ("D4", f"[group-code-collision] {G_IS_A_TASK}"),
+    ])
+    def test_validate_reports_the_same_fault(self, tmp_path, doc, line):
+        path = tmp_path / f"{doc}.json"
+        path.write_text(RESOLUTION_DOCS[doc], encoding="utf-8")
+        assert run(["validate", str(path)]) == (1, line + "\n", "")
+
+
 class TestExplain:
     def test_known_ordering_by_name(self):
         result = run([

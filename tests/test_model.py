@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogseq import (
@@ -67,8 +68,9 @@ def positional_violation(ordering, workflow: Workflow) -> str | None:
 
 
 def rebuilt_every_task(workflow: Workflow, choices: dict) -> Workflow:
-    """Resolving each group with ``choices`` as ``instantiate_variant`` did
-    before untouched tasks were shared: every kept task is rebuilt."""
+    """Resolving each group with ``choices`` by the rename-only rule, with
+    every kept task rebuilt: the group code becomes the chosen member and
+    no other prerequisite changes."""
     for grp in workflow.variant_groups:
         member = choices[grp.code]
         dropped = grp.members - {member}
@@ -79,7 +81,7 @@ def rebuilt_every_task(workflow: Workflow, choices: dict) -> Workflow:
                 familiarity=task.familiarity, complexity=task.complexity,
                 prerequisites=frozenset(
                     member if pre == grp.code else pre
-                    for pre in task.prerequisites if pre not in dropped),
+                    for pre in task.prerequisites),
             )
             for code, task in workflow.tasks.items() if code not in dropped
         }
@@ -346,11 +348,11 @@ class TestVariants:
         assert wf.tasks["E"].prerequisites == frozenset({"M1"})
 
     def test_instantiate_shares_untouched_tasks(self):
-        # X names a member directly (invalid, but instantiation still
-        # drops the reference), so it is rebuilt like E.
+        # X names the group beside a task, so it is rebuilt like E, and
+        # only the group code in it changes.
         wf = Workflow.from_tasks(
             list(self.build().tasks.values())
-            + [simple_task("X", prerequisites=("S", "M2"))],
+            + [simple_task("X", prerequisites=("S", "G"))],
             self.build().variant_groups,
         )
         before = dict(wf.tasks)
@@ -360,7 +362,7 @@ class TestVariants:
         assert out.tasks["E"] == wf.tasks["E"]._replace(
             prerequisites=frozenset({"M1"}))
         assert out.tasks["X"] == wf.tasks["X"]._replace(
-            prerequisites=frozenset({"S"}))
+            prerequisites=frozenset({"S", "M1"}))
         assert list(out.tasks) == ["S", "M1", "E", "X"]
         assert out.variant_groups == ()
         # The input is unchanged, down to the identity of each task.
@@ -406,6 +408,59 @@ class TestVariants:
             instantiate_variant(wf, "G", "Y")
         assert set(instantiate_variant(wf, "G", "X").tasks) == {"A", "X"}
 
+    @pytest.mark.parametrize("tasks,member,message", [
+        # Z requires member X, refused whichever member is chosen.
+        ([("A", ()), ("X", ("A",)), ("Y", ("A",)), ("Z", ("X",))], "Y",
+         "task 'Z' requires 'X' directly; use its group 'G' instead"),
+        ([("A", ()), ("X", ("A",)), ("Y", ("A",)), ("Z", ("X",))], "X",
+         "task 'Z' requires 'X' directly; use its group 'G' instead"),
+        # A member that requires another member.
+        ([("A", ()), ("X", ("Y",)), ("Y", ())], "X",
+         "task 'X' requires 'Y' directly; use its group 'G' instead"),
+        # The smallest offending task, then its smallest offending member.
+        ([("A", ()), ("X", ()), ("Y", ()), ("W", ("Y", "X", "A")),
+          ("V", ("Y",))], "X",
+         "task 'V' requires 'Y' directly; use its group 'G' instead"),
+        ([("A", ()), ("X", ()), ("Y", ()), ("V", ("Y", "X", "A"))], "Y",
+         "task 'V' requires 'X' directly; use its group 'G' instead"),
+    ])
+    def test_direct_member_reference_is_refused(self, tasks, member,
+                                                 message):
+        wf = Workflow.from_tasks(
+            [simple_task(code, prerequisites=pres) for code, pres in tasks],
+            [VariantGroup("G", ["X", "Y"])])
+        assert message in [v.message for v in validate_workflow(wf)]
+        with pytest.raises(WorkflowError, match=f"^{re.escape(message)}$"):
+            instantiate_variant(wf, "G", member)
+
+    def test_task_listed_by_two_groups_is_refused_in_either_order(self):
+        # validate_workflow reports nothing here: X is in both groups.
+        wf = Workflow.from_tasks(
+            [simple_task("A"), simple_task("X"), simple_task("Y"),
+             simple_task("Z", prerequisites=("G", "H"))],
+            [VariantGroup("G", ["X", "Y"]), VariantGroup("H", ["X", "A"])])
+        g_first = instantiate_variant(wf, "G", "X")
+        with pytest.raises(WorkflowError, match=(
+                "^task 'Z' requires 'X' directly; use its group 'H' "
+                "instead$")):
+            instantiate_variant(g_first, "H", "A")
+        h_first = instantiate_variant(wf, "H", "A")
+        with pytest.raises(WorkflowError,
+                           match="variant group 'G' lists unknown member 'X'"):
+            instantiate_variant(h_first, "G", "X")
+
+    @pytest.mark.parametrize("member", ["X", "Y"])
+    def test_group_code_that_is_a_task_code_is_refused(self, member):
+        # Resolving would keep task G beside the chosen member.
+        wf = Workflow.from_tasks(
+            [simple_task(code) for code in ("A", "X", "Y", "G")],
+            [VariantGroup("G", ["X", "Y"])])
+        assert [v.message for v in validate_workflow(wf)] == [
+            "variant group 'G' collides with a task code"]
+        with pytest.raises(WorkflowError, match=(
+                "^variant group 'G' collides with a task code$")):
+            instantiate_variant(wf, "G", member)
+
     def test_concrete_required_for_sequencing(self):
         with pytest.raises(WorkflowError, match="unresolved variant groups"):
             is_linear_extension(("S",), self.build())
@@ -415,6 +470,57 @@ class TestVariants:
         assert len(wf.tasks) == 13
         assert len(wf.precedence_edges()) == 25
         assert wf.tasks["CFRM"].prerequisites >= {"AUPS"}
+
+
+@st.composite
+def one_group_workflows(draw):
+    """A workflow with exactly one variant group of at least one member,
+    drawn to reach every way resolution and validation could disagree: the
+    group code may be a task code, a member may be no task, and each task
+    may require the group, a member, an unknown code or itself.  Half the
+    draws keep every level in range, so that more of them validate."""
+    codes = draw(st.lists(st.sampled_from(TASK_CODES), min_size=1,
+                          max_size=7, unique=True))
+    group = VariantGroup(
+        draw(st.sampled_from(GROUP_CODES)),
+        draw(st.frozensets(st.sampled_from(codes + list(UNKNOWN_CODES)),
+                           min_size=1, max_size=3)))
+    level = st.integers(1, 5) if draw(st.booleans()) else any_level
+    named = codes + [group.code] + list(UNKNOWN_CODES)
+    return Workflow.from_tasks([
+        simple_task(code, familiarity=draw(level), complexity=draw(level),
+                    prerequisites=draw(st.frozensets(st.sampled_from(named),
+                                                     max_size=3)))
+        for code in codes], [group])
+
+
+class TestResolutionAgreesWithValidation:
+    """A one-group workflow validates exactly when every member resolves
+    and each resolved workflow validates, so resolution neither hides a
+    fault that validation reports nor refuses a valid workflow."""
+
+    @given(workflow=one_group_workflows())
+    # Resolving group A to its member A would keep task A in its place.
+    @example(Workflow.from_tasks([simple_task("A")],
+                                 [VariantGroup("A", ["A"])]))
+    # With one member, resolution drops no task, so B's direct reference
+    # to A would survive it.
+    @example(Workflow.from_tasks(
+        [simple_task("A"), simple_task("B", prerequisites=["A"])],
+        [VariantGroup("G", ["A"])]))
+    @settings(max_examples=300, deadline=None)
+    def test_valid_exactly_when_every_resolution_is(self, workflow):
+        (grp,) = workflow.variant_groups
+
+        def resolves_valid(member: str) -> bool:
+            try:
+                resolved = instantiate_variant(workflow, grp.code, member)
+            except WorkflowError:
+                return False
+            return validate_workflow(resolved).ok
+
+        assert validate_workflow(workflow).ok == all(
+            resolves_valid(member) for member in sorted(grp.members))
 
 
 class TestExtensions:

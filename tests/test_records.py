@@ -165,6 +165,18 @@ class TestRecordContract:
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
 
+    def test_deletion_raises(self, record):
+        build, fields, _, _ = record
+        a = build()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+
+    def test_unequal_to_another_type(self, record):
+        build, _, _, _ = record
+        a, other = build(), object()
+        assert (a == other) is False and (a != other) is True
+
     @CLONES
     def test_round_trips(self, record, clone):
         build, fields, _, _ = record
@@ -284,6 +296,7 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("field,value", [
         ("matrix", None), ("matrix", [1, 2, 3, 4, 5]),
+        ("matrix", [[0] * 5] * 4), ("matrix", [[0] * 4] * 5),
         ("rules", None), ("rules", 5), ("rules", [1]),
     ], ids=lambda value: repr(value))
     def test_cost_model(self, field, value):
