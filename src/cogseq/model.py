@@ -326,7 +326,10 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
     to the successor lists of its prerequisites (and a group to those of its
     members), so every list is built already ascending.  Prerequisite sets
     are not sorted; only the faulty prerequisites a task has are.
-    A variant-group code used twice is reported once, at its second use.
+    A variant-group code used twice is reported once, at its second use.  A
+    task that groups of different codes list is reported at each later one
+    of them, with the first group that lists it, which is also the group a
+    direct reference to that task is told to use.
     Violations come group by group, then task by task in code order (each
     task's prerequisite findings by prerequisite code), then the one cycle
     that :func:`_find_cycle` picks.  A clean report of a concrete workflow
@@ -362,8 +365,15 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
                 f"variant group {grp.code!r} lists unknown member {member!r}",
                 (grp.code, member),
             ))
+        for member in sorted(grp.members.intersection(member_of)):
+            first = member_of[member]
+            if first != grp.code and member in tasks:
+                found.append(Violation(
+                    "shared-member", _shared_member(member, first, grp.code),
+                    (member, first, grp.code),
+                ))
         for member in grp.members:
-            member_of[member] = grp.code
+            member_of.setdefault(member, grp.code)
 
     nodes = sorted(tasks.keys() | groups.keys())
     index = {code: i for i, code in enumerate(nodes)}
@@ -414,6 +424,11 @@ def _out_of_range(code: str, prop: str, value: int) -> Violation:
     return Violation("out-of-range",
                      f"task {code!r} has {prop}={value}, outside [1, 5]",
                      (code,))
+
+
+def _shared_member(code: str, first: str, second: str) -> str:
+    return (f"task {code!r} belongs to variant groups {first!r} and "
+            f"{second!r}")
 
 
 def _prerequisite_fault(code: str, pre: str, index: Mapping[str, int],
@@ -488,9 +503,11 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
     nothing else changes.  Only the tasks whose prerequisites name the group
     are rebuilt; every other :class:`Task` is immutable and is shared with
     the input, which is left unchanged.  The chosen member must be a task of
-    the workflow.  A group code that is also a task code, and a task that
-    requires a member of the group directly, raise :class:`WorkflowError`
-    in :func:`validate_workflow`'s words.
+    the workflow.  A group code that is also a task code, a member that
+    another group lists too, and a task that requires a member of the group
+    directly, raise :class:`WorkflowError` in :func:`validate_workflow`'s
+    words; a shared member is named with the first two groups that list it,
+    whichever of them is resolved.
     """
     grp = workflow.group(group)
     if grp is None:
@@ -512,6 +529,13 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
         raise WorkflowError(
             f"variant group {group!r} collides with a task code")
     members = grp.members
+    shared = members.intersection(workflow.tasks, frozenset().union(
+        *(g.members for g in workflow.variant_groups if g.code != group)))
+    if shared:
+        code = min(shared)
+        first, second = list(dict.fromkeys(
+            g.code for g in workflow.variant_groups if code in g.members))[:2]
+        raise WorkflowError(_shared_member(code, first, second))
     direct = [code for code, task in workflow.tasks.items()
               if not members.isdisjoint(task.prerequisites)]
     if direct:

@@ -159,7 +159,15 @@ def reference_validate_workflow(workflow: Workflow) -> ValidationReport:
                     f"variant group {grp.code!r} lists unknown member {member!r}",
                     (grp.code, member),
                 ))
-            member_of[member] = grp.code
+        for member in sorted(grp.members):
+            first = member_of.setdefault(member, grp.code)
+            if first != grp.code and member in tasks:
+                found.append(Violation(
+                    "shared-member",
+                    f"task {member!r} belongs to variant groups "
+                    f"{first!r} and {grp.code!r}",
+                    (member, first, grp.code),
+                ))
 
     for code in workflow.codes():
         task = tasks[code]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -434,20 +434,21 @@ class TestVariants:
             instantiate_variant(wf, "G", member)
 
     def test_task_listed_by_two_groups_is_refused_in_either_order(self):
-        # validate_workflow reports nothing here: X is in both groups.
+        # Resolving either group would drop X from the other, or keep it in
+        # both slots; validate_workflow reports it in the same words.
         wf = Workflow.from_tasks(
             [simple_task("A"), simple_task("X"), simple_task("Y"),
              simple_task("Z", prerequisites=("G", "H"))],
             [VariantGroup("G", ["X", "Y"]), VariantGroup("H", ["X", "A"])])
-        g_first = instantiate_variant(wf, "G", "X")
-        with pytest.raises(WorkflowError, match=(
-                "^task 'Z' requires 'X' directly; use its group 'H' "
-                "instead$")):
-            instantiate_variant(g_first, "H", "A")
-        h_first = instantiate_variant(wf, "H", "A")
-        with pytest.raises(WorkflowError,
-                           match="variant group 'G' lists unknown member 'X'"):
-            instantiate_variant(h_first, "G", "X")
+        message = "task 'X' belongs to variant groups 'G' and 'H'"
+        assert [(v.kind, v.message, v.codes)
+                for v in validate_workflow(wf)] == [
+            ("shared-member", message, ("X", "G", "H"))]
+        for group, member in [("G", "X"), ("G", "Y"), ("H", "X"),
+                              ("H", "A")]:
+            with pytest.raises(WorkflowError,
+                               match=f"^{re.escape(message)}$"):
+                instantiate_variant(wf, group, member)
 
     @pytest.mark.parametrize("member", ["X", "Y"])
     def test_group_code_that_is_a_task_code_is_refused(self, member):
@@ -473,33 +474,37 @@ class TestVariants:
 
 
 @st.composite
-def one_group_workflows(draw):
-    """A workflow with exactly one variant group of at least one member,
-    drawn to reach every way resolution and validation could disagree: the
-    group code may be a task code, a member may be no task, and each task
-    may require the group, a member, an unknown code or itself.  Half the
-    draws keep every level in range, so that more of them validate."""
+def variant_workflows(draw):
+    """A workflow with one or two variant groups of at least one member
+    each, drawn to reach every way resolution and validation could
+    disagree: a group code may be a task code, a member may be no task or a
+    member of the other group too, and each task may require a group, a
+    member, an unknown code or itself.  Half the draws keep every level in
+    range, so that more of them validate."""
     codes = draw(st.lists(st.sampled_from(TASK_CODES), min_size=1,
                           max_size=7, unique=True))
-    group = VariantGroup(
-        draw(st.sampled_from(GROUP_CODES)),
-        draw(st.frozensets(st.sampled_from(codes + list(UNKNOWN_CODES)),
-                           min_size=1, max_size=3)))
+    groups = draw(st.lists(st.builds(
+        VariantGroup,
+        code=st.sampled_from(GROUP_CODES),
+        members=st.frozensets(st.sampled_from(codes + list(UNKNOWN_CODES)),
+                              min_size=1, max_size=3),
+    ), min_size=1, max_size=2, unique_by=lambda grp: grp.code))
     level = st.integers(1, 5) if draw(st.booleans()) else any_level
-    named = codes + [group.code] + list(UNKNOWN_CODES)
+    named = codes + [g.code for g in groups] + list(UNKNOWN_CODES)
     return Workflow.from_tasks([
         simple_task(code, familiarity=draw(level), complexity=draw(level),
                     prerequisites=draw(st.frozensets(st.sampled_from(named),
                                                      max_size=3)))
-        for code in codes], [group])
+        for code in codes], groups)
 
 
 class TestResolutionAgreesWithValidation:
-    """A one-group workflow validates exactly when every member resolves
-    and each resolved workflow validates, so resolution neither hides a
-    fault that validation reports nor refuses a valid workflow."""
+    """A workflow with one or two variant groups validates exactly when
+    every choice of members resolves, with the groups in either order, and
+    each resolved workflow validates, so resolution neither hides a fault
+    that validation reports nor refuses a valid workflow."""
 
-    @given(workflow=one_group_workflows())
+    @given(workflow=variant_workflows())
     # Resolving group A to its member A would keep task A in its place.
     @example(Workflow.from_tasks([simple_task("A")],
                                  [VariantGroup("A", ["A"])]))
@@ -508,19 +513,32 @@ class TestResolutionAgreesWithValidation:
     @example(Workflow.from_tasks(
         [simple_task("A"), simple_task("B", prerequisites=["A"])],
         [VariantGroup("G", ["A"])]))
+    # X is a member of both groups: resolving H to A would drop it from G,
+    # and resolving G to X would leave Z a direct reference to H's member X.
+    @example(Workflow.from_tasks(
+        [simple_task("A"), simple_task("X"), simple_task("Y"),
+         simple_task("Z", prerequisites=["G", "H"])],
+        [VariantGroup("G", ["X", "Y"]), VariantGroup("H", ["X", "A"])]))
     @settings(max_examples=300, deadline=None)
     def test_valid_exactly_when_every_resolution_is(self, workflow):
-        (grp,) = workflow.variant_groups
-
-        def resolves_valid(member: str) -> bool:
+        def resolves_valid(choices) -> bool:
+            resolved = workflow
             try:
-                resolved = instantiate_variant(workflow, grp.code, member)
+                for group, member in choices:
+                    resolved = instantiate_variant(resolved, group, member)
             except WorkflowError:
                 return False
             return validate_workflow(resolved).ok
 
+        every_choice = [
+            choices
+            for groups in permutations(workflow.variant_groups)
+            for choices in product(*(
+                [(grp.code, member) for member in sorted(grp.members)]
+                for grp in groups))
+        ]
         assert validate_workflow(workflow).ok == all(
-            resolves_valid(member) for member in sorted(grp.members))
+            resolves_valid(choices) for choices in every_choice)
 
 
 class TestExtensions:
