@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 
 class CogseqError(Exception):
     """Base class for domain errors (CLI maps these to exit code 1)."""
@@ -22,17 +24,16 @@ class CostModelError(CogseqError):
 class DocumentError(CogseqError):
     """A workflow or cost-model document failed to parse or validate.
 
-    Carries the offending file path and, where known, the field context.
+    Carries the offending file path and, where known, the field context;
+    ``message`` is the text without them.
     """
 
-    def __init__(self, message: str, *, path: str | None = None, field: str | None = None):
+    def __init__(self, message: str, *, field: str | None = None,
+                 path: str | os.PathLike[str] | None = None):
+        self.message = message
         self.path = path
         self.field = field
-        prefix = ""
-        if path:
-            prefix += f"{path}: "
-        if field:
-            prefix += f"{field}: "
+        prefix = "".join(f"{part}: " for part in (path, field) if part)
         super().__init__(prefix + message)
 
 

@@ -14,6 +14,7 @@ file that cannot be read, is not UTF-8 text, or does not parse as JSON.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple
@@ -50,7 +51,7 @@ RESOURCE_ALIASES = {
 }
 
 
-def parse_resource(label: str, *, path=None, field=None) -> Resource:
+def parse_resource(label: str, *, field=None) -> Resource:
     """Accept the short code or the descriptive label (shorthand included)."""
     try:
         return RESOURCE_ALIASES[label.strip().lower()]
@@ -58,11 +59,11 @@ def parse_resource(label: str, *, path=None, field=None) -> Resource:
         raise DocumentError(
             f"unknown resource {label!r} (expected one of "
             + ", ".join(r.value for r in Resource) + " or their full names)",
-            path=path, field=field,
+            field=field,
         ) from None
 
 
-def _parse_voluntary(value, *, path=None, field=None) -> bool:
+def _parse_voluntary(value, *, field=None) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -72,45 +73,40 @@ def _parse_voluntary(value, *, path=None, field=None) -> bool:
         if folded in ("no", "false"):
             return False
     raise DocumentError(
-        f"voluntary must be yes/no or true/false, got {value!r}",
-        path=path, field=field,
-    )
+        f"voluntary must be yes/no or true/false, got {value!r}", field=field)
 
 
-def _require_int(value, *, path=None, field=None) -> int:
+def _require_int(value, *, field=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"expected an integer, got {value!r}",
-                            path=path, field=field)
+        raise DocumentError(f"expected an integer, got {value!r}", field=field)
     return value
 
 
-def _require_str(value, *, path=None, field=None) -> str:
+def _require_str(value, *, field=None) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"expected a string, got {value!r}",
-                            path=path, field=field)
+        raise DocumentError(f"expected a string, got {value!r}", field=field)
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
         # JSON can spell a lone surrogate ("\ud800"), which no output
         # stream can write back.
         raise DocumentError(f"not encodable as UTF-8: {value!r}",
-                            path=path, field=field) from None
+                            field=field) from None
     return value
 
 
-def _require_code(value, *, path=None, field=None) -> str:
-    code = _require_str(value, path=path, field=field)
+def _require_code(value, *, field=None) -> str:
+    code = _require_str(value, field=field)
     if not code.strip():
-        raise DocumentError("code must be non-empty", path=path, field=field)
+        raise DocumentError("code must be non-empty", field=field)
     return code
 
 
 def _check_keys(obj: Mapping, allowed: set[str], *,
-                path=None, where: str = "document") -> None:
+                where: str = "document") -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise DocumentError(
-            f"unknown keys in {where}: " + ", ".join(unknown), path=path)
+        raise DocumentError(f"unknown keys in {where}: " + ", ".join(unknown))
 
 
 class WorkflowDocument(NamedTuple):
@@ -121,141 +117,138 @@ class WorkflowDocument(NamedTuple):
 
 
 def _read_text(path: Path) -> str:
-    """A file's text; an unreadable or non-UTF-8 file is a DocumentError."""
+    """A file's text.  This is the one place that opens a path a user names:
+    one that cannot be opened (missing, a directory, an over-long name, a
+    NUL byte) or is not UTF-8 text is a DocumentError."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"not UTF-8 text: {exc}", path=path) from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DocumentError(str(exc), path=path) from None
 
 
-def _read_json(path: Path | str):
-    path = Path(path)
-    text = _read_text(path)
+def _json_value(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            path=path,
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except ValueError as exc:  # an integer literal too long to convert
-        raise DocumentError(f"unreadable JSON: {exc}", path=path) from None
+        raise DocumentError(f"unreadable JSON: {exc}") from None
     except RecursionError:
-        raise DocumentError("unreadable JSON: nested too deeply",
-                            path=path) from None
+        raise DocumentError("unreadable JSON: nested too deeply") from None
 
 
-def parse_workflow_document(data, *,
-                            path: Path | None = None) -> WorkflowDocument:
+def _load(path: Path | str, parse):
+    """``parse`` applied to a JSON file.  The one place that names the file
+    in an error: a DocumentError from the JSON or the parser gets the path."""
+    path = Path(path)
+    text = _read_text(path)
+    try:
+        return parse(_json_value(text))
+    except DocumentError as exc:
+        raise DocumentError(exc.message, path=path, field=exc.field) from None
+
+
+#: Each task key and its parser, in ``Task``'s field order, which is also
+#: the order the fields are read in: a row's first fault is reported.
+_TASK_FIELDS = {
+    "code": _require_code,
+    "name": _require_str,
+    "resource": parse_resource,
+    "modality": _require_str,
+    "voluntary": _parse_voluntary,
+    "familiarity": _require_int,
+    "complexity": _require_int,
+}
+
+
+def parse_workflow_document(data) -> WorkflowDocument:
     if not isinstance(data, dict):
-        raise DocumentError("top level must be a JSON object", path=path)
-    _check_keys(data, {"tasks", "variant_groups", "known_orderings"},
-                path=path)
+        raise DocumentError("top level must be a JSON object")
+    _check_keys(data, {"tasks", "variant_groups", "known_orderings"})
     raw_tasks = data.get("tasks")
     if not isinstance(raw_tasks, list):
-        raise DocumentError("`tasks` must be an array", path=path, field="tasks")
+        raise DocumentError("`tasks` must be an array", field="tasks")
 
-    task_keys = {"code", "name", "resource", "modality", "voluntary",
-                 "familiarity", "complexity", "prerequisites"}
+    task_keys = {*_TASK_FIELDS, "prerequisites"}
     tasks: list[Task] = []
     for i, row in enumerate(raw_tasks):
         field = f"tasks[{i}]"
         if not isinstance(row, dict):
-            raise DocumentError("task entry must be an object",
-                                path=path, field=field)
-        _check_keys(row, task_keys, path=path, where=field)
-        missing = sorted(task_keys - {"prerequisites"} - set(row))
+            raise DocumentError("task entry must be an object", field=field)
+        _check_keys(row, task_keys, where=field)
+        missing = sorted(_TASK_FIELDS.keys() - row.keys())
         if missing:
             raise DocumentError("missing keys: " + ", ".join(missing),
-                                path=path, field=field)
+                                field=field)
         prereqs = row.get("prerequisites", [])
         if not isinstance(prereqs, list):
             raise DocumentError("`prerequisites` must be an array",
-                                path=path, field=f"{field}.prerequisites")
+                                field=f"{field}.prerequisites")
         tasks.append(Task(
-            code=_require_code(row["code"], path=path, field=f"{field}.code"),
-            name=_require_str(row["name"], path=path, field=f"{field}.name"),
-            resource=parse_resource(row["resource"],
-                                    path=path, field=f"{field}.resource"),
-            modality=_require_str(row["modality"],
-                                  path=path, field=f"{field}.modality"),
-            voluntary=_parse_voluntary(row["voluntary"],
-                                       path=path, field=f"{field}.voluntary"),
-            familiarity=_require_int(row["familiarity"],
-                                     path=path, field=f"{field}.familiarity"),
-            complexity=_require_int(row["complexity"],
-                                    path=path, field=f"{field}.complexity"),
-            prerequisites=frozenset(
-                _require_str(p, path=path, field=f"{field}.prerequisites")
-                for p in prereqs
-            ),
+            *[parse(row[key], field=f"{field}.{key}")
+              for key, parse in _TASK_FIELDS.items()],
+            frozenset(_require_str(p, field=f"{field}.prerequisites")
+                      for p in prereqs),
         ))
 
     raw_groups = data.get("variant_groups", [])
     if not isinstance(raw_groups, list):
         raise DocumentError("`variant_groups` must be an array",
-                            path=path, field="variant_groups")
+                            field="variant_groups")
     groups: list[VariantGroup] = []
     for i, row in enumerate(raw_groups):
         field = f"variant_groups[{i}]"
         if not isinstance(row, dict):
             raise DocumentError("variant group entry must be an object",
-                                path=path, field=field)
-        _check_keys(row, {"code", "members"}, path=path, where=field)
+                                field=field)
+        _check_keys(row, {"code", "members"}, where=field)
         members = row.get("members")
         if not isinstance(members, list) or not members:
             raise DocumentError("`members` must be a non-empty array",
-                                path=path, field=f"{field}.members")
+                                field=f"{field}.members")
         groups.append(VariantGroup(
-            code=_require_code(row.get("code"), path=path,
-                               field=f"{field}.code"),
-            members=frozenset(
-                _require_str(m, path=path, field=f"{field}.members")
-                for m in members
-            ),
+            code=_require_code(row.get("code"), field=f"{field}.code"),
+            members=frozenset(_require_str(m, field=f"{field}.members")
+                              for m in members),
         ))
 
     try:
         workflow = Workflow.from_tasks(tasks, groups)
     except CogseqError as exc:
-        raise DocumentError(str(exc), path=path) from None
+        raise DocumentError(str(exc)) from None
 
     known: dict[str, Ordering] = {}
     raw_known = data.get("known_orderings", {})
     if not isinstance(raw_known, dict):
         raise DocumentError("`known_orderings` must be an object",
-                            path=path, field="known_orderings")
+                            field="known_orderings")
     for name, codes in raw_known.items():
         field = f"known_orderings.{name}"
         if not isinstance(codes, list):
             raise DocumentError("ordering must be an array of codes",
-                                path=path, field=field)
-        ordering = tuple(
-            _require_str(code, path=path, field=field) for code in codes
-        )
+                                field=field)
+        ordering = tuple(_require_str(code, field=field) for code in codes)
         for code in ordering:
             if code not in workflow.tasks:
                 raise DocumentError(f"ordering names unknown task {code!r}",
-                                    path=path, field=field)
+                                    field=field)
         known[name] = ordering
     return WorkflowDocument(workflow=workflow, known_orderings=known)
 
 
 def load_document(path: Path | str) -> WorkflowDocument:
-    return parse_workflow_document(_read_json(path), path=Path(path))
+    return _load(path, parse_workflow_document)
 
 
-def parse_cost_model_document(data, *,
-                              path: Path | None = None) -> CostModel:
+def parse_cost_model_document(data) -> CostModel:
     if not isinstance(data, dict):
-        raise DocumentError("top level must be a JSON object", path=path)
+        raise DocumentError("top level must be a JSON object")
     _check_keys(
-        data,
-        {"matrix", "rules", "recent_practice_scope", "rules_enabled"},
-        path=path,
-    )
+        data, {"matrix", "rules", "recent_practice_scope", "rules_enabled"})
 
     kwargs: dict = {}
     if "matrix" in data:
@@ -263,19 +256,19 @@ def parse_cost_model_document(data, *,
         if not (isinstance(raw, list) and len(raw) == 5
                 and all(isinstance(r, list) and len(r) == 5 for r in raw)):
             raise DocumentError("`matrix` must be 5 rows of 5 values",
-                                path=path, field="matrix")
+                                field="matrix")
         try:
             kwargs["matrix"] = tuple(
                 tuple(to_thousandths(cell) for cell in row) for row in raw
             )
         except CogseqError as exc:
-            raise DocumentError(str(exc), path=path, field="matrix") from None
+            raise DocumentError(str(exc), field="matrix") from None
 
     if "rules" in data:
         raw = data["rules"]
         if not isinstance(raw, dict):
             raise DocumentError("`rules` must be an object of {rule: cost}",
-                                path=path, field="rules")
+                                field="rules")
         costs = dict(DEFAULT_RULE_COSTS)
         labels: dict[Rule, str] = {}
         for label, value in raw.items():
@@ -283,11 +276,11 @@ def parse_cost_model_document(data, *,
             try:
                 rule = Rule.parse(label)
             except CogseqError as exc:
-                raise DocumentError(str(exc), path=path, field=field) from None
+                raise DocumentError(str(exc), field=field) from None
             if rule in labels:
                 raise DocumentError(
                     f"labels {labels[rule]!r} and {label!r} both name rule "
-                    f"{rule.value}", path=path, field=field)
+                    f"{rule.value}", field=field)
             labels[rule] = label
             if value is None:
                 costs.pop(rule, None)  # null withholds the rule outright
@@ -295,22 +288,22 @@ def parse_cost_model_document(data, *,
             try:
                 costs[rule] = to_thousandths(value)
             except CogseqError as exc:
-                raise DocumentError(str(exc), path=path, field=field) from None
+                raise DocumentError(str(exc), field=field) from None
         kwargs["rules"] = costs
 
     if "recent_practice_scope" in data:
-        label = _require_str(data["recent_practice_scope"], path=path,
+        label = _require_str(data["recent_practice_scope"],
                              field="recent_practice_scope")
         try:
             kwargs["recent_practice_scope"] = Scope.parse(label)
         except CogseqError as exc:
-            raise DocumentError(str(exc), path=path,
+            raise DocumentError(str(exc),
                                 field="recent_practice_scope") from None
 
     if "rules_enabled" in data:
         if not isinstance(data["rules_enabled"], bool):
             raise DocumentError("`rules_enabled` must be true or false",
-                                path=path, field="rules_enabled")
+                                field="rules_enabled")
         if not data["rules_enabled"]:
             # Withholds every rule, whatever `rules` lists.
             kwargs["rules"] = {}
@@ -318,7 +311,7 @@ def parse_cost_model_document(data, *,
     try:
         return CostModel(**kwargs)
     except CogseqError as exc:
-        raise DocumentError(str(exc), path=path) from None
+        raise DocumentError(str(exc)) from None
 
 
 def load_cost_model(path: Path | str) -> CostModel:
@@ -327,7 +320,7 @@ def load_cost_model(path: Path | str) -> CostModel:
     An empty document ({}) yields the full published model: omitted fields
     default to the literal matrix and rule tables.
     """
-    return parse_cost_model_document(_read_json(path), path=Path(path))
+    return _load(path, parse_cost_model_document)
 
 
 FIXTURES = ("checkin-full.json", "checkin-validation.json")
@@ -354,9 +347,10 @@ def load_fixture(name: str) -> WorkflowDocument:
 
 def resolve_workflow_path(spec: str) -> WorkflowDocument:
     """Load a workflow from a filesystem path, falling back to fixture names."""
-    path = Path(spec)
-    if path.exists():
-        return load_document(path)
+    # os.path.exists, not Path.exists: it is False, never an error, for a
+    # name the system refuses (too long, a NUL), which then ends below.
+    if os.path.exists(spec):
+        return load_document(spec)
     name = spec if spec.endswith(".json") else spec + ".json"
     if name in FIXTURES:
         return load_fixture(name)

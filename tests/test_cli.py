@@ -12,9 +12,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from test_io import FUZZ_WORKFLOW, json_paths, json_values, substituted
+from test_io import (FUZZ_COST_MODEL, FUZZ_WORKFLOW, json_paths,
+                     json_values, substituted)
 
 import cogseq
 from conftest import run
@@ -32,6 +33,10 @@ CYCLIC_DOC = json.dumps({
 })
 
 
+#: A name longer than any file system allows (ENAMETOOLONG).
+LONG_NAME = "x" * 5000
+
+
 class TestEntryPoint:
     """The in-process runner gives what the shipped entry point gives, so it
     stands in for a ``cogseq`` process in every other test."""
@@ -46,11 +51,15 @@ class TestEntryPoint:
         (2, ["solve", "checkin-full", "--k", "0"]),
         (2, ["transmogrify"]),
         (0, ["--help"]),
+        (1, ["validate", "{long}"]),
+        (1, ["solve", "{long}"]),
+        (1, ["export-dot", "{long}"]),
+        (1, ["compare-variants", "{long}"]),
     ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None)
     def test_main_matches_the_process(self, tmp_path, status, args):
         cyclic = tmp_path / "cyclic.json"
         cyclic.write_text(CYCLIC_DOC, encoding="utf-8")
-        args = [arg.format(cyclic=cyclic) for arg in args]
+        args = [arg.format(cyclic=cyclic, long=LONG_NAME) for arg in args]
         src = Path(cogseq.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "cogseq.cli", *args],
@@ -394,6 +403,7 @@ class TestUnreadableInput:
         "consensus": ["consensus", "{path}"],
         "solve": ["solve", "{path}"],
         "export-dot": ["export-dot", "{path}"],
+        "compare-variants": ["compare-variants", "{path}"],
     }
 
     def error_output(self, command, path):
@@ -409,6 +419,14 @@ class TestUnreadableInput:
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe\x00bad")
         assert "not UTF-8 text" in self.error_output(command, path)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_over_long_name(self, command):
+        # The system refuses the name itself: one error line, as for a
+        # missing file.
+        message = self.error_output(command, LONG_NAME)
+        assert message.startswith("error: ")
+        assert message.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["validate", "cost-model"])
     def test_deeply_nested_json(self, tmp_path, command):
@@ -807,3 +825,105 @@ class TestCliFuzz:
                      ["explain", str(doc), *variant, "--ordering", ordering]):
             result = run(args)
             assert result.exit_code in (0, 1, 2), (args, result.stdout)
+
+
+#: The grammar the command line accepts: each command's required arguments
+#: (upper case for a positional) and its options.
+GRAMMAR = {
+    "validate": (("WORKFLOW",), ()),
+    "solve": (("WORKFLOW",), ("--variant", "--cost-model", "--format",
+                              "--objective", "--k")),
+    "compare-variants": (("WORKFLOW",), ("--variant", "--cost-model",
+                                         "--format")),
+    "explain": (("WORKFLOW", "--ordering"), ("--variant", "--cost-model",
+                                            "--format")),
+    "distance": (("--a", "--b"), ()),
+    "consensus": (("FILE",), ()),
+    "export-dot": (("WORKFLOW",), ("--variant",)),
+    "show-model": ((), ("--cost-model",)),
+}
+
+#: Files written by ``TestGrammarFuzz.fuzz_dir`` (``{dir}`` stands for it),
+#: the directory itself, a missing file, and names no system opens.
+FUZZ_FILES = ["{dir}/fuzz.json", "{dir}/model.json", "{dir}/cyclic.json",
+              "{dir}/not-utf8.json", "{dir}/malformed.json",
+              "{dir}/empty.json", "{dir}/unknown-key.json",
+              "{dir}/orderings.txt", "{dir}/missing.json", "{dir}",
+              LONG_NAME, "bad\0name"]
+
+#: The values each argument or option is drawn from, good and bad.
+FUZZ_VALUES = {
+    "WORKFLOW": ["checkin-full", "checkin-validation.json", *FUZZ_FILES],
+    "FILE": FUZZ_FILES,
+    "--variant": ["AUTH=AUPS", "AUTH=AUCC", "AUTH=NOPE", "G=C", "G=D", "G",
+                  "=C", "G=C=D"],
+    "--cost-model": ["calibrated", "literal", *FUZZ_FILES],
+    "--format": ["table", "json", "yaml"],
+    "--objective": ["min", "max", "both"],
+    "--k": ["1", "3", "0", "-1", "two", "1.5"],
+    "--ordering": ["ref", "paper_optimal", "A,C,B", "A B", "", "AIRL LIQH"],
+    "--a": ["A,B,C", "C B A", "A,B", ""],
+    "--b": ["A,B,C", "C B A", "A,B", ""],
+}
+
+
+@st.composite
+def argvs(draw):
+    """An argv spelled from ``GRAMMAR``.  A required argument is left out
+    one time in ten, the command's options appear at most once each, and
+    one argv in five has a stray word: an argument of another command,
+    ``--help`` or an unknown option.  Each option has a value from
+    ``FUZZ_VALUES`` or none, and the words come in any order."""
+    command = draw(st.sampled_from([*GRAMMAR, "transmogrify"]))
+    required, options = GRAMMAR.get(command, ((), ()))
+    names = [name for name in required if draw(st.integers(0, 9))]
+    if options:
+        names += draw(st.lists(st.sampled_from(options), unique=True))
+    if not draw(st.integers(0, 4)):
+        names.append(draw(st.sampled_from([*FUZZ_VALUES, "--help",
+                                           "--nope"])))
+    words = []
+    for name in names:
+        values = FUZZ_VALUES.get(name, [])
+        if not name.startswith("--"):
+            words.append([draw(st.sampled_from(values))])
+            continue
+        value = draw(st.sampled_from([*values, None]))
+        words.append([name] if value is None else [name, value])
+    return [command, *(word for group in draw(st.permutations(words))
+                       for word in group)]
+
+
+class TestGrammarFuzz:
+    """Every argv the grammar spells, over the fixtures, bad and malformed
+    files, a directory, an over-long name and bad option values, returns 0,
+    1 or 2 from ``main``: nothing escapes it, and stderr holds no
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("grammar")
+        for name, text in {
+            "fuzz.json": json.dumps(FUZZ_WORKFLOW),
+            "model.json": json.dumps(FUZZ_COST_MODEL),
+            "cyclic.json": CYCLIC_DOC,
+            "malformed.json": '{"tasks": [',
+            "empty.json": "",
+            "unknown-key.json": '{"tasks": [], "steps": []}',
+            "orderings.txt": "A, C, B\nB C A  # reversed\n",
+        }.items():
+            (root / name).write_text(text, encoding="utf-8")
+        (root / "not-utf8.json").write_bytes(b"\xff\xfe\x00bad")
+        return root
+
+    @given(argv=argvs())
+    @example(argv=["validate", LONG_NAME])
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_ends_with_a_status(self, fuzz_dir, argv):
+        argv = [word.replace("{dir}", str(fuzz_dir)) for word in argv]
+        try:
+            result = run(argv)
+        except (Exception, SystemExit) as exc:
+            raise AssertionError(f"{exc!r} escaped main") from exc
+        assert result.exit_code in (0, 1, 2)
+        assert "Traceback" not in result.stderr

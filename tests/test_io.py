@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import pickle
 from functools import reduce
 from operator import getitem
 
@@ -18,6 +19,7 @@ from cogseq import (
     Resource,
     Rule,
     Scope,
+    Task,
     export_dot,
     fixture_text,
     load_cost_model,
@@ -189,13 +191,58 @@ class TestWorkflowParsing:
         (make_doc(variant_groups=[{"code": "", "members": ["A"]}]),
          "variant_groups[0].code"),
     ], ids=["task", "group"])
-    def test_blank_code_names_its_field(self, doc, field):
+    def test_blank_code_names_its_field(self, tmp_path, doc, field):
+        # Only the loader names the file; the parser names the field alone.
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DocumentError, match="non-empty") as err:
-            parse_workflow_document(doc, path="doc.json")
-        assert (err.value.path, err.value.field) == ("doc.json", field)
+            load_document(target)
+        assert (err.value.path, err.value.field) == (target, field)
+        assert str(err.value) == f"{target}: {field}: code must be non-empty"
+        with pytest.raises(DocumentError, match="non-empty") as err:
+            parse_workflow_document(doc)
+        assert (err.value.path, err.value.field) == (None, field)
+        assert str(err.value) == f"{field}: code must be non-empty"
+
+
+    def test_task_table_follows_the_task_fields(self):
+        # parse_workflow_document passes the parsed fields by position.
+        from cogseq.io import _TASK_FIELDS
+
+        assert (*_TASK_FIELDS, "prerequisites") == Task._fields
 
 
 class TestFileErrors:
+    @pytest.mark.parametrize("load", [load_document, load_cost_model,
+                                      read_orderings_file],
+                             ids=lambda load: load.__name__)
+    @pytest.mark.parametrize("name,message", [
+        ("bad\0name.json", "embedded null byte"),
+        ("x" * 5000, "too long"),
+    ], ids=["nul", "long"])
+    def test_unopenable_path(self, tmp_path, load, name, message):
+        # open() raises ValueError for a NUL and OSError for a name the
+        # system refuses; each is a DocumentError that names the path.
+        target = tmp_path / name
+        with pytest.raises(DocumentError, match=message) as err:
+            load(target)
+        assert (err.value.path, err.value.field) == (target, None)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_error_survives_a_copy(self, tmp_path, clone):
+        original = DocumentError("code must be non-empty",
+                                 path=tmp_path / "doc.json",
+                                 field="tasks[0].code")
+        copied = clone(original)
+        assert type(copied) is DocumentError
+        assert ((copied.path, copied.field, copied.message, str(copied))
+                == (original.path, original.field, original.message,
+                    str(original)))
+        assert str(copied) == (f"{tmp_path / 'doc.json'}: tasks[0].code: "
+                               "code must be non-empty")
+
     def test_missing_file(self, tmp_path):
         target = tmp_path / "nope.json"
         with pytest.raises(DocumentError, match="nope.json"):
@@ -366,6 +413,14 @@ class TestResolution:
     def test_unresolvable_spec(self):
         with pytest.raises(DocumentError, match="bundled"):
             resolve_workflow_path("no-such-thing")
+
+    @pytest.mark.parametrize("spec", ["x" * 5000, "bad\0name"],
+                             ids=["long", "nul"])
+    def test_name_the_system_refuses(self, spec):
+        # Neither a file nor a fixture: the same error as a missing file,
+        # on every Python, where Path.exists() raises for some of them.
+        with pytest.raises(DocumentError, match="no bundled fixture"):
+            resolve_workflow_path(spec)
 
 
 class TestOrderingText:
