@@ -125,7 +125,10 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as exc:
         raise DocumentError(f"not UTF-8 text: {exc}", path=path) from None
     except (OSError, ValueError) as exc:
-        raise DocumentError(str(exc), path=path) from None
+        # An OSError's str() names the path again; the NUL ValueError's
+        # does not and has no strerror.
+        raise DocumentError(getattr(exc, "strerror", None) or str(exc),
+                            path=path) from None
 
 
 def _json_value(text: str):

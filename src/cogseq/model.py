@@ -522,9 +522,7 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
         )
     if member not in workflow.tasks:
         raise WorkflowError(
-            f"variant group {group!r} lists unknown member {member!r}: "
-            f"no task has that code"
-        )
+            f"variant group {group!r} lists unknown member {member!r}")
     if group in workflow.tasks:
         raise WorkflowError(
             f"variant group {group!r} collides with a task code")

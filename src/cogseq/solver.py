@@ -265,28 +265,6 @@ def _twin_classes(profile: tuple[list[int], ...], preds: tuple[int, ...],
                  if len(members) > 1)
 
 
-def _pair_memo(workflow: Workflow, model: CostModel):
-    """``price(a, b)`` by code: ``pair_cost``, called once per pair asked."""
-    tasks = workflow.tasks
-
-    @cache
-    def price(a: str, b: str) -> int:
-        return pair_cost(tasks[a], tasks[b], model)
-
-    return price
-
-
-def _ordering_total(ordering: Ordering, workflow: Workflow, model: CostModel,
-                    price) -> int:
-    if price is not None:
-        return sum(
-            price(ordering[i], ordering[i + 1])
-            for i in range(len(ordering) - 1)
-        )
-    total, _ = sequence_cost(ordering, workflow, model)
-    return total
-
-
 def _finish(workflow: Workflow, model: CostModel, ordering: Ordering,
             total: int, stats: SearchStats) -> Solution:
     check, breakdowns = sequence_cost(ordering, workflow, model)
@@ -345,18 +323,23 @@ def brute_force(workflow: Workflow, model: CostModel,
         raise BudgetExceededError(count, DEFAULT_BUDGET)
 
     # Unless the model is history-dependent, a total is a sum over
-    # consecutive pairs, so orderings are priced pair by pair.
-    price = None if model.history_dependent else _pair_memo(workflow, model)
+    # consecutive pairs, so orderings are priced pair by pair, each pair
+    # once per call.
+    if model.history_dependent:
+        def total(ordering: Ordering) -> int:
+            return sequence_cost(ordering, workflow, model)[0]
+    else:
+        tasks = workflow.tasks
+        pair = cache(lambda a, b: pair_cost(tasks[a], tasks[b], model))
+
+        def total(ordering: Ordering) -> int:
+            return sum(map(pair, ordering, ordering[1:]))
     sign = -1 if objective is Objective.MAXIMIZE else 1
-    best = min(
-        _linear_extensions(graph),
-        key=lambda ordering: sign * _ordering_total(ordering, workflow,
-                                                    model, price),
-    )
-    total = _ordering_total(best, workflow, model, price)
+    best = min(_linear_extensions(graph),
+               key=lambda ordering: sign * total(ordering))
     stats = SearchStats(nodes=count, prunes=0,
                         elapsed=perf_counter() - start)
-    return _finish(workflow, model, best, total, stats)
+    return _finish(workflow, model, best, total(best), stats)
 
 
 class VariantRow(NamedTuple):

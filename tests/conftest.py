@@ -3,7 +3,8 @@ for the test suite.
 
 The oracles here deliberately avoid the library's own enumeration, pair
 tables and search: extensions are found by filtering raw permutations and
-priced whole by ``sequence_cost``, so agreement with the production code is
+priced whole by ``sequence_cost``, or, past enumeration, built step by step
+and priced by ``transition_cost``, so agreement with the production code is
 evidence, not tautology.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -25,6 +27,7 @@ from cogseq import (
     Workflow,
     load_fixture,
     sequence_cost,
+    transition_cost,
 )
 from cogseq.cli import main
 from cogseq.costs import RULE_ORDER
@@ -119,6 +122,43 @@ def reference_top_k(workflow: Workflow, model: CostModel, maximize: bool,
               for ordering in permutation_extensions(workflow)]
     priced.sort(key=lambda pair: sign * pair[0])
     return priced[:k]
+
+
+def reference_optimum(workflow: Workflow, model: CostModel, maximize: bool
+                      ) -> tuple[int, tuple[str, ...]]:
+    """Oracle past enumeration: the extremal ``(total, ordering)`` over the
+    linear extensions, by a dynamic program on (placed codes, last code)
+    (Held & Karp 1962).  Among equal totals the lexicographically smallest
+    ordering wins.
+
+    Each step is priced by ``transition_cost`` on the ``Task`` records, with
+    the placed tasks as its history, the last one at its end: full-history
+    RecentPractice asks only which tasks were placed, not in what order.
+    """
+    tasks = workflow.tasks
+    sign = -1 if maximize else 1
+
+    @cache
+    def rest(placed: frozenset[str], last: str | None
+             ) -> tuple[int, tuple[str, ...]]:
+        # The best cost of placing the other tasks after ``placed``, which
+        # ends with ``last``, and those codes in the order that attains it.
+        if len(placed) == len(tasks):
+            return 0, ()
+        if last is not None:
+            history = (*(tasks[c] for c in sorted(placed - {last})),
+                       tasks[last])
+        options = []
+        for code in sorted(tasks.keys() - placed):
+            if tasks[code].prerequisites <= placed:
+                # The first task is free: only transitions are priced.
+                step = 0 if last is None else transition_cost(
+                    tasks[last], tasks[code], history, model).total
+                cost, tail = rest(placed | {code}, code)
+                options.append((step + cost, (code, *tail)))
+        return min(options, key=lambda option: (sign * option[0], option[1]))
+
+    return rest(frozenset(), None)
 
 
 # Oracle: ``validate_workflow`` and ``_find_cycle`` as they were before

@@ -428,6 +428,22 @@ class TestUnreadableInput:
         assert message.startswith("error: ")
         assert message.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["cost-model", "consensus"])
+    def test_over_long_name_is_named_once(self, command):
+        # The system's reason is given without its copy of the name.
+        message = self.error_output(command, LONG_NAME)
+        assert len(message.encode()) <= len(LONG_NAME) + 40
+
+    @pytest.mark.parametrize("command,name,reason", [
+        ("validate", "{dir}", "Is a directory"),
+        ("cost-model", "{dir}", "Is a directory"),
+        ("consensus", "{dir}/nothere.txt", "No such file or directory"),
+    ], ids=["validate-dir", "cost-model-dir", "consensus-missing"])
+    def test_unopenable_file(self, tmp_path, command, name, reason):
+        path = name.format(dir=tmp_path)
+        result = run([arg.format(path=path) for arg in self.COMMANDS[command]])
+        assert result == (1, "", f"error: {path}: {reason}\n")
+
     @pytest.mark.parametrize("command", ["validate", "cost-model"])
     def test_deeply_nested_json(self, tmp_path, command):
         path = tmp_path / "deep.json"
@@ -576,11 +592,14 @@ RESOLUTION_DOCS = {
     # The group code is also a task code, so task G would stay.
     "D4": variant_document({"A": (), "X": (), "Y": (), "G": ()},
                            {"G": ("X", "Y")}),
+    # Member Y is no task, so resolving to it would keep no task in its place.
+    "D5": variant_document({"A": (), "X": ()}, {"G": ("X", "Y")}),
 }
 Z_REQUIRES_X = "task 'Z' requires 'X' directly; use its group 'G' instead"
 X_REQUIRES_Y = "task 'X' requires 'Y' directly; use its group 'G' instead"
 G_IS_A_TASK = "variant group 'G' collides with a task code"
 X_IN_G_AND_H = "task 'X' belongs to variant groups 'G' and 'H'"
+Y_IS_NO_TASK = "variant group 'G' lists unknown member 'Y'"
 
 
 class TestVariantResolution:
@@ -604,6 +623,8 @@ class TestVariantResolution:
         ("D3", ["compare-variants", "--variant", "H=A"], X_IN_G_AND_H),
         ("D4", ["solve", "--variant", "G=X"], G_IS_A_TASK),
         ("D4", ["compare-variants"], G_IS_A_TASK),
+        ("D5", ["solve", "--variant", "G=Y"], Y_IS_NO_TASK),
+        ("D5", ["compare-variants"], Y_IS_NO_TASK),
     ], ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None)
     def test_refused(self, tmp_path, doc, args, message):
         path = tmp_path / f"{doc}.json"
@@ -616,6 +637,7 @@ class TestVariantResolution:
         ("D2", f"[direct-member-reference] {X_REQUIRES_Y}"),
         ("D3", f"[shared-member] {X_IN_G_AND_H}"),
         ("D4", f"[group-code-collision] {G_IS_A_TASK}"),
+        ("D5", f"[unknown-member] {Y_IS_NO_TASK}"),
     ])
     def test_validate_reports_the_same_fault(self, tmp_path, doc, line):
         path = tmp_path / f"{doc}.json"

@@ -42,6 +42,7 @@ from conftest import (
     MODALITIES,
     random_model,
     random_workflow,
+    reference_optimum,
     reference_top_k,
     simple_task,
 )
@@ -468,6 +469,42 @@ class TestTwins:
                     args = (*graph, pair, shares, rp_cost, k)
                     assert (_search.search(*args, twins)
                             == _search.search(*args, ()))
+
+
+class TestReferenceOptimum:
+    """``solve`` against ``reference_optimum``, a dynamic program on (placed
+    codes, last code), on 10-13 tasks: past enumeration, since 12 unordered
+    tasks have 479,001,600 orderings.  Half the workflows hold a class of
+    2-6 twins, which the search chains and the program does not."""
+
+    KINDS = ("calibrated", "literal", "full-history", "random-adjacent",
+             "random-full")
+
+    @pytest.mark.parametrize("edge_p", [0.0, 0.1], ids=["edgeless", "sparse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_attains_the_optimum(self, kind, edge_p):
+        rng = random.Random(f"{kind} {edge_p}")
+        index = self.KINDS.index(kind)
+        # The first three kinds are MODELS; the last two are random, one
+        # under each scope.
+        model = MODELS[index] if index < 3 else random_model(
+            rng, (Scope.ADJACENT, Scope.FULL_HISTORY)[index - 3])
+        # A 13-task antichain takes the program about 2 s per objective.
+        n = rng.randint(10, 12 if edge_p == 0 else 13)
+        # Twins in alternate cases: five of the ten.
+        copies = rng.randint(1, 5) if (index + (edge_p > 0)) % 2 else 0
+        wf = random_workflow(rng, n_min=n - copies, n_max=n - copies,
+                             edge_p=edge_p, max_extensions=math.inf)
+        if copies:
+            wf = _add_copies(wf, rng.choice(sorted(wf.tasks)),
+                             [f"C{j}" for j in range(copies)])
+        for objective in Objective:
+            (best,) = solve(SolveRequest(workflow=wf, model=model,
+                                         objective=objective))
+            # The program's ordering is a linear extension priced at its
+            # total by construction, and the lexicographically smallest one.
+            assert (best.total, best.ordering) == reference_optimum(
+                wf, model, objective is Objective.MAXIMIZE)
 
 
 class TestBudget:
