@@ -113,33 +113,31 @@ def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
 
     Maps each ideal to its eligible tasks in ascending index.  Keys are
     inserted level by level (every ideal of s tasks precedes every ideal of
-    s + 1), each level expanded from a list because the dict keeps growing.
+    s + 1): they are expanded in insertion order from a list that grows as
+    it is walked, since the dict itself cannot be walked while it grows.
     """
     elig = {0: [t for t, mask in enumerate(preds) if not mask]}
-    level = [0]
-    while level:
-        nxt: list[int] = []
-        for placed in level:
-            el = elig[placed]
-            i = 0
-            for t in el:
-                child = placed | 1 << t
-                if child not in elig:
-                    if len(elig) >= MAX_IDEALS:
-                        raise BudgetExceededError(MAX_IDEALS + 1, MAX_IDEALS,
-                                                  "order ideals or more")
-                    # Concatenation sizes the list exactly; += would not.
-                    # Only an opened dependent grows it, in place.
-                    rest = el[:i] + el[i + 1:]
-                    dependents = succ[t]
-                    if dependents:
-                        for s in dependents:
-                            if not preds[s] & ~child:
-                                insort(rest, s)
-                    elig[child] = rest
-                    nxt.append(child)
-                i += 1
-        level = nxt
+    order = [0]
+    for placed in order:
+        el = elig[placed]
+        i = 0
+        for t in el:
+            child = placed | 1 << t
+            if child not in elig:
+                if len(elig) >= MAX_IDEALS:
+                    raise BudgetExceededError(MAX_IDEALS + 1, MAX_IDEALS,
+                                              "order ideals or more")
+                # Concatenation sizes the list exactly; += would not.
+                # Only an opened dependent grows it, in place.
+                rest = el[:i] + el[i + 1:]
+                dependents = succ[t]
+                if dependents:
+                    for s in dependents:
+                        if not preds[s] & ~child:
+                            insort(rest, s)
+                elig[child] = rest
+                order.append(child)
+            i += 1
     return elig
 
 

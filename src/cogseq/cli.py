@@ -28,7 +28,7 @@ from .io import (
     resolve_workflow_path,
 )
 from .model import instantiate_variant, validate_workflow
-from .solver import Objective, Solution, SolveRequest, compare_variants, solve
+from .solver import Objective, SolveRequest, compare_variants, solve
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -76,11 +76,14 @@ def _load_model(spec: str | None) -> CostModel:
     return load_cost_model(spec)
 
 
-def _apply_variants(document, variants):
+def _resolved(args):
+    """The document that WORKFLOW names, and its workflow with every
+    ``--variant`` applied."""
+    document = resolve_workflow_path(args.workflow)
     workflow = document.workflow
-    for group, member in variants:
+    for group, member in args.variants:
         workflow = instantiate_variant(workflow, group, member)
-    return workflow
+    return document, workflow
 
 
 def _require_concrete_cli(workflow) -> None:
@@ -111,13 +114,12 @@ def _transition_json(breakdown) -> dict:
     }
 
 
-def _solution_json(solution: Solution, rank: int) -> dict:
+def _priced_json(ordering, total: int, breakdowns) -> dict:
     return {
-        "rank": rank,
-        "ordering": list(solution.ordering),
-        "total_thousandths": solution.total,
-        "total": render_effect(solution.total),
-        "transitions": [_transition_json(b) for b in solution.breakdowns],
+        "ordering": list(ordering),
+        "total_thousandths": total,
+        "total": render_effect(total),
+        "transitions": [_transition_json(b) for b in breakdowns],
     }
 
 
@@ -151,13 +153,11 @@ def _transition_table(breakdowns) -> list[str]:
 # None for 0.
 
 def _validate(args) -> int | None:
-    document = resolve_workflow_path(args.workflow)
-    report = validate_workflow(document.workflow)
+    workflow = resolve_workflow_path(args.workflow).workflow
+    report = validate_workflow(workflow)
     if not report.ok:
-        _echo(*(f"[{violation.kind}] {violation.message}"
-                for violation in report))
+        _echo(report.summary())
         return 1
-    workflow = document.workflow
     _echo(
         f"OK: {len(workflow.tasks)} tasks, "
         f"{len(workflow.variant_groups)} variant groups, "
@@ -167,8 +167,7 @@ def _validate(args) -> int | None:
 
 
 def _solve(args) -> None:
-    document = resolve_workflow_path(args.workflow)
-    workflow = _apply_variants(document, args.variants)
+    _, workflow = _resolved(args)
     _require_concrete_cli(workflow)
     model = _load_model(args.cost_model)
     request = SolveRequest(
@@ -181,7 +180,9 @@ def _solve(args) -> None:
             "objective": request.objective.value,
             "k": args.k,
             "solutions": [
-                _solution_json(s, i + 1) for i, s in enumerate(solutions)
+                {"rank": rank,
+                 **_priced_json(s.ordering, s.total, s.breakdowns)}
+                for rank, s in enumerate(solutions, start=1)
             ],
         })
         return
@@ -193,8 +194,7 @@ def _solve(args) -> None:
 
 
 def _compare_variants(args) -> None:
-    document = resolve_workflow_path(args.workflow)
-    workflow = _apply_variants(document, args.variants)
+    _, workflow = _resolved(args)
     model = _load_model(args.cost_model)
     comparisons = compare_variants(workflow, model)
     if args.format == "json":
@@ -231,8 +231,7 @@ def _compare_variants(args) -> None:
 
 
 def _explain(args) -> None:
-    document = resolve_workflow_path(args.workflow)
-    workflow = _apply_variants(document, args.variants)
+    document, workflow = _resolved(args)
     _require_concrete_cli(workflow)
     model = _load_model(args.cost_model)
     if args.ordering in document.known_orderings:
@@ -241,12 +240,7 @@ def _explain(args) -> None:
         codes = parse_ordering_text(args.ordering)
     total, breakdowns = sequence_cost(codes, workflow, model)
     if args.format == "json":
-        _echo_json({
-            "ordering": list(codes),
-            "total_thousandths": total,
-            "total": render_effect(total),
-            "transitions": [_transition_json(b) for b in breakdowns],
-        })
+        _echo_json(_priced_json(codes, total, breakdowns))
         return
     _echo("ordering: " + " ".join(codes), *_transition_table(breakdowns),
           f"total: {render_effect(total)}")
@@ -269,9 +263,7 @@ def _consensus(args) -> None:
 
 
 def _export_dot(args) -> None:
-    document = resolve_workflow_path(args.workflow)
-    workflow = _apply_variants(document, args.variants)
-    sys.stdout.write(export_dot(workflow))
+    sys.stdout.write(export_dot(_resolved(args)[1]))
 
 
 def _show_model(args) -> None:

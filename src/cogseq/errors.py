@@ -25,7 +25,10 @@ class DocumentError(CogseqError):
     """A workflow or cost-model document failed to parse or validate.
 
     Carries the offending file path and, where known, the field context;
-    ``message`` is the text without them.
+    ``message`` is the text without them.  The three parts keep what the
+    document or the caller gave; the text writes each character that cannot
+    be printed as ``repr`` does (``\\x00``, ``\\n``, ``\\x1b``), so it is one
+    line that a terminal shows as written.
     """
 
     def __init__(self, message: str, *, field: str | None = None,
@@ -33,8 +36,9 @@ class DocumentError(CogseqError):
         self.message = message
         self.path = path
         self.field = field
-        prefix = "".join(f"{part}: " for part in (path, field) if part)
-        super().__init__(prefix + message)
+        text = "".join(f"{part}: " for part in (path, field) if part) + message
+        super().__init__("".join(c if c.isprintable() else repr(c)[1:-1]
+                                 for c in text))
 
 
 class BudgetExceededError(CogseqError):

@@ -191,6 +191,18 @@ class TestValidate:
         assert result.exit_code == 1
         assert f"error: {path}: tasks[1].code: " in result.stderr
 
+    def test_prints_the_report_summary(self, tmp_path):
+        doc = json.loads(CYCLIC_DOC)
+        doc["tasks"][0]["familiarity"] = 9
+        doc["tasks"][1]["complexity"] = 0
+        doc["tasks"][1]["prerequisites"].append("Q")
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        report = cogseq.validate_workflow(cogseq.load_document(path).workflow)
+        assert [v.kind for v in report] == [
+            "out-of-range", "out-of-range", "unknown-prerequisite", "cycle"]
+        assert run(["validate", str(path)]) == (1, report.summary() + "\n", "")
+
 
 class TestSolve:
     def test_table_output(self):
@@ -463,6 +475,31 @@ class TestUnreadableInput:
         assert "tasks[0].code: not encodable as UTF-8: 'A\\ud800'" in message
 
 
+class TestControlCharacters:
+    """A key the document holds as written, control characters and all,
+    stays on the one error line, escaped as ``repr`` writes it."""
+
+    TASK = {"code": "A", "name": "A", "resource": "VWM", "modality": "t",
+            "voluntary": False, "familiarity": 3, "complexity": 3}
+
+    @pytest.mark.parametrize("args,document,line", [
+        (["validate"], {"tasks": [], "bad\nkey\x1b[31m": 1},
+         "unknown keys in document: bad\\nkey\\x1b[31m"),
+        (["show-model", "--cost-model"], {"rules": {"Mod\x00ality": 1}},
+         "rules.Mod\\x00ality: unknown rule 'Mod\\x00ality' (expected one "
+         "of: Modality, RecentPractice, Familiarity, VoluntaryComplexityDrop, "
+         "InvoluntaryComplexityDrop)"),
+        (["validate"], {"tasks": [dict(TASK, **{"pre\nreq": []})]},
+         "unknown keys in tasks[0]: pre\\nreq"),
+        (["validate"], {"tasks": [TASK], "known_orderings": {"na\nme": 5}},
+         "known_orderings.na\\nme: ordering must be an array of codes"),
+    ], ids=["document-key", "rule-name", "task-key", "ordering-name"])
+    def test_error_is_one_line(self, tmp_path, args, document, line):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert run([*args, str(path)]) == (1, "", f"error: {path}: {line}\n")
+
+
 class TestReadme:
     """The README's command-line examples print what the README shows."""
 
@@ -542,25 +579,6 @@ class TestCompareVariants:
         result = run(["compare-variants", str(path), "--variant", "GB=B2"])
         assert result.exit_code == 0
         assert result.stdout.startswith("group GA:\n")
-
-    @pytest.mark.parametrize("args", [
-        ["compare-variants"],
-        ["solve", "--variant", "G=Y"],
-    ])
-    def test_member_that_is_no_task_is_domain_error(self, tmp_path, args):
-        task = {"name": "T", "resource": "VWM", "modality": "t",
-                "voluntary": False, "familiarity": 3, "complexity": 3}
-        path = tmp_path / "unknown-member.json"
-        path.write_text(json.dumps({
-            "tasks": [dict(task, code="A"), dict(task, code="X")],
-            "variant_groups": [{"code": "G", "members": ["X", "Y"]}],
-        }), encoding="utf-8")
-        assert "[unknown-member]" in run(["validate", str(path)]).stdout
-        result = run([args[0], str(path), *args[1:]])
-        assert result.exit_code == 1
-        assert ("error: variant group 'G' lists unknown member 'Y'"
-                in result.stderr)
-        assert result.stdout == ""
 
 
 def variant_document(tasks, groups) -> str:
@@ -699,6 +717,17 @@ class TestExplain:
         ]).stdout)
         assert explained["total_thousandths"] == \
             solved["solutions"][0]["total_thousandths"]
+
+    def test_explain_prints_a_solution_as_solve_does(self):
+        variant = ["checkin-full", "--variant", "AUTH=AUPS"]
+        solved = json.loads(run(["solve", *variant, "--k", "3",
+                                 "--format", "json"]).stdout)
+        assert len(solved["solutions"]) == 3
+        for solution in solved["solutions"]:
+            del solution["rank"]
+            explained = run(["explain", *variant, "--format", "json",
+                             "--ordering", ",".join(solution["ordering"])])
+            assert explained == (0, json.dumps(solution, indent=2) + "\n", "")
 
 
     @pytest.mark.parametrize("args", [

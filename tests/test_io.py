@@ -228,6 +228,18 @@ class TestFileErrors:
             load(target)
         assert (err.value.path, err.value.field) == (target, None)
 
+    def test_text_escapes_what_cannot_be_printed(self):
+        # The parts keep what was given; only the text is escaped.
+        with pytest.raises(DocumentError) as err:
+            load_document("a\x00b")
+        assert str(err.value) == "a\\x00b: embedded null byte"
+        assert str(err.value.path) == "a\x00b"
+        error = DocumentError("two\nlines", field="rules.Mod\x00ality",
+                              path="a\x1bb")
+        assert str(error) == "a\\x1bb: rules.Mod\\x00ality: two\\nlines"
+        assert (error.path, error.field, error.message) == (
+            "a\x1bb", "rules.Mod\x00ality", "two\nlines")
+
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda exc: pickle.loads(pickle.dumps(exc)),
     ], ids=["copy", "deepcopy", "pickle"])
