@@ -95,30 +95,27 @@ def _require_concrete_cli(workflow) -> None:
         )
 
 
+def _effect(name: str, thousandths: int) -> dict:
+    """An effect size as JSON: ``NAME_thousandths``, then ``NAME`` rendered."""
+    return {f"{name}_thousandths": thousandths,
+            name: render_effect(thousandths)}
+
+
 def _transition_json(breakdown) -> dict:
     return {
         "from": breakdown.previous,
         "to": breakdown.current,
-        "resource_cost_thousandths": breakdown.resource_cost,
-        "resource_cost": render_effect(breakdown.resource_cost),
-        "rules": [
-            {
-                "rule": rule.value,
-                "cost_thousandths": cost,
-                "cost": render_effect(cost),
-            }
-            for rule, cost in breakdown.fired
-        ],
-        "total_thousandths": breakdown.total,
-        "total": render_effect(breakdown.total),
+        **_effect("resource_cost", breakdown.resource_cost),
+        "rules": [{"rule": rule.value, **_effect("cost", cost)}
+                  for rule, cost in breakdown.fired],
+        **_effect("total", breakdown.total),
     }
 
 
 def _priced_json(ordering, total: int, breakdowns) -> dict:
     return {
         "ordering": list(ordering),
-        "total_thousandths": total,
-        "total": render_effect(total),
+        **_effect("total", total),
         "transitions": [_transition_json(b) for b in breakdowns],
     }
 
@@ -202,15 +199,11 @@ def _compare_variants(args) -> None:
             "comparisons": [
                 {
                     "group": comp.group,
-                    "delta_thousandths": comp.delta,
-                    "delta": render_effect(comp.delta),
+                    **_effect("delta", comp.delta),
                     "rows": [
-                        {
-                            "member": row.member,
-                            "total_thousandths": row.solution.total,
-                            "total": render_effect(row.solution.total),
-                            "ordering": list(row.solution.ordering),
-                        }
+                        {"member": row.member,
+                         **_effect("total", row.solution.total),
+                         "ordering": list(row.solution.ordering)}
                         for row in comp.rows
                     ],
                 }

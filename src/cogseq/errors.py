@@ -5,6 +5,13 @@ from __future__ import annotations
 import os
 
 
+def _printable(text: str) -> str:
+    """``text`` with each character that cannot be printed written as
+    ``repr`` does (``\\x00``, ``\\n``, ``\\x1b``): one line that a terminal
+    shows as written.  A printable character is left as it is."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 class CogseqError(Exception):
     """Base class for domain errors (CLI maps these to exit code 1)."""
 
@@ -14,7 +21,11 @@ class WorkflowError(CogseqError):
 
 
 class OrderingError(CogseqError):
-    """An ordering is not a linear extension of the workflow it was paired with."""
+    """An ordering is not a linear extension of the workflow it was paired
+    with, or two orderings cover different tasks.  Its text is one line."""
+
+    def __init__(self, message: str):
+        super().__init__(_printable(message))
 
 
 class CostModelError(CogseqError):
@@ -26,9 +37,8 @@ class DocumentError(CogseqError):
 
     Carries the offending file path and, where known, the field context;
     ``message`` is the text without them.  The three parts keep what the
-    document or the caller gave; the text writes each character that cannot
-    be printed as ``repr`` does (``\\x00``, ``\\n``, ``\\x1b``), so it is one
-    line that a terminal shows as written.
+    document or the caller gave; the text is made one printable line (see
+    ``_printable``).
     """
 
     def __init__(self, message: str, *, field: str | None = None,
@@ -37,8 +47,7 @@ class DocumentError(CogseqError):
         self.path = path
         self.field = field
         text = "".join(f"{part}: " for part in (path, field) if part) + message
-        super().__init__("".join(c if c.isprintable() else repr(c)[1:-1]
-                                 for c in text))
+        super().__init__(_printable(text))
 
 
 class BudgetExceededError(CogseqError):

@@ -51,19 +51,18 @@ RESOURCE_ALIASES = {
 }
 
 
-def parse_resource(label: str, *, field=None) -> Resource:
+def parse_resource(label: str) -> Resource:
     """Accept the short code or the descriptive label (shorthand included)."""
     try:
         return RESOURCE_ALIASES[label.strip().lower()]
     except (KeyError, AttributeError):
         raise DocumentError(
             f"unknown resource {label!r} (expected one of "
-            + ", ".join(r.value for r in Resource) + " or their full names)",
-            field=field,
+            + ", ".join(r.value for r in Resource) + " or their full names)"
         ) from None
 
 
-def _parse_voluntary(value, *, field=None) -> bool:
+def _parse_voluntary(value) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -73,33 +72,46 @@ def _parse_voluntary(value, *, field=None) -> bool:
         if folded in ("no", "false"):
             return False
     raise DocumentError(
-        f"voluntary must be yes/no or true/false, got {value!r}", field=field)
+        f"voluntary must be yes/no or true/false, got {value!r}")
 
 
-def _require_int(value, *, field=None) -> int:
+def _require_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"expected an integer, got {value!r}", field=field)
+        raise DocumentError(f"expected an integer, got {value!r}")
     return value
 
 
-def _require_str(value, *, field=None) -> str:
+def _require_str(value) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"expected a string, got {value!r}", field=field)
+        raise DocumentError(f"expected a string, got {value!r}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
         # JSON can spell a lone surrogate ("\ud800"), which no output
         # stream can write back.
-        raise DocumentError(f"not encodable as UTF-8: {value!r}",
-                            field=field) from None
+        raise DocumentError(f"not encodable as UTF-8: {value!r}") from None
     return value
 
 
-def _require_code(value, *, field=None) -> str:
-    code = _require_str(value, field=field)
+def _require_code(value) -> str:
+    code = _require_str(value)
     if not code.strip():
-        raise DocumentError("code must be non-empty", field=field)
+        raise DocumentError("code must be non-empty")
+    if not code.isprintable():
+        # The command line writes codes as data: in a table row, a DOT id.
+        raise DocumentError(f"code must be printable, got {code!r}")
     return code
+
+
+def _at(field: str | None, parse, value):
+    """``parse(value)``, a CogseqError it raises reported at ``field`` (None
+    for a fault across entries, such as a duplicate code).  The one place
+    that names a field in an error; a DocumentError keeps its raw message."""
+    try:
+        return parse(value)
+    except CogseqError as exc:
+        message = exc.message if isinstance(exc, DocumentError) else str(exc)
+        raise DocumentError(message, field=field) from None
 
 
 def _check_keys(obj: Mapping, allowed: set[str], *,
@@ -192,9 +204,9 @@ def parse_workflow_document(data) -> WorkflowDocument:
             raise DocumentError("`prerequisites` must be an array",
                                 field=f"{field}.prerequisites")
         tasks.append(Task(
-            *[parse(row[key], field=f"{field}.{key}")
+            *[_at(f"{field}.{key}", parse, row[key])
               for key, parse in _TASK_FIELDS.items()],
-            frozenset(_require_str(p, field=f"{field}.prerequisites")
+            frozenset(_at(f"{field}.prerequisites", _require_str, p)
                       for p in prereqs),
         ))
 
@@ -214,15 +226,13 @@ def parse_workflow_document(data) -> WorkflowDocument:
             raise DocumentError("`members` must be a non-empty array",
                                 field=f"{field}.members")
         groups.append(VariantGroup(
-            code=_require_code(row.get("code"), field=f"{field}.code"),
-            members=frozenset(_require_str(m, field=f"{field}.members")
+            code=_at(f"{field}.code", _require_code, row.get("code")),
+            members=frozenset(_at(f"{field}.members", _require_str, m)
                               for m in members),
         ))
 
-    try:
-        workflow = Workflow.from_tasks(tasks, groups)
-    except CogseqError as exc:
-        raise DocumentError(str(exc)) from None
+    workflow = _at(None, lambda parts: Workflow.from_tasks(*parts),
+                   (tasks, groups))
 
     known: dict[str, Ordering] = {}
     raw_known = data.get("known_orderings", {})
@@ -234,7 +244,7 @@ def parse_workflow_document(data) -> WorkflowDocument:
         if not isinstance(codes, list):
             raise DocumentError("ordering must be an array of codes",
                                 field=field)
-        ordering = tuple(_require_str(code, field=field) for code in codes)
+        ordering = tuple(_at(field, _require_str, code) for code in codes)
         for code in ordering:
             if code not in workflow.tasks:
                 raise DocumentError(f"ordering names unknown task {code!r}",
@@ -260,12 +270,10 @@ def parse_cost_model_document(data) -> CostModel:
                 and all(isinstance(r, list) and len(r) == 5 for r in raw)):
             raise DocumentError("`matrix` must be 5 rows of 5 values",
                                 field="matrix")
-        try:
-            kwargs["matrix"] = tuple(
-                tuple(to_thousandths(cell) for cell in row) for row in raw
-            )
-        except CogseqError as exc:
-            raise DocumentError(str(exc), field="matrix") from None
+        kwargs["matrix"] = tuple(
+            tuple(_at("matrix", to_thousandths, cell) for cell in row)
+            for row in raw
+        )
 
     if "rules" in data:
         raw = data["rules"]
@@ -276,10 +284,7 @@ def parse_cost_model_document(data) -> CostModel:
         labels: dict[Rule, str] = {}
         for label, value in raw.items():
             field = f"rules.{label}"
-            try:
-                rule = Rule.parse(label)
-            except CogseqError as exc:
-                raise DocumentError(str(exc), field=field) from None
+            rule = _at(field, Rule.parse, label)
             if rule in labels:
                 raise DocumentError(
                     f"labels {labels[rule]!r} and {label!r} both name rule "
@@ -288,20 +293,14 @@ def parse_cost_model_document(data) -> CostModel:
             if value is None:
                 costs.pop(rule, None)  # null withholds the rule outright
                 continue
-            try:
-                costs[rule] = to_thousandths(value)
-            except CogseqError as exc:
-                raise DocumentError(str(exc), field=field) from None
+            costs[rule] = _at(field, to_thousandths, value)
         kwargs["rules"] = costs
 
     if "recent_practice_scope" in data:
-        label = _require_str(data["recent_practice_scope"],
-                             field="recent_practice_scope")
-        try:
-            kwargs["recent_practice_scope"] = Scope.parse(label)
-        except CogseqError as exc:
-            raise DocumentError(str(exc),
-                                field="recent_practice_scope") from None
+        kwargs["recent_practice_scope"] = _at(
+            "recent_practice_scope",
+            lambda label: Scope.parse(_require_str(label)),
+            data["recent_practice_scope"])
 
     if "rules_enabled" in data:
         if not isinstance(data["rules_enabled"], bool):
@@ -311,10 +310,7 @@ def parse_cost_model_document(data) -> CostModel:
             # Withholds every rule, whatever `rules` lists.
             kwargs["rules"] = {}
 
-    try:
-        return CostModel(**kwargs)
-    except CogseqError as exc:
-        raise DocumentError(str(exc)) from None
+    return _at(None, lambda fields: CostModel(**fields), kwargs)
 
 
 def load_cost_model(path: Path | str) -> CostModel:

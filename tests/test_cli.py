@@ -499,6 +499,74 @@ class TestControlCharacters:
         path.write_text(json.dumps(document), encoding="utf-8")
         assert run([*args, str(path)]) == (1, "", f"error: {path}: {line}\n")
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "export-dot"])
+    def test_code_must_be_printable(self, tmp_path, command):
+        # The commands write codes as data, so a code that holds a control
+        # character is refused where the document is read.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"tasks": [
+            dict(self.TASK, code="A\x1b[31m"),
+            dict(self.TASK, code="B\nC", prerequisites=["A\x1b[31m"]),
+        ]}), encoding="utf-8")
+        assert run([command, str(path)]) == (
+            1, "", f"error: {path}: tasks[0].code: code must be printable, "
+                   "got 'A\\x1b[31m'\n")
+
+    ONLY_IN = ("error: orderings cover different task sets (only in first: "
+               "A\\x1b[31m, B; only in second: A, C)\n")
+
+    def test_distance_refusal_is_one_line(self):
+        assert run(["distance", "--a", "A\x1b[31m,B", "--b", "A,C"]) == (
+            1, "", self.ONLY_IN)
+
+    def test_consensus_refusal_is_one_line(self, tmp_path):
+        path = tmp_path / "orderings.txt"
+        path.write_text("A\x1b[31m, B\nA, C\n", encoding="utf-8")
+        assert run(["consensus", str(path)]) == (1, "", self.ONLY_IN)
+
+
+class TestHashSeed:
+    """Output does not depend on string hashing: a process run under other
+    ``PYTHONHASHSEED`` values writes the same bytes and exits the same."""
+
+    TASK = TestControlCharacters.TASK
+
+    def test_same_bytes_under_every_seed(self, tmp_path):
+        two_groups = tmp_path / "two-groups.json"
+        # Four members a group: an order that followed string hashing would
+        # differ between the seeds.
+        two_groups.write_text(variant_document(
+            {**dict.fromkeys("ABCDEFWX", ()), "Z": ("G", "H")},
+            {"G": ("A", "B", "C", "D"), "H": ("E", "F", "W", "X")}),
+            encoding="utf-8")
+        faulty = tmp_path / "faulty.json"
+        faulty.write_text(json.dumps({"tasks": [
+            dict(self.TASK, code="A", prerequisites=["C"]),
+            dict(self.TASK, code="B", prerequisites=["A"]),
+            dict(self.TASK, code="C", prerequisites=["B"]),
+            dict(self.TASK, code="D", prerequisites=["Q", "R"]),
+        ]}), encoding="utf-8")
+        for status, args in [
+            (0, ["solve", "checkin-full", "--variant", "AUTH=AUPW", "--k",
+                 "10", "--objective", "max"]),
+            (0, ["compare-variants", "checkin-full", "--format", "json"]),
+            (0, ["export-dot", str(two_groups)]),
+            (1, ["validate", str(faulty)]),
+        ]:
+            runs = {self.process(args, seed) for seed in ("0", "1", "2")}
+            assert len(runs) == 1, (args, runs)
+            assert next(iter(runs))[0] == status, (args, runs)
+
+    @staticmethod
+    def process(args, seed: str) -> tuple[int, str, str]:
+        src = Path(cogseq.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cogseq.cli", *args],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed})
+        return proc.returncode, proc.stdout, proc.stderr
+
 
 class TestReadme:
     """The README's command-line examples print what the README shows."""

@@ -410,6 +410,123 @@ class TestCostModelDocuments:
             parse_cost_model_document({"matrxi": []})
 
 
+def _site(parse, document, text, field, message, id):
+    return pytest.param(parse, document, text, field, message, id=id)
+
+
+def _task_with(**fields):
+    return {"tasks": [dict(MINIMAL_TASK, **fields)]}
+
+
+RESOURCES = "VWM, PM, DR, SR, ER or their full names"
+RULES = ("Modality, RecentPractice, Familiarity, VoluntaryComplexityDrop, "
+         "InvoluntaryComplexityDrop")
+
+#: A bad value at each place a document error is given its field, with the
+#: error's text, field and message: the field is named once, in front.
+FIELD_SITES = [
+    _site(parse_workflow_document, _task_with(code=3),
+          "tasks[0].code: expected a string, got 3",
+          "tasks[0].code", "expected a string, got 3", "task-code"),
+    _site(parse_workflow_document, _task_with(name=3),
+          "tasks[0].name: expected a string, got 3",
+          "tasks[0].name", "expected a string, got 3", "task-name"),
+    _site(parse_workflow_document, _task_with(resource="psychokinesis"),
+          f"tasks[0].resource: unknown resource 'psychokinesis' "
+          f"(expected one of {RESOURCES})", "tasks[0].resource",
+          f"unknown resource 'psychokinesis' (expected one of {RESOURCES})",
+          "task-resource"),
+    _site(parse_workflow_document, _task_with(modality=3),
+          "tasks[0].modality: expected a string, got 3",
+          "tasks[0].modality", "expected a string, got 3", "task-modality"),
+    _site(parse_workflow_document, _task_with(voluntary="maybe"),
+          "tasks[0].voluntary: voluntary must be yes/no or true/false, "
+          "got 'maybe'", "tasks[0].voluntary",
+          "voluntary must be yes/no or true/false, got 'maybe'",
+          "task-voluntary"),
+    _site(parse_workflow_document, _task_with(familiarity="x"),
+          "tasks[0].familiarity: expected an integer, got 'x'",
+          "tasks[0].familiarity", "expected an integer, got 'x'",
+          "task-familiarity"),
+    _site(parse_workflow_document, _task_with(complexity=1.5),
+          "tasks[0].complexity: expected an integer, got 1.5",
+          "tasks[0].complexity", "expected an integer, got 1.5",
+          "task-complexity"),
+    _site(parse_workflow_document, _task_with(prerequisites=[3]),
+          "tasks[0].prerequisites: expected a string, got 3",
+          "tasks[0].prerequisites", "expected a string, got 3",
+          "prerequisite"),
+    _site(parse_workflow_document,
+          make_doc(variant_groups=[{"code": 3, "members": ["A"]}]),
+          "variant_groups[0].code: expected a string, got 3",
+          "variant_groups[0].code", "expected a string, got 3",
+          "group-code"),
+    _site(parse_workflow_document,
+          make_doc(variant_groups=[{"code": "G", "members": ["A", 4]}]),
+          "variant_groups[0].members: expected a string, got 4",
+          "variant_groups[0].members", "expected a string, got 4",
+          "group-member"),
+    _site(parse_workflow_document,
+          make_doc(known_orderings={"ref": ["A", 3]}),
+          "known_orderings.ref: expected a string, got 3",
+          "known_orderings.ref", "expected a string, got 3",
+          "known-ordering"),
+    _site(parse_workflow_document,
+          {"tasks": [dict(MINIMAL_TASK), dict(MINIMAL_TASK)]},
+          "duplicate task code 'A'", None, "duplicate task code 'A'",
+          "duplicate-code"),
+    _site(parse_cost_model_document, {"matrix": matrix_with("x")},
+          "matrix: invalid effect size 'x'", "matrix",
+          "invalid effect size 'x'", "matrix-cell"),
+    _site(parse_cost_model_document, {"matrix": [[1] * 5] * 5},
+          "matrix diagonal must be zero, got 1000 at VWM", None,
+          "matrix diagonal must be zero, got 1000 at VWM", "diagonal"),
+    _site(parse_cost_model_document, {"rules": {"Sleepiness": 1}},
+          f"rules.Sleepiness: unknown rule 'Sleepiness' (expected one of: "
+          f"{RULES})", "rules.Sleepiness",
+          f"unknown rule 'Sleepiness' (expected one of: {RULES})",
+          "rule-label"),
+    _site(parse_cost_model_document, {"rules": {"Familiarity": 0.1234}},
+          "rules.Familiarity: effect size 0.1234 has more than 3 fractional "
+          "digits", "rules.Familiarity",
+          "effect size 0.1234 has more than 3 fractional digits",
+          "rule-value"),
+    _site(parse_cost_model_document, {"recent_practice_scope": 3},
+          "recent_practice_scope: expected a string, got 3",
+          "recent_practice_scope", "expected a string, got 3",
+          "scope-not-string"),
+    _site(parse_cost_model_document, {"recent_practice_scope": "yesterday"},
+          "recent_practice_scope: unknown scope 'yesterday' (expected "
+          "adjacent-only or full-history)", "recent_practice_scope",
+          "unknown scope 'yesterday' (expected adjacent-only or "
+          "full-history)", "scope-unknown"),
+]
+
+
+class TestFieldSites:
+    @pytest.mark.parametrize("parse,document,text,field,message",
+                             FIELD_SITES)
+    def test_error_names_its_field_once(self, parse, document, text, field,
+                                        message):
+        with pytest.raises(DocumentError) as err:
+            parse(document)
+        assert (str(err.value), err.value.field, err.value.message) == (
+            text, field, message)
+
+    @pytest.mark.parametrize("document,field,code", [
+        (_task_with(code="A\x1b[31m"), "tasks[0].code", "A\x1b[31m"),
+        (_task_with(code="B\nC"), "tasks[0].code", "B\nC"),
+        (make_doc(variant_groups=[{"code": "G\t", "members": ["A"]}]),
+         "variant_groups[0].code", "G\t"),
+    ], ids=["escape", "newline", "group-tab"])
+    def test_code_must_be_printable(self, document, field, code):
+        with pytest.raises(DocumentError) as err:
+            parse_workflow_document(document)
+        assert (err.value.field, err.value.message) == (
+            field, f"code must be printable, got {code!r}")
+        assert str(err.value).isprintable()
+
+
 class TestResolution:
     def test_filesystem_path_wins(self, tmp_path):
         target = tmp_path / "checkin-full.json"  # shadows the fixture name
