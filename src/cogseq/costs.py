@@ -49,7 +49,7 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
     and so are infinities and NaNs.
     """
     # Imported here: only cost-model documents reach this, not solve().
-    from decimal import Decimal, InvalidOperation, Overflow
+    from decimal import Context, Decimal, Inexact, InvalidOperation, Overflow
 
     if (isinstance(value, bool)
             or not isinstance(value, (int, float, str, Decimal))):
@@ -70,11 +70,16 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
         raise CostModelError(f"invalid effect size {value!r}") from None
     if not dec.is_finite():
         raise CostModelError(f"effect size {value!r} is not finite")
+    # A precision that holds every digit, so scaling never rounds; a value
+    # too small to scale without rounding (Inexact) has excess digits too.
+    exact = Context(prec=len(dec.as_tuple().digits), traps=[Overflow, Inexact])
     try:
-        scaled = dec.scaleb(3)
+        scaled = dec.scaleb(3, exact)
     except Overflow:
         raise CostModelError(f"effect size {value!r} is too large") from None
-    if scaled != scaled.to_integral_value():
+    except Inexact:
+        scaled = None
+    if scaled is None or scaled != scaled.to_integral_value():
         raise CostModelError(
             f"effect size {value!r} has more than 3 fractional digits"
         )

@@ -27,13 +27,14 @@ from .costs import (
     render_effect,
     to_thousandths,
 )
-from .errors import CogseqError, DocumentError
+from .errors import CogseqError, DocumentError, _printable
 from .model import (
     Ordering,
     Resource,
     Task,
     VariantGroup,
     Workflow,
+    _code,
 )
 
 RESOURCE_ALIASES = {
@@ -94,13 +95,7 @@ def _require_str(value) -> str:
 
 
 def _require_code(value) -> str:
-    code = _require_str(value)
-    if not code.strip():
-        raise DocumentError("code must be non-empty")
-    if not code.isprintable():
-        # The command line writes codes as data: in a table row, a DOT id.
-        raise DocumentError(f"code must be printable, got {code!r}")
-    return code
+    return _code("code", _require_str(value))
 
 
 def _at(field: str | None, parse, value):
@@ -381,7 +376,8 @@ def export_dot(workflow: Workflow) -> str:
     Edges are emitted exactly as written (no transitive reduction).  Variant
     groups appear as dashed boxes whose label lists the members; prerequisite
     edges may point at a group node.  Backslashes and double quotes in codes
-    and names are escaped, so every quoted ID and label ends where it should.
+    and names are escaped, so every quoted ID and label ends where it should,
+    and a character that cannot be printed is written as ``repr`` does.
     """
     lines = ["digraph workflow {", "  rankdir=LR;"]
     for code in workflow.codes():
@@ -403,8 +399,8 @@ def export_dot(workflow: Workflow) -> str:
 
 
 def _dot_escape(text: str) -> str:
-    """``text`` inside a DOT double-quoted string."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """``text`` inside a DOT double-quoted string, on one printable line."""
+    return _printable(text.replace("\\", "\\\\").replace('"', '\\"'))
 
 
 def render_cost_model(model: CostModel) -> str:

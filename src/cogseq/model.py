@@ -51,6 +51,18 @@ def _wrong_type(record: str, code: str, field: str, kind: str,
         f"{record} {code!r} {field} must be {kind}, got {value!r}")
 
 
+def _code(what: str, code) -> str:
+    """``code`` stripped, unless it is no str, is blank or cannot be printed
+    as given: codes are written to the terminal and into DOT ids as data."""
+    if not isinstance(code, str):
+        raise WorkflowError(f"{what} must be a str, got {code!r}")
+    if not code.strip():
+        raise WorkflowError(f"{what} must be non-empty")
+    if not code.isprintable():
+        raise WorkflowError(f"{what} must be printable, got {code!r}")
+    return code.strip()
+
+
 def _codes(record: str, code: str, field: str,
            codes: Iterable[str]) -> frozenset[str]:
     """``codes`` frozen; a lone string, which would split into characters,
@@ -92,10 +104,10 @@ class Task(_TaskFields):
     ``familiarity`` and ``complexity`` are 1 (low) to 5 (high).  Range and
     reference problems are reported by :func:`validate_workflow` rather than
     raised here, so that malformed inputs can be described as data.  The
-    code is stripped, the modality normalised and the prerequisites frozen
-    on every path that builds a task: the constructor, ``_replace``, pickle
-    and copy.  Each of those paths raises :class:`WorkflowError`, naming the
-    field, for a field of the wrong type.
+    code is checked by :func:`_code`, the modality normalised and the
+    prerequisites frozen on every path that builds a task: the constructor,
+    ``_replace``, pickle and copy.  Each of those paths raises
+    :class:`WorkflowError`, naming the field, for a field of the wrong type.
     """
 
     __slots__ = ()
@@ -103,11 +115,7 @@ class Task(_TaskFields):
     def __new__(cls, code: str, name: str, resource: Resource, modality: str,
                 voluntary: bool, familiarity: int, complexity: int,
                 prerequisites: Iterable[str] = frozenset()) -> Task:
-        if not isinstance(code, str):
-            raise WorkflowError(f"task code must be a str, got {code!r}")
-        code = code.strip()
-        if not code:
-            raise WorkflowError("task code must be non-empty")
+        code = _code("task code", code)
         if not isinstance(name, str):
             raise _wrong_type("task", code, "name", "a str", name)
         if not isinstance(resource, Resource):
@@ -139,20 +147,15 @@ class _VariantGroupFields(NamedTuple):
 class VariantGroup(_VariantGroupFields):
     """A named slot with interchangeable member tasks (exactly one is kept).
 
-    The code is stripped and the members frozen on every path that builds a
-    group, and each raises :class:`WorkflowError` for a field of the wrong
-    type.
+    The code is checked by :func:`_code` and the members frozen on every
+    path that builds a group, and each raises :class:`WorkflowError` for a
+    field of the wrong type.
     """
 
     __slots__ = ()
 
     def __new__(cls, code: str, members: Iterable[str]) -> VariantGroup:
-        if not isinstance(code, str):
-            raise WorkflowError(
-                f"variant-group code must be a str, got {code!r}")
-        code = code.strip()
-        if not code:
-            raise WorkflowError("variant-group code must be non-empty")
+        code = _code("variant-group code", code)
         members = _codes("variant group", code, "members", members)
         return tuple.__new__(cls, (code, members))
 
@@ -226,7 +229,7 @@ class Workflow(_WorkflowFields):
                     f"workflow variant_groups must hold VariantGroup "
                     f"records, got {grp!r}")
             if grp.code in groups:
-                raise WorkflowError(f"duplicate variant-group code {grp.code!r}")
+                raise _refusal("duplicate-group", grp.code)
             groups[grp.code] = grp
         return cls(tasks=table, variant_groups=tuple(groups.values()))
 
@@ -267,6 +270,33 @@ class Violation(NamedTuple):
     kind: str
     message: str
     codes: tuple[str, ...] = ()
+
+
+#: The words of each violation kind but ``cycle``: the violation's codes
+#: fill the first fields, then any other value (a property and its value,
+#: or the group a direct reference should use).
+_WORDS = {
+    "duplicate-group": "duplicate variant-group code {0!r}",
+    "group-code-collision": "variant group {0!r} collides with a task code",
+    "empty-group": "variant group {0!r} has no members",
+    "unknown-member": "variant group {0!r} lists unknown member {1!r}",
+    "shared-member": "task {0!r} belongs to variant groups {1!r} and {2!r}",
+    "out-of-range": "task {0!r} has {1}={2}, outside [1, 5]",
+    "self-prerequisite": "task {0!r} lists itself as a prerequisite",
+    "unknown-prerequisite": "task {0!r} requires unknown code {1!r}",
+    "direct-member-reference":
+        "task {0!r} requires {1!r} directly; use its group {2!r} instead",
+}
+
+
+def _fault(kind: str, *codes: str, more: tuple = ()) -> Violation:
+    """The violation of ``kind`` naming ``codes``, in its words."""
+    return Violation(kind, _WORDS[kind].format(*codes, *more), codes)
+
+
+def _refusal(kind: str, *words) -> WorkflowError:
+    """A :class:`WorkflowError` in the words of a fault of ``kind``."""
+    return WorkflowError(_WORDS[kind].format(*words))
 
 
 class ValidationReport:
@@ -344,34 +374,17 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
         same_code = groups.setdefault(grp.code, [])
         same_code.append(grp)
         if len(same_code) == 2:
-            found.append(Violation(
-                "duplicate-group",
-                f"duplicate variant-group code {grp.code!r}",
-                (grp.code,),
-            ))
+            found.append(_fault("duplicate-group", grp.code))
         if grp.code in tasks:
-            found.append(Violation(
-                "group-code-collision",
-                f"variant group {grp.code!r} collides with a task code",
-                (grp.code,),
-            ))
+            found.append(_fault("group-code-collision", grp.code))
         if not grp.members:
-            found.append(Violation(
-                "empty-group", f"variant group {grp.code!r} has no members", (grp.code,),
-            ))
+            found.append(_fault("empty-group", grp.code))
         for member in sorted(grp.members.difference(tasks)):
-            found.append(Violation(
-                "unknown-member",
-                f"variant group {grp.code!r} lists unknown member {member!r}",
-                (grp.code, member),
-            ))
+            found.append(_fault("unknown-member", grp.code, member))
         for member in sorted(grp.members.intersection(member_of)):
             first = member_of[member]
             if first != grp.code and member in tasks:
-                found.append(Violation(
-                    "shared-member", _shared_member(member, first, grp.code),
-                    (member, first, grp.code),
-                ))
+                found.append(_fault("shared-member", member, first, grp.code))
         for member in grp.members:
             member_of.setdefault(member, grp.code)
 
@@ -384,11 +397,11 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
         task = tasks.get(code)
         if task is not None:
             if not 1 <= task.familiarity <= 5:
-                found.append(_out_of_range(code, "familiarity",
-                                           task.familiarity))
+                found.append(_fault("out-of-range", code, more=(
+                    "familiarity", task.familiarity)))
             if not 1 <= task.complexity <= 5:
-                found.append(_out_of_range(code, "complexity",
-                                           task.complexity))
+                found.append(_fault("out-of-range", code, more=(
+                    "complexity", task.complexity)))
             for pre in task.prerequisites:
                 j = index.get(pre)
                 if j is None or j == i or pre in member_of:
@@ -420,38 +433,16 @@ def validate_workflow(workflow: Workflow) -> ValidationReport:
                                  tuple(map(tuple, succ))))
 
 
-def _out_of_range(code: str, prop: str, value: int) -> Violation:
-    return Violation("out-of-range",
-                     f"task {code!r} has {prop}={value}, outside [1, 5]",
-                     (code,))
-
-
-def _shared_member(code: str, first: str, second: str) -> str:
-    return (f"task {code!r} belongs to variant groups {first!r} and "
-            f"{second!r}")
-
-
 def _prerequisite_fault(code: str, pre: str, index: Mapping[str, int],
                         member_of: Mapping[str, str]) -> Violation:
     """The violation of task ``code`` naming ``pre``: itself, a code that is
     neither a task nor a group, or a group member named directly."""
     if pre == code:
-        return Violation(
-            "self-prerequisite", f"task {code!r} lists itself as a prerequisite",
-            (code,),
-        )
+        return _fault("self-prerequisite", code)
     if pre not in index:
-        return Violation(
-            "unknown-prerequisite",
-            f"task {code!r} requires unknown code {pre!r}",
-            (code, pre),
-        )
-    return Violation(
-        "direct-member-reference",
-        f"task {code!r} requires {pre!r} directly; use its group "
-        f"{member_of[pre]!r} instead",
-        (code, pre),
-    )
+        return _fault("unknown-prerequisite", code, pre)
+    return _fault("direct-member-reference", code, pre,
+                  more=(member_of[pre],))
 
 
 def _find_cycle(nodes: list[str], succ: list[list[int]]
@@ -521,11 +512,9 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
             f"(members: {', '.join(sorted(grp.members))})"
         )
     if member not in workflow.tasks:
-        raise WorkflowError(
-            f"variant group {group!r} lists unknown member {member!r}")
+        raise _refusal("unknown-member", group, member)
     if group in workflow.tasks:
-        raise WorkflowError(
-            f"variant group {group!r} collides with a task code")
+        raise _refusal("group-code-collision", group)
     members = grp.members
     shared = members.intersection(workflow.tasks, frozenset().union(
         *(g.members for g in workflow.variant_groups if g.code != group)))
@@ -533,15 +522,13 @@ def instantiate_variant(workflow: Workflow, group: str, member: str) -> Workflow
         code = min(shared)
         first, second = list(dict.fromkeys(
             g.code for g in workflow.variant_groups if code in g.members))[:2]
-        raise WorkflowError(_shared_member(code, first, second))
+        raise _refusal("shared-member", code, first, second)
     direct = [code for code, task in workflow.tasks.items()
               if not members.isdisjoint(task.prerequisites)]
     if direct:
         code = min(direct)
         pre = min(members.intersection(workflow.tasks[code].prerequisites))
-        raise WorkflowError(
-            f"task {code!r} requires {pre!r} directly; use its group "
-            f"{group!r} instead")
+        raise _refusal("direct-member-reference", code, pre, group)
 
     dropped = members - {member}
     tasks: dict[str, Task] = {}
@@ -588,7 +575,7 @@ def extension_violation(ordering: Sequence[str], workflow: Workflow) -> str | No
         return None
     pre, code = early
     if pre not in tasks:
-        return f"task {code!r} requires unknown code {pre!r}"
+        return _WORDS["unknown-prerequisite"].format(code, pre)
     return f"{pre!r} must precede {code!r}"
 
 

@@ -34,6 +34,7 @@ from .model import (
     _checked_make,
     _count_extensions,
     _linear_extensions,
+    _refusal,
     instantiate_variant,
     validate_workflow,
 )
@@ -378,7 +379,7 @@ def compare_variants(workflow: Workflow, model: CostModel
         )
     (grp,) = workflow.variant_groups
     if not grp.members:
-        raise WorkflowError(f"variant group {grp.code!r} has no members")
+        raise _refusal("empty-group", grp.code)
     rows: list[VariantRow] = []
     for member in sorted(grp.members):
         candidate = instantiate_variant(workflow, grp.code, member)

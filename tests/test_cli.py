@@ -357,6 +357,16 @@ class TestCostModelSelection:
         assert result.stdout.splitlines()[-2:] == [
             "rules: disabled", "recent-practice scope: adjacent-only"]
 
+    def test_rounding_rule_value_is_refused(self, tmp_path):
+        # Decimal's default 28-digit precision would read it as 0.16.
+        value = "0.1600000000000000000000000000001"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"rules": {"Modality": value}}),
+                        encoding="utf-8")
+        assert run(["show-model", "--cost-model", str(path)]) == (
+            1, "", f"error: {path}: rules.Modality: effect size {value!r} "
+                   "has more than 3 fractional digits\n")
+
     @pytest.mark.parametrize("doc", [
         {"rules": {"Familiarity": [0, [4, 2], -2]}},
         {"matrix": [[0, [0, [4, 2], -2], 0, 0, 0]] + [[0] * 5] * 4},

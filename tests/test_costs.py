@@ -53,6 +53,26 @@ class TestThousandths:
         with pytest.raises(CostModelError):
             to_thousandths(bad)
 
+    @pytest.mark.parametrize("value", [
+        "0.7430000000000000000000000000009", "1e-1000030", "-1e-1000030",
+        Decimal("0.1600000000000000000000000000001"), Decimal("1e-1000030"),
+    ], ids=repr)
+    def test_excess_digits_are_refused_not_rounded(self, value):
+        # Past Decimal's default 28 digits of precision, or below its
+        # smallest exponent, scaling would round these to 743, 0 and 160.
+        with pytest.raises(CostModelError,
+                           match="has more than 3 fractional digits"):
+            to_thousandths(value)
+
+    def test_exact_past_default_precision(self):
+        assert to_thousandths("0.7430000000000000000000000000000") == 743
+        assert to_thousandths("0e-1000030") == 0
+        with pytest.raises(CostModelError, match="is too large"):
+            to_thousandths("1e999999999999")
+        # A 31-digit integer is refused for its size, not for its digits.
+        with pytest.raises(CostModelError, match="exceeds the maximum"):
+            to_thousandths(10 ** 30 + 1)
+
     def test_bound(self):
         assert to_thousandths("1000000") == MAX_EFFECT
         with pytest.raises(CostModelError, match="exceeds the maximum"):

@@ -633,6 +633,28 @@ class TestDotExport:
             '}\n'
         )
 
+    def test_control_characters_are_escaped(self):
+        # Names are not checked, and export_dot does not validate, so
+        # unknown prerequisite and member codes get here as written too.
+        doc = parse_workflow_document({
+            "tasks": [
+                dict(MINIMAL_TASK, code="A", name="Al\x1b[31mpha\nX"),
+                dict(MINIMAL_TASK, code="B", name="",
+                     prerequisites=["A\x1b", "Z\n"]),
+            ],
+            "variant_groups": [{"code": "G", "members": ["M\x07"]}],
+        })
+        assert export_dot(doc.workflow) == (
+            'digraph workflow {\n'
+            '  rankdir=LR;\n'
+            '  "A" [label="A\\nAl\\x1b[31mpha\\nX"];\n'
+            '  "B" [label="B"];\n'
+            '  "G" [shape=box, style=dashed, label="G\\none of: M\\x07"];\n'
+            '  "A\\x1b" -> "B";\n'
+            '  "Z\\n" -> "B";\n'
+            '}\n'
+        )
+
     @pytest.mark.parametrize("fixture,digest", [
         ("checkin-full",
          "2952d8f4cf3f20ba13dbea4cc7eb04dd078e45fc52a9d5944f4514d678b41c1d"),

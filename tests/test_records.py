@@ -277,6 +277,8 @@ class TestFieldTypes:
         ("prerequisites", ["B", 3]),
         ("prerequisites", [["B"]]),
         ("prerequisites", 3),
+        ("code", "A\x1b[31m"),
+        ("code", "A\n"),
     ], ids=lambda value: repr(value))
     def test_task(self, field, value):
         with pytest.raises(WorkflowError, match=f"{field} must be"):
@@ -286,6 +288,7 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("field,value", [
         ("code", 3), ("members", "AB"), ("members", ["A", None]),
+        ("code", "G\t"),
     ], ids=lambda value: repr(value))
     def test_variant_group(self, field, value):
         group = VariantGroup("G", {"A"})
@@ -293,6 +296,17 @@ class TestFieldTypes:
             group._replace(**{field: value})
         with pytest.raises(WorkflowError, match=f"{field} must be"):
             VariantGroup(**{**group._asdict(), field: value})
+
+    @pytest.mark.parametrize("clone", [
+        lambda bad: pickle.loads(pickle.dumps(bad)), copy.copy,
+    ], ids=["pickle", "copy"])
+    def test_task_code_is_checked_when_cloned(self, clone):
+        # A task built around __new__ holds a code no constructor accepts;
+        # a clone is built through __new__, so it is refused.
+        bad = tuple.__new__(Task, ("A\x1b[31m", *task()[1:]))
+        with pytest.raises(WorkflowError,
+                           match="task code must be printable"):
+            clone(bad)
 
     @pytest.mark.parametrize("field,value", [
         ("matrix", None), ("matrix", [1, 2, 3, 4, 5]),
