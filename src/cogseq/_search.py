@@ -19,7 +19,13 @@ lexicographic tie-break, is how a caller maximizes.
 One table maps each ideal's bitmask to its row ``(tasks, rests)``: the
 forward pass lists ``tasks`` eligible there, inserting ideals by size, so
 reverse insertion order puts children first, and the backward pass adds
-each step's cost-to-go, ``rests``.
+each step's cost-to-go, ``rests``.  The table is a value, a
+:class:`Lattice`: :func:`lattice` builds it from the precedence order
+alone, and each :func:`search` prices it in place, so one lattice serves
+several sets of prices on the same order.  When the new prices differ from
+the last search's only before some task has been placed, the search is
+handed that task in ``keep`` and rewrites only the rows of the ideals that
+lack it; the ideals that hold it keep their ``rests``.
 
 Twins (tasks with equal properties, ancestors and descendants) are
 interchangeable: swapping two of them changes no cost (Freuder 1991, value
@@ -42,6 +48,7 @@ from bisect import insort
 from collections.abc import Sequence
 from heapq import heappop, heappush
 from operator import add
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -55,42 +62,28 @@ MAX_IDEALS = 2 ** 18
 MAX_STEPS = 1_000_000
 
 
-def search(preds: Sequence[int],
-           succ: Sequence[Sequence[int]],
-           pair: list,
-           shares: list[int],
-           rp_cost: int,
-           k: int,
-           twins: tuple[tuple[int, ...], ...]):
-    """Find the k cheapest extensions; returns (solutions, nodes, prunes).
+class Lattice(NamedTuple):
+    """The order ideals of one precedence order, priced again for each set
+    of prices: ``rows`` maps each canonical ideal to its eligible tasks, a
+    list, until the first :func:`search` rewrites it to ``(tasks, rests)``
+    in place; a later search rewrites ``rests`` alone."""
+
+    n: int
+    twins: tuple[tuple[int, ...], ...]
+    rows: dict
+
+
+def lattice(preds: Sequence[int],
+            succ: Sequence[Sequence[int]],
+            twins: tuple[tuple[int, ...], ...]) -> Lattice:
+    """The order ideals reachable from the empty set, twins chained.
 
     ``preds[t]``: bitmask of direct predecessors; ``succ[t]``: the direct
-    successors of t, the same edges, in any order.  ``pair[a][b]``: cost of a
-    immediately before b, excluding any history-dependent RecentPractice term;
-    that term is ``rp_cost`` added whenever an already-placed task is in
-    ``shares[t]`` (callers fold the rule into ``pair`` and zero these out for
-    adjacent scope).  ``twins``: classes of two or more interchangeable
-    tasks, each in ascending index; every cost must be symmetric in the
-    members of a class, and ``()`` is always correct.  ``pair[a][b]`` is read
-    only for b that can follow a immediately in some linear extension.  With
-    no twins the backward pass reads every such pair before the best-first
-    pass starts; with twins it reads those of the canonical orderings
-    only, and the best-first pass may read a twin's pair first.  So a row
-    may price on first read: a dict per row whose ``__missing__`` prices b
-    and stores it will do.  Costs may be negative.  Solutions are (total,
-    index-tuple), cheapest first, ties lexicographic.  The best-first pass
-    follows each prefix's cheapest step and defers the others, until k
-    orderings are collected or none are left, reading the rows through
-    :class:`_RealRows` when there are twins.
-    ``nodes`` counts the steps it tries, followed or deferred, and
-    ``prunes`` the deferred ones; neither counts order ideals.  Raises
-    :class:`BudgetExceededError` when the order has more than
-    ``MAX_IDEALS`` canonical ideals, or when the pass tries more than
-    ``MAX_STEPS`` steps, a bound checked as each ordering is collected.
+    successors of t, the same edges, in any order.  ``twins``: classes of
+    two or more interchangeable tasks, each in ascending index; ``()`` is
+    always correct.  Raises :class:`BudgetExceededError` when the order has
+    more than ``MAX_IDEALS`` canonical ideals.
     """
-    n = len(preds)
-    if n == 0:
-        return [(0, ())], 0, 0
     if twins:
         # Each member after the first waits for the one before it, in the
         # tables only: the chained graph is a copy.
@@ -100,8 +93,55 @@ def search(preds: Sequence[int],
             for prev, t in zip(members, members[1:]):
                 preds[t] |= 1 << prev
                 succ[prev] = (*succ[prev], t)
-    rows = _ideals(preds, succ)
-    _cost_to_go(pair, shares, rp_cost, rows)
+    return Lattice(len(preds), twins, _ideals(preds, succ))
+
+
+def search(lattice: Lattice,
+           pair: list,
+           shares: list[int],
+           rp_cost: int,
+           k: int,
+           keep: int = 0):
+    """Price ``lattice`` and find the k cheapest extensions; returns
+    (solutions, nodes, prunes).
+
+    ``pair[a][b]``: cost of a immediately before b, excluding any
+    history-dependent RecentPractice term; that term is ``rp_cost`` added
+    whenever an already-placed task is in ``shares[t]`` (callers fold the
+    rule into ``pair`` and zero these out for adjacent scope).  Every cost
+    must be symmetric in the members of each twin class.  ``pair[a][b]`` is
+    read only for b that can follow a immediately in some linear extension.
+    With no twins the backward pass reads every such pair before the
+    best-first pass starts; with twins it reads those of the canonical
+    orderings only, and the best-first pass may read a twin's pair first.
+    So a row may price on first read: a dict per row whose ``__missing__``
+    prices b and stores it will do.  Costs may be negative.
+
+    ``keep``: a bitmask of tasks.  On a lattice an earlier search priced,
+    the ideals that hold a task of ``keep`` keep their ``rests``, so the
+    caller must guarantee that every price read after placing such a task
+    is that earlier search's; ``0`` prices every ideal again.
+
+    Solutions are (total, index-tuple), cheapest first, ties lexicographic.
+    The best-first pass follows each prefix's cheapest step and defers the
+    others, until k orderings are collected or none are left, reading the
+    rows through :class:`_RealRows` when there are twins.  ``nodes`` counts
+    the steps it tries, followed or deferred, and ``prunes`` the deferred
+    ones; neither counts order ideals.  Raises :class:`BudgetExceededError`
+    when the pass tries more than ``MAX_STEPS`` steps, a bound checked as
+    each ordering is collected.
+    """
+    n, twins, rows = lattice
+    if n == 0:
+        return [(0, ())], 0, 0
+    # One check per call, so the first pricing's loop has no branch per
+    # ideal: a row is still its task list until a search first prices it.
+    if type(rows[0]) is list:
+        ideals = reversed(rows.items())
+    else:
+        ideals = ((placed, row[0]) for placed, row in reversed(rows.items())
+                  if not placed & keep)
+    _cost_to_go(pair, shares, rp_cost, rows, ideals)
     if twins:
         rows = _RealRows(n, twins, rows)
     return _top_k(n, pair, shares, rp_cost, k, rows)
@@ -141,17 +181,19 @@ def _ideals(preds: Sequence[int], succ: Sequence[Sequence[int]]
     return elig
 
 
-def _cost_to_go(pair, shares, rp_cost, rows):
-    """Make each row ``(tasks, rests)`` in place, children first, keeping
-    :func:`_ideals`' list as ``tasks``: ``rests[i]`` is the exact least cost
-    of finishing after placing ``tasks[i]`` on that ideal, including that
-    step's lifted RecentPractice term but not its pair cost.  Only ``rests``
-    depends on the prices: pricing the lattice again rewrites them alone."""
+def _cost_to_go(pair, shares, rp_cost, rows, ideals):
+    """Make the row of each of ``ideals``, ``(placed, tasks)`` pairs with
+    children first, ``(tasks, rests)`` in place, keeping :func:`_ideals`'
+    list as ``tasks``: ``rests[i]`` is the exact least cost of finishing
+    after placing ``tasks[i]`` on that ideal, including that step's lifted
+    RecentPractice term but not its pair cost.  Only ``rests`` depends on
+    the prices: pricing the lattice again rewrites them alone, and the
+    caller hands over only the ideals whose rows it must rewrite."""
     # One bound method per row, not one per (ideal, task) cell; a dict's
     # __getitem__ still falls back to the row's __missing__.
     gets = [row.__getitem__ for row in pair]
     full = next(reversed(rows))
-    for placed, el in reversed(rows.items()):
+    for placed, el in ideals:
         rests: list[int] = []
         for t in el:
             child = placed | 1 << t

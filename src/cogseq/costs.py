@@ -11,7 +11,7 @@ import enum
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CostModelError, OrderingError
+from .errors import CostModelError, OrderingError, _shown
 from .model import (
     RESOURCE_ORDER,
     Ordering,
@@ -60,31 +60,31 @@ def to_thousandths(value: int | float | str | Decimal) -> int:
     if isinstance(value, str) and ("_" in value or not value.isascii()):
         # Decimal accepts PEP 515 digit grouping and any Unicode decimal
         # digit ("١٢", "１.５"); cost models hold plain ASCII decimals only.
-        raise CostModelError(f"invalid effect size {value!r}")
+        raise CostModelError(f"invalid effect size {_shown(value)}")
     try:
         if isinstance(value, float):
             dec = Decimal(str(value))
         else:
             dec = Decimal(value)
     except InvalidOperation:
-        raise CostModelError(f"invalid effect size {value!r}") from None
+        raise CostModelError(f"invalid effect size {_shown(value)}") from None
     if not dec.is_finite():
-        raise CostModelError(f"effect size {value!r} is not finite")
+        raise CostModelError(f"effect size {_shown(value)} is not finite")
     # A precision that holds every digit, so scaling never rounds; a value
     # too small to scale without rounding (Inexact) has excess digits too.
     exact = Context(prec=len(dec.as_tuple().digits), traps=[Overflow, Inexact])
     try:
         scaled = dec.scaleb(3, exact)
     except Overflow:
-        raise CostModelError(f"effect size {value!r} is too large") from None
+        raise CostModelError(f"effect size {_shown(value)} is too large") from None
     except Inexact:
         scaled = None
     if scaled is None or scaled != scaled.to_integral_value():
         raise CostModelError(
-            f"effect size {value!r} has more than 3 fractional digits"
+            f"effect size {_shown(value)} has more than 3 fractional digits"
         )
     if scaled < 0:
-        raise CostModelError(f"effect size {value!r} is negative")
+        raise CostModelError(f"effect size {_shown(value)} is negative")
     if scaled > MAX_EFFECT:
         # Not the value itself: a huge int cannot be converted to a string.
         raise _above_max("value")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 
 def _printable(text: str) -> str:
@@ -10,6 +11,16 @@ def _printable(text: str) -> str:
     ``repr`` does (``\\x00``, ``\\n``, ``\\x1b``): one line that a terminal
     shows as written.  A printable character is left as it is."""
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but a Decimal, which is how a cost-model document's
+    number literal with a fraction or an exponent is read, as written."""
+    # A Decimal exists only once its module is loaded: none is loaded here.
+    decimal = sys.modules.get("decimal")
+    if decimal is not None and isinstance(value, decimal.Decimal):
+        return str(value)
+    return repr(value)
 
 
 class CogseqError(Exception):

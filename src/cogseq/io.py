@@ -27,7 +27,7 @@ from .costs import (
     render_effect,
     to_thousandths,
 )
-from .errors import CogseqError, DocumentError, _printable
+from .errors import CogseqError, DocumentError, _printable, _shown
 from .model import (
     Ordering,
     Resource,
@@ -84,7 +84,7 @@ def _require_int(value) -> int:
 
 def _require_str(value) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"expected a string, got {value!r}")
+        raise DocumentError(f"expected a string, got {_shown(value)}")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -138,9 +138,17 @@ def _read_text(path: Path) -> str:
                             path=path) from None
 
 
-def _json_value(text: str):
+def _exact(literal: str):
+    """A JSON number literal with a fraction or an exponent, as written."""
+    # Imported here: only a cost model that holds such a literal needs it.
+    from decimal import Decimal
+
+    return Decimal(literal)
+
+
+def _json_value(text: str, parse_float=None):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -151,13 +159,15 @@ def _json_value(text: str):
         raise DocumentError("unreadable JSON: nested too deeply") from None
 
 
-def _load(path: Path | str, parse):
-    """``parse`` applied to a JSON file.  The one place that names the file
-    in an error: a DocumentError from the JSON or the parser gets the path."""
+def _load(path: Path | str, parse, parse_float=None):
+    """``parse`` applied to a JSON file, its number literals with a fraction
+    or an exponent read by ``parse_float`` (``float`` by default).  The one
+    place that names the file in an error: a DocumentError from the JSON or
+    the parser gets the path."""
     path = Path(path)
     text = _read_text(path)
     try:
-        return parse(_json_value(text))
+        return parse(_json_value(text, parse_float))
     except DocumentError as exc:
         raise DocumentError(exc.message, path=path, field=exc.field) from None
 
@@ -314,7 +324,8 @@ def load_cost_model(path: Path | str) -> CostModel:
     An empty document ({}) yields the full published model: omitted fields
     default to the literal matrix and rule tables.
     """
-    return _load(path, parse_cost_model_document)
+    # Effect sizes are read as written: a float would round 1e-400 to 0.
+    return _load(path, parse_cost_model_document, _exact)
 
 
 FIXTURES = ("checkin-full.json", "checkin-validation.json")

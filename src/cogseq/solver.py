@@ -16,7 +16,7 @@ from functools import cache
 from time import perf_counter
 from typing import NamedTuple
 
-from . import _backend
+from . import _backend, _search
 from .costs import (
     RESOURCE_INDEX,
     CostModel,
@@ -64,6 +64,10 @@ class SearchStats(NamedTuple):
     tries, followed or deferred, and ``prunes`` the steps it defers to its
     heap; neither counts the order ideals of its dynamic program.
     ``brute_force`` counts each priced extension as a node and never prunes.
+    ``elapsed`` runs from the validated graph to the end of the search.  For
+    a ``compare_variants`` row it covers that member's pricing, and the
+    build of the lattice only on the row that built it: the rows after it
+    price the same lattice again.
     """
 
     nodes: int
@@ -244,6 +248,12 @@ def _twin_classes(profile: tuple[list[int], ...], preds: tuple[int, ...],
     # prerequisite, so a chain (one root, one dependent at most) has none.
     if preds.count(0) < 2 and max(map(len, succ), default=0) < 2:
         return ()
+    # Twins share a profile row, so only a repeated row needs the closure.
+    groups: dict[tuple, list[int]] = {}
+    for t, key in enumerate(zip(*profile)):
+        groups.setdefault(key, []).append(t)
+    if len(groups) == len(preds):
+        return ()
     # Ancestors in a topological order, descendants in its reverse.
     ancestors = [0] * len(preds)
     waiting = [mask.bit_count() for mask in preds]
@@ -259,11 +269,15 @@ def _twin_classes(profile: tuple[list[int], ...], preds: tuple[int, ...],
     for t in reversed(order):
         for s in succ[t]:
             descendants[t] |= descendants[s] | 1 << s
-    groups: dict[tuple, list[int]] = {}
-    for t, key in enumerate(zip(*profile, ancestors, descendants)):
-        groups.setdefault(key, []).append(t)
-    return tuple(tuple(members) for members in groups.values()
-                 if len(members) > 1)
+    classes: dict[tuple, list[int]] = {}
+    for members in groups.values():
+        if len(members) > 1:
+            for t in members:
+                classes.setdefault((members[0], ancestors[t], descendants[t]),
+                                   []).append(t)
+    # Disjoint classes sort by their first index.
+    return tuple(sorted(tuple(members) for members in classes.values()
+                        if len(members) > 1))
 
 
 def _finish(workflow: Workflow, model: CostModel, ordering: Ordering,
@@ -278,6 +292,48 @@ def _finish(workflow: Workflow, model: CostModel, ordering: Ordering,
                     stats=stats)
 
 
+def _searched(workflow: Workflow, model: CostModel, sign: int, k: int,
+              member: str | None = None, held: dict | None = None
+              ) -> list[Solution]:
+    """The request path of ``solve`` and ``compare_variants``: validate,
+    price (:func:`_kernel_inputs`), search with ``sign``, then recheck each
+    solution (:func:`_finish`).
+
+    ``member``: the swept member of a ``compare_variants`` row, and
+    ``held``: the lattice of the row before, by its key, which this row
+    replaces.  Rows whose graph, twins and member index agree share one
+    lattice.  Only the member's own prices differ between them, so unless
+    the model is history-dependent the search keeps the rests of every
+    ideal that holds the member: after it, every step prices two tasks that
+    are the same in every row.
+    """
+    graph = _checked(workflow, "solve")
+    start = perf_counter()
+    codes, preds, succ = graph
+    pair, shares, rp_cost, twins = _kernel_inputs(workflow, model, graph,
+                                                  sign)
+    keep = 0
+    if member is None:
+        lattice = _search.lattice(preds, succ, twins)
+    else:
+        key = (preds, succ, twins, codes.index(member))
+        lattice = held.get(key)
+        if lattice is None:
+            held.clear()  # one table per call, not one per row
+            lattice = held[key] = _search.lattice(preds, succ, twins)
+        elif not model.history_dependent:
+            keep = 1 << key[3]
+    solutions, nodes, prunes = _backend.search(lattice, pair, shares,
+                                               rp_cost, k, keep)
+    stats = SearchStats(nodes=nodes, prunes=prunes,
+                        elapsed=perf_counter() - start)
+    return [
+        _finish(workflow, model, tuple(map(codes.__getitem__, seq)),
+                sign * total, stats)
+        for total, seq in solutions
+    ]
+
+
 def solve(request: SolveRequest) -> list[Solution]:
     """Best-first list of at most k extremal orderings.
 
@@ -286,23 +342,9 @@ def solve(request: SolveRequest) -> list[Solution]:
     more than ``_search.MAX_IDEALS`` order ideals once twins are chained,
     or when the request takes more than ``_search.MAX_STEPS`` search steps.
     """
-    workflow, model = request.workflow, request.model
-    graph = _checked(workflow, "solve")
-    start = perf_counter()
-    codes, preds, succ = graph
     # The search minimizes, so a maximizing request searches negated prices.
     sign = -1 if request.objective is Objective.MAXIMIZE else 1
-    pair, shares, rp_cost, twins = _kernel_inputs(workflow, model, graph,
-                                                  sign)
-    solutions, nodes, prunes = _backend.search(
-        preds, succ, pair, shares, rp_cost, request.k, twins)
-    stats = SearchStats(nodes=nodes, prunes=prunes,
-                        elapsed=perf_counter() - start)
-    return [
-        _finish(workflow, model, tuple(map(codes.__getitem__, seq)),
-                sign * total, stats)
-        for total, seq in solutions
-    ]
+    return _searched(request.workflow, request.model, sign, request.k)
 
 
 def brute_force(workflow: Workflow, model: CostModel,
@@ -358,8 +400,11 @@ class VariantComparison(NamedTuple):
 
 def compare_variants(workflow: Workflow, model: CostModel
                      ) -> tuple[VariantComparison, ...]:
-    """Sweep the workflow's one variant group, solving minimize/k=1 per
-    member.
+    """Sweep the workflow's one variant group: the cheapest ordering with
+    each member in the group's place.
+
+    The members share one lattice of order ideals when their graphs agree,
+    and each member prices it again (see :func:`_searched`).
 
     A workflow with several unresolved groups is refused rather than
     resolved by a guess: resolve all but one first.  A group with no
@@ -381,12 +426,10 @@ def compare_variants(workflow: Workflow, model: CostModel
     if not grp.members:
         raise _refusal("empty-group", grp.code)
     rows: list[VariantRow] = []
+    held: dict = {}
     for member in sorted(grp.members):
         candidate = instantiate_variant(workflow, grp.code, member)
-        solution = solve(SolveRequest(
-            workflow=candidate, model=model,
-            objective=Objective.MINIMIZE, k=1,
-        ))[0]
+        (solution,) = _searched(candidate, model, 1, 1, member, held)
         rows.append(VariantRow(member=member, solution=solution))
     rows.sort(key=lambda row: (row.solution.total, row.member))
     delta = rows[-1].solution.total - rows[0].solution.total

@@ -367,6 +367,19 @@ class TestCostModelSelection:
             1, "", f"error: {path}: rules.Modality: effect size {value!r} "
                    "has more than 3 fractional digits\n")
 
+    @pytest.mark.parametrize("literal,shown", [
+        ("1e-400", "1E-400"),
+        ("0.16000000000000000001", "0.16000000000000000001"),
+    ])
+    def test_number_literal_is_not_rounded(self, tmp_path, literal, shown):
+        # json's float parser would read them as 0 and 0.16.
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"rules": {{"Modality": {literal}}}}}',
+                        encoding="utf-8")
+        assert run(["show-model", "--cost-model", str(path)]) == (
+            1, "", f"error: {path}: rules.Modality: effect size {shown} "
+                   "has more than 3 fractional digits\n")
+
     @pytest.mark.parametrize("doc", [
         {"rules": {"Familiarity": [0, [4, 2], -2]}},
         {"matrix": [[0, [0, [4, 2], -2], 0, 0, 0]] + [[0] * 5] * 4},

@@ -319,6 +319,54 @@ class TestCostModelDocuments:
         assert model.rule_cost(Rule.RECENT_PRACTICE) is None
         assert model == CostModel.calibrated()
 
+    @pytest.mark.parametrize("literal,shown", [
+        ("1e-400", "1E-400"),
+        ("0.16000000000000000001", "0.16000000000000000001"),
+    ])
+    def test_number_literal_is_read_as_written(self, tmp_path, literal,
+                                               shown):
+        # A float would read them as 0 and 0.16.
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"rules": {{"Modality": {literal}}}}}',
+                        encoding="utf-8")
+        with pytest.raises(DocumentError) as err:
+            load_cost_model(path)
+        assert str(err.value) == (
+            f"{path}: rules.Modality: effect size {shown} has more than 3 "
+            "fractional digits")
+
+    def test_exact_number_literals_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"rules": {"Modality": 0.743, "Familiarity": 2e-1},'
+                        ' "matrix": [[0, 1.5e0, 0, 0, 0], [0, 0, 0, 0, 0],'
+                        ' [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]}',
+                        encoding="utf-8")
+        model = load_cost_model(path)
+        assert model.rule_cost(Rule.MODALITY) == 743
+        assert model.rule_cost(Rule.FAMILIARITY) == 200
+        assert model.matrix[0][1] == 1500
+
+    def test_workflow_number_literal_stays_a_float(self, tmp_path):
+        # Only cost models read number literals exactly: a workflow field
+        # still names the value as JSON wrote it.
+        path = tmp_path / "workflow.json"
+        path.write_text(json.dumps({"tasks": [{
+            "code": "A", "name": "A", "resource": "VWM", "modality": "touch",
+            "voluntary": True, "familiarity": 3, "complexity": 1.5}]}),
+            encoding="utf-8")
+        with pytest.raises(DocumentError) as err:
+            load_document(path)
+        assert str(err.value) == (
+            f"{path}: tasks[0].complexity: expected an integer, got 1.5")
+
+    def test_number_literal_where_a_string_belongs(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"recent_practice_scope": 1.5}', encoding="utf-8")
+        with pytest.raises(DocumentError) as err:
+            load_cost_model(path)
+        assert str(err.value) == (
+            f"{path}: recent_practice_scope: expected a string, got 1.5")
+
     def test_non_finite_rule_cost(self):
         # json accepts the NaN literal, so documents can carry one.
         data = json.loads('{"rules": {"Familiarity": NaN}}')

@@ -466,9 +466,11 @@ class TestTwins:
                         objective=(Objective.MAXIMIZE if maximize
                                    else Objective.MINIMIZE)))
                     assert _totals(found) == oracle[:k]
-                    args = (*graph, pair, shares, rp_cost, k)
-                    assert (_search.search(*args, twins)
-                            == _search.search(*args, ()))
+                    args = (pair, shares, rp_cost, k)
+                    assert (_search.search(_search.lattice(*graph, twins),
+                                           *args)
+                            == _search.search(_search.lattice(*graph, ()),
+                                              *args))
 
 
 class TestReferenceOptimum:
@@ -723,7 +725,7 @@ class TestSearchEngine:
         succ = [(i + 1,) for i in range(n - 1)] + [()]
         pair = [[0] * n for _ in range(n)]
         solutions, nodes, prunes = _search.search(
-            preds, succ, pair, [0] * n, 0, 1, ())
+            _search.lattice(preds, succ, ()), pair, [0] * n, 0, 1)
         assert solutions == [(0, tuple(range(n)))]
         assert (nodes, prunes) == (n, 0)
 
@@ -747,8 +749,8 @@ class TestSearchEngine:
             wf, CostModel())
         assert twins == ((0, 1, 2, 3),)
         preds, succ = list(preds), [list(row) for row in succ]
-        solutions, _, _ = _search.search(preds, succ, pair, shares, rp_cost,
-                                         30, twins)
+        solutions, _, _ = _search.search(_search.lattice(preds, succ, twins),
+                                         pair, shares, rp_cost, 30)
         assert len(solutions) == 24
         assert (preds, succ) == ([0] * 4, [[]] * 4)
 
@@ -810,9 +812,9 @@ class TestSearchEngine:
         seen = {}
         cost_to_go, top_k = _search._cost_to_go, _search._top_k
 
-        def canonical(pair, shares, rp_cost, rows):
+        def canonical(pair, shares, rp_cost, rows, ideals):
             seen["canonical"] = rows
-            return cost_to_go(pair, shares, rp_cost, rows)
+            return cost_to_go(pair, shares, rp_cost, rows, ideals)
 
         def real(*args):
             seen["real"] = args[-1]
@@ -844,7 +846,8 @@ class TestSearchEngine:
                         if j:
                             rest += steps[j - 1].total
                 seen.clear()
-                _search.search(preds, succ, pair, shares, rp_cost, 4, twins)
+                _search.search(_search.lattice(preds, succ, twins), pair,
+                               shares, rp_cost, 4)
                 tables = [seen["canonical"]]
                 if twins:
                     assert seen["real"] is not seen["canonical"]
@@ -897,7 +900,8 @@ def _searched_inputs(wf, model, maximize=False, k=1):
     """``_kernel_inputs`` after a search has read (and so priced) its rows."""
     inputs = _kernel_inputs(wf, model, -1 if maximize else 1)
     _, preds, succ, pair, shares, rp_cost, twins = inputs
-    _search.search(preds, succ, pair, shares, rp_cost, k, twins)
+    _search.search(_search.lattice(preds, succ, twins), pair, shares,
+                   rp_cost, k)
     return inputs
 
 
@@ -1041,7 +1045,8 @@ class TestPairPricer:
                 _, preds, succ, pair, shares, rp_cost, twins = _kernel_inputs(
                     wf, model, -1 if maximize else 1)
                 assert not calls and not any(pair)
-                _search.search(preds, succ, pair, shares, rp_cost, 4, twins)
+                _search.search(_search.lattice(preds, succ, twins), pair,
+                               shares, rp_cost, 4)
                 assert len(calls) == len(set(calls))
                 assert set(calls) == _priced_pairs(pair)
 
@@ -1105,7 +1110,7 @@ class TestInternalConsistency:
             simple_task("B", prerequisites=("A",)),
         ])
 
-        def lying_kernel(preds, succ, pair, shares, rp_cost, k, twins):
+        def lying_kernel(lattice, pair, shares, rp_cost, k, keep=0):
             return [(999_999, (0, 1))], 1, 0
 
         monkeypatch.setattr("cogseq._backend.search", lying_kernel)
@@ -1227,7 +1232,7 @@ class TestCallTimeSeams:
 
     @pytest.mark.parametrize("module,attr,request_kind", [
         (_backend, "search", _solve_request),
-        (solver, "solve", _compare_request),
+        (_backend, "search", _compare_request),
         (solver, "instantiate_variant", _compare_request),
         (solver, "validate_workflow", _solve_request),
         (solver, "_kernel_inputs", _solve_request),
@@ -1320,3 +1325,85 @@ class TestCompareVariants:
             concrete = instantiate_variant(resolved, "GRPA", row.member)
             (sol,) = solve(SolveRequest(workflow=concrete, model=model))
             assert row.solution.total == sol.total
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sweep_matches_per_member_solves_and_brute_force(self, seed):
+        # Members that share an index share one lattice; the others and the
+        # history-dependent model exercise the rebuilt and the fully
+        # re-priced lattice.
+        wf, twin = _swept_workflow(random.Random(12_000 + seed))
+        for model in MODELS:
+            (comparison,) = compare_variants(wf, model)
+            assert len(comparison.rows) == len(wf.variant_groups[0].members)
+            for row in comparison.rows:
+                concrete = instantiate_variant(wf, "G", row.member)
+                if row.member == twin:
+                    codes, *_, twins = _kernel_inputs(concrete, model)
+                    assert any(codes.index(twin) in c for c in twins)
+                (sol,) = solve(SolveRequest(workflow=concrete, model=model))
+                assert row.solution.ordering == sol.ordering
+                assert row.solution.total == sol.total
+                assert row.solution.breakdowns == sol.breakdowns
+                assert row.solution.stats[:2] == sol.stats[:2]
+                best = brute_force(concrete, model)
+                assert (row.solution.total, row.solution.ordering) == (
+                    best.total, best.ordering)
+
+    def test_checkin_sweep_builds_one_lattice(self, monkeypatch,
+                                              full_document):
+        lattice = _search.lattice
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return lattice(*args)
+
+        monkeypatch.setattr(_search, "lattice", counting)
+        for model in MODELS:
+            built.clear()
+            (comparison,) = compare_variants(full_document.workflow, model)
+            assert len(comparison.rows) == 4
+            assert len(built) == 1
+
+
+def _swept_workflow(rng: random.Random) -> tuple[Workflow, str | None]:
+    """A random workflow of 3-9 tasks plus one group ``G`` of 2-4 members,
+    and the member that is a twin of a task outside the group, or None.
+
+    The members' codes sort to one index or to several; they share their
+    prerequisites or not; and one of them may copy the task at the cut, its
+    dependents then requiring ``G`` as well.  Members require tasks before
+    the cut and only tasks after it require ``G``, so there is no cycle.
+    """
+    base = random_workflow(rng, n_min=3, n_max=9)
+    codes = sorted(base.tasks)
+    cut = rng.randrange(len(codes))
+    pivot = codes[cut]
+    size = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        members = [f"A{j}" for j in range(size)]
+    else:
+        members = rng.sample(["A", "B", "T00x", f"{pivot}y", "U", "Z"], size)
+    shared = rng.sample(codes[:cut], rng.randint(0, cut))
+    tasks = dict(base.tasks)
+    for code in members:
+        prereqs = (shared if rng.random() < 0.8
+                   else rng.sample(codes[:cut], rng.randint(0, cut)))
+        tasks[code] = simple_task(
+            code, resource=rng.choice(list(Resource)),
+            modality=rng.choice(MODALITIES), voluntary=rng.random() < 0.5,
+            familiarity=rng.randint(1, 5), complexity=rng.randint(1, 5),
+            prerequisites=prereqs)
+    twin = None
+    if rng.random() < 0.4:
+        twin = rng.choice(members)
+        tasks[twin] = tasks[pivot]._replace(code=twin, name=twin)
+        dependents = [code for code in codes
+                      if pivot in tasks[code].prerequisites]
+    else:
+        dependents = [code for code in codes[cut + 1:] if rng.random() < 0.4]
+    for code in dependents:
+        tasks[code] = tasks[code]._replace(
+            prerequisites=tasks[code].prerequisites | {"G"})
+    return (Workflow.from_tasks(tasks.values(), [VariantGroup("G", members)]),
+            twin)
