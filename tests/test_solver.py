@@ -1232,7 +1232,6 @@ class TestCallTimeSeams:
 
     @pytest.mark.parametrize("module,attr,request_kind", [
         (_backend, "search", _solve_request),
-        (_backend, "search", _compare_request),
         (solver, "instantiate_variant", _compare_request),
         (solver, "validate_workflow", _solve_request),
         (solver, "_kernel_inputs", _solve_request),
@@ -1255,6 +1254,21 @@ class TestCallTimeSeams:
         monkeypatch.setattr(module, attr, counting)
         assert request_kind(full_document.workflow)
         assert calls
+
+    def test_compare_searches_each_member_through_the_backend(
+            self, monkeypatch, full_document):
+        # compare_variants reaches the kernel without solver.solve: one
+        # _backend.search per member of the swept group.
+        original = _backend.search
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_backend, "search", counting)
+        (comparison,) = _compare_request(full_document.workflow)
+        assert len(calls) == len(comparison.rows) == 4
 
     def test_kernel_name_is_exported(self):
         assert cogseq.KERNEL_NAME == _backend.KERNEL_NAME == "pure"
